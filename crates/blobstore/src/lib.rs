@@ -21,6 +21,8 @@
 //!   [`strategy::WriteStrategy::Direct`].
 
 pub mod codec;
+#[cfg(test)]
+mod reference;
 pub mod store;
 pub mod strategy;
 

@@ -48,7 +48,8 @@ pub struct ExecutableRecord {
     pub original_len: usize,
     /// Stored (compressed) payload size.
     pub stored_len: usize,
-    /// FNV-1a checksum of the uncompressed payload.
+    /// [`checksum64`] of the uncompressed payload: computed on insert,
+    /// verified on every load. In-memory only — not a stable format.
     pub checksum: u64,
 }
 
@@ -84,13 +85,53 @@ impl From<CodecError> for DbError {
     }
 }
 
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Multiplier of the lane and fold steps (odd, so multiplying is a
+/// bijection of `u64`).
+const CHECKSUM_PRIME: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Bytes per checksum block: one little-endian `u64` word per lane.
+const CHECKSUM_BLOCK: usize = 32;
+
+/// One absorb step: xor, odd multiply and rotate are each a bijection of
+/// `h` for a fixed `word` and of `word` for a fixed `h`.
+#[inline]
+fn checksum_step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(CHECKSUM_PRIME).rotate_left(29)
+}
+
+/// The blob checksum: four independent lanes, lane `i` absorbing word `i`
+/// of every 32-byte block with [`checksum_step`] (the tail is zero-padded
+/// to one last block), then folded in order into the byte length with the
+/// same step and finished with an xor-shift. Four lanes keep four
+/// multiplies in flight, where a byte-serial hash waits on one per byte.
+///
+/// A change confined to one word always changes the result: it changes
+/// that lane's state at that step, and every later step — of the lane and
+/// of the fold — is a bijection of the state it is handed.
+pub fn checksum64(data: &[u8]) -> u64 {
+    let mut lanes = [
+        CHECKSUM_PRIME,
+        CHECKSUM_PRIME.rotate_left(16),
+        CHECKSUM_PRIME.rotate_left(32),
+        CHECKSUM_PRIME.rotate_left(48),
+    ];
+    let mut absorb = |block: &[u8]| {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            *lane = checksum_step(*lane, word);
+        }
+    };
+    let mut blocks = data.chunks_exact(CHECKSUM_BLOCK);
+    for block in &mut blocks {
+        absorb(block);
     }
-    h
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; CHECKSUM_BLOCK];
+        padded[..tail.len()].copy_from_slice(tail);
+        absorb(&padded);
+    }
+    let h = lanes.into_iter().fold(data.len() as u64, checksum_step);
+    h ^ (h >> 32)
 }
 
 /// The executable database.
@@ -130,7 +171,7 @@ impl BlobDb {
             params,
             original_len: data.len(),
             stored_len: compressed.len(),
-            checksum: fnv1a(data),
+            checksum: checksum64(data),
         };
         self.by_name.insert(name.to_owned(), id);
         self.blobs.insert(id, Bytes::from(compressed));
@@ -156,16 +197,22 @@ impl BlobDb {
 
     /// Decompress and verify a payload by name.
     pub fn load(&self, name: &str) -> Result<Vec<u8>, DbError> {
+        self.load_with_record(name).map(|(_, data)| data)
+    }
+
+    /// [`BlobDb::load`] that also hands back the metadata row it looked
+    /// up, for callers that need both (one lookup by name, not two).
+    pub fn load_with_record(&self, name: &str) -> Result<(&ExecutableRecord, Vec<u8>), DbError> {
         let rec = self.record(name)?;
         let blob = self
             .blobs
             .get(&rec.id)
             .ok_or_else(|| DbError::Corrupt(name.to_owned()))?;
         let data = decompress(blob)?;
-        if fnv1a(&data) != rec.checksum {
+        if checksum64(&data) != rec.checksum {
             return Err(DbError::Corrupt(name.to_owned()));
         }
-        Ok(data)
+        Ok((rec, data))
     }
 
     /// Delete by name; returns the freed record.

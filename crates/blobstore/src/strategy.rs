@@ -190,22 +190,17 @@ impl TimedDb {
     {
         let span = sim.span_begin("db.load");
         sim.span_attr(span, "file", name);
-        let (stored_len, result) = {
-            let db = self.db.borrow();
-            match db.load(name) {
-                Ok(data) => (
-                    db.record(name).map(|r| r.stored_len as f64).unwrap_or(0.0),
-                    Ok(Bytes::from(data)),
-                ),
-                Err(e) => (0.0, Err(e)),
-            }
-        };
-        match result {
+        let loaded = self
+            .db
+            .borrow()
+            .load_with_record(name)
+            .map(|(rec, data)| (rec.stored_len as f64, Bytes::from(data)));
+        match loaded {
             Err(e) => {
                 sim.span_fail(span, &e.to_string());
                 done(sim, Err(e), StoreTiming::default());
             }
-            Ok(data) => {
+            Ok((stored_len, data)) => {
                 let bytes = data.len() as f64;
                 sim.span_attr(span, "bytes", bytes);
                 let cpu = decompress_cpu_secs(bytes);

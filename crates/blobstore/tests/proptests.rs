@@ -1,11 +1,160 @@
 //! Property-based invariants of the blob database and its codec.
 
+use blobstore::store::checksum64;
 use blobstore::{compress, decompress, BlobDb, ParamSpec, TimedDb, WriteStrategy};
 use bytes::Bytes;
 use proptest::prelude::*;
-use simkit::{Host, HostSpec, Sim};
+use simkit::{Host, HostSpec, Rng, Sim};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// The parent commit's byte-wise codec: the model the kernels must match.
+#[path = "../src/reference.rs"]
+mod reference;
+
+/// The shape of `onserve::deployment::synth_payload`, the executable every
+/// workload and golden stores: 32-byte records, six salted hex digits each.
+fn synth_like(len: usize, seed: u64) -> Vec<u8> {
+    let mut data = Vec::with_capacity(len + 32);
+    let mut x = seed | 1;
+    while data.len() < len {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        data.extend_from_slice(format!("SEG{:08x}:PAYLOAD-DATA-BLOCK;", x >> 40).as_bytes());
+    }
+    data.truncate(len);
+    data
+}
+
+/// `rounds` seeded edits of a valid stream: bit flips, byte inserts and
+/// deletes anywhere, and rewrites of a header byte.
+fn mutate(stream: &mut Vec<u8>, rng: &mut Rng, rounds: usize) {
+    for _ in 0..rounds {
+        let at = rng.below(stream.len() as u64) as usize;
+        match rng.below(4) {
+            0 => stream[at] ^= 1 << rng.below(8),
+            1 => stream.insert(at, rng.next_u64() as u8),
+            2 if stream.len() > 1 => {
+                stream.remove(at);
+            }
+            _ => stream[at % 4] = rng.next_u64() as u8,
+        }
+    }
+}
+
+/// The decoder's whole contract on one stream, valid or not: what the
+/// reference decodes it decodes to the same bytes, what the reference
+/// rejects it rejects with a typed error, and it never holds more output
+/// than 255 bytes per stream byte (so it cannot have allocated more).
+fn assert_decodes_like_reference(stream: &[u8]) {
+    let got = decompress(stream);
+    if let Ok(out) = &got {
+        assert!(out.len() <= 255 * stream.len());
+    }
+    assert_eq!(got.ok(), reference::decompress(stream));
+}
+
+/// Every lane and tail alignment of the checksum, exhaustively: all
+/// lengths 0..=200, every single-bit flip of each, and every change of
+/// length (each prefix against every other).
+#[test]
+fn checksum64_detects_every_bit_flip_and_length_change() {
+    let data = synth_like(200, 7);
+    let sums: Vec<u64> = (0..=data.len()).map(|n| checksum64(&data[..n])).collect();
+    for (n, &sum) in sums.iter().enumerate() {
+        assert!(!sums[..n].contains(&sum), "length {n} collides");
+        let mut flipped = data[..n].to_vec();
+        for bit in 0..n * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum64(&flipped), sum, "length {n}, bit {bit}");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+    // zero padding of the tail is told apart from real zero bytes
+    let zero_sums: Vec<u64> = (0..=200).map(|n| checksum64(&vec![0u8; n])).collect();
+    for (n, sum) in zero_sums.iter().enumerate() {
+        assert!(!zero_sums[..n].contains(sum), "{n} zero bytes collide");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The word-wise compressor makes the parent's parse decisions exactly.
+    #[test]
+    fn compress_matches_reference_arbitrary(
+        data in proptest::collection::vec(any::<u8>(), 0..20_000),
+    ) {
+        prop_assert_eq!(compress(&data), reference::compress(&data));
+    }
+
+    /// ... on periodic input, where matches overlap their own output and
+    /// run to the end of the data, with noise so the period breaks.
+    #[test]
+    fn compress_matches_reference_repetitive(
+        unit in proptest::collection::vec(any::<u8>(), 1..65),
+        len in 0usize..6_000,
+        noise in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+    ) {
+        let mut data: Vec<u8> = unit.iter().copied().cycle().take(len).collect();
+        for (at, byte) in noise {
+            if let Some(b) = data.get_mut(at as usize) {
+                *b = byte;
+            }
+        }
+        let packed = compress(&data);
+        prop_assert_eq!(&packed, &reference::compress(&data));
+        prop_assert_eq!(decompress(&packed).unwrap(), data);
+    }
+
+    /// ... and on the payload shape the goldens store, at every alignment
+    /// of the tail.
+    #[test]
+    fn compress_matches_reference_synth(len in 0usize..70_000, seed in any::<u64>()) {
+        let data = synth_like(len, seed);
+        let packed = compress(&data);
+        prop_assert_eq!(&packed, &reference::compress(&data));
+        prop_assert_eq!(decompress(&packed).unwrap(), data);
+    }
+
+    /// Mutated streams: typed error or identical output, never a panic, a
+    /// hang or an allocation past the bound.
+    #[test]
+    fn decompress_matches_reference_on_mutations(
+        seed in any::<u64>(),
+        len in 0usize..3_000,
+        period in 1usize..65,
+        rounds in 1usize..4,
+    ) {
+        let mut rng = Rng::new(seed);
+        let sources = [
+            synth_like(len, seed),
+            (0..len).map(|i| (i % period) as u8).collect(),
+            (0..len).map(|_| rng.next_u64() as u8).collect(),
+        ];
+        for data in sources {
+            let mut stream = compress(&data);
+            assert_decodes_like_reference(&stream);
+            mutate(&mut stream, &mut rng, rounds);
+            assert_decodes_like_reference(&stream);
+        }
+    }
+
+    /// Arbitrary bytes as a stream, most of them invalid.
+    #[test]
+    fn decompress_matches_reference_on_garbage(
+        mut stream in proptest::collection::vec(any::<u8>(), 0..300),
+        small_header in any::<bool>(),
+    ) {
+        if small_header && stream.len() >= 4 {
+            // a plausible length, so decoding gets past the header check
+            stream[2] = 0;
+            stream[3] = 0;
+        }
+        assert_decodes_like_reference(&stream);
+    }
+}
 
 proptest! {
     /// Codec round-trips arbitrary bytes.

@@ -343,3 +343,20 @@ pub fn arg_map(args: &[(&str, SoapValue)]) -> BTreeMap<String, SoapValue> {
         .map(|(n, v)| (n.to_string(), v.clone()))
         .collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The stored size of every synthetic executable is simulated disk
+    /// time in every golden CSV and `.prom` file. These are the lengths of
+    /// the streams the codec produced when the goldens were recorded; a
+    /// codec or `synth_payload` edit that moves them moves the goldens.
+    #[test]
+    fn synthetic_executables_keep_their_stored_length() {
+        for (len, stored) in [(1024, 335), (65_536, 16_709), (5 * 1024 * 1024, 1_293_199)] {
+            let data = synth_payload(len, 0x5eed ^ len as u64);
+            assert_eq!(blobstore::compress(&data).len(), stored, "{len} bytes");
+        }
+    }
+}

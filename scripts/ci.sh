@@ -103,4 +103,13 @@ cargo run --release -q -p onserve-bench --bin noisyneighbor > /dev/null
 cmp target/experiments/noisyneighbor-run1.csv target/experiments/noisyneighbor.csv
 cmp target/experiments/noisyneighbor-run1.prom target/experiments/noisyneighbor.prom
 
+echo "==> benchmark tier (harness unit tests + 2 s correctness smoke per workload)"
+(cd benchmark && cargo test --offline -q)
+for workload in fleet_day door_planes appliance_paper publish_storm; do
+  benchmark/run.sh --workload "$workload" --seconds 2 --trace 0 | tail -n 1 | grep -q '"correct": true' || {
+    echo "benchmark smoke: workload ${workload} did not report \"correct\": true" >&2
+    exit 1
+  }
+done
+
 echo "CI OK"
