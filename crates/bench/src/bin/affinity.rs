@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release -p onserve-bench --bin affinity`
 
 use onserve_bench::affinity::{self, OFFERED_RPS, REPLICAS, TENANTS};
+use onserve_bench::save_experiment;
 use simkit::report::TextTable;
 
 fn main() {
@@ -55,9 +56,6 @@ fn main() {
     );
 
     let csv = affinity::csv(&points);
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("affinity.csv");
-    std::fs::write(&path, csv).expect("write affinity.csv");
-    println!("\n(CSV written to {})", path.display());
+    let paths = save_experiment("affinity", &[("csv", &csv)]).expect("write target/experiments");
+    println!("\n(CSV written to {})", paths[0].display());
 }

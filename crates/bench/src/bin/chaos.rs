@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release -p onserve-bench --bin chaos`
 
 use onserve_bench::chaos::{self, OFFERED_RPS};
+use onserve_bench::save_experiment;
 use simkit::report::TextTable;
 
 fn main() {
@@ -52,9 +53,6 @@ fn main() {
     );
 
     let csv = chaos::csv(&points);
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("chaos.csv");
-    std::fs::write(&path, csv).expect("write chaos.csv");
-    println!("\n(CSV written to {})", path.display());
+    let paths = save_experiment("chaos", &[("csv", &csv)]).expect("write target/experiments");
+    println!("\n(CSV written to {})", paths[0].display());
 }

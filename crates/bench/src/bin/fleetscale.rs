@@ -7,7 +7,7 @@
 //! point (4 replicas, replicated).
 
 use onserve_bench::fleetscale::{self, OFFERED_RPS};
-use onserve_bench::{trace_arg, write_trace};
+use onserve_bench::{save_experiment, trace_arg, write_trace};
 use simkit::report::TextTable;
 
 fn main() {
@@ -68,11 +68,8 @@ fn main() {
     );
 
     let csv = fleetscale::csv(&points);
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("fleetscale.csv");
-    std::fs::write(&path, csv).expect("write fleetscale.csv");
-    println!("\n(CSV written to {})", path.display());
+    let paths = save_experiment("fleetscale", &[("csv", &csv)]).expect("write target/experiments");
+    println!("\n(CSV written to {})", paths[0].display());
 
     if let Some(path) = trace_arg() {
         // re-run one representative point with telemetry on; the sweep

@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release -p onserve-bench --bin geo`
 
 use onserve_bench::geo;
+use onserve_bench::save_experiment;
 use simkit::report::TextTable;
 
 fn main() {
@@ -56,15 +57,11 @@ fn main() {
         rr.mean_ms, near.mean_ms, fed.completed, fed.issued, obl.faulted,
     );
 
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("geo.csv");
-    std::fs::write(&path, geo::csv(&points)).expect("write geo.csv");
-    let prom = dir.join("geo.prom");
-    std::fs::write(&prom, &near.prom).expect("write geo.prom");
+    let outputs = [("csv", &*geo::csv(&points)), ("prom", &*near.prom)];
+    let paths = save_experiment("geo", &outputs).expect("write target/experiments");
     println!(
         "\n(CSV written to {}; site-labelled exposition snapshot to {})",
-        path.display(),
-        prom.display()
+        paths[0].display(),
+        paths[1].display()
     );
 }

@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release -p onserve-bench --bin grayfail`
 
 use onserve_bench::grayfail::{self, SLOW_FACTOR};
+use onserve_bench::save_experiment;
 use simkit::report::TextTable;
 
 fn main() {
@@ -53,18 +54,14 @@ fn main() {
         on.fleet_p99_s
     );
 
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("grayfail.csv");
-    std::fs::write(&path, grayfail::csv(&points)).expect("write grayfail.csv");
-    let prom = dir.join("grayfail.prom");
-    std::fs::write(&prom, &on.prom).expect("write grayfail.prom");
-    let ts = dir.join("grayfail_timeseries.csv");
-    std::fs::write(&ts, &on.timeseries).expect("write grayfail_timeseries.csv");
+    let outputs = [("csv", &*grayfail::csv(&points)), ("prom", &*on.prom)];
+    let paths = save_experiment("grayfail", &outputs).expect("write target/experiments");
+    let ts = save_experiment("grayfail_timeseries", &[("csv", &on.timeseries)])
+        .expect("write target/experiments");
     println!(
         "\n(CSV written to {}; exposition snapshot to {}; time series to {})",
-        path.display(),
-        prom.display(),
-        ts.display()
+        paths[0].display(),
+        paths[1].display(),
+        ts[0].display()
     );
 }

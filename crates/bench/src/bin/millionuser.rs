@@ -14,6 +14,7 @@
 //! structural claims: ≥ 1M distinct principals and ≥ 5×10⁷ kernel events.
 
 use onserve_bench::millionuser::{self, Scale, CI, FULL};
+use onserve_bench::save_experiment;
 
 /// Default wall-clock floor, kernel events per host second. Deliberately
 /// conservative: a release build sustains ~10⁵ fleet-tier events/sec on
@@ -83,9 +84,6 @@ fn main() {
     }
 
     let csv = millionuser::csv(&[point]);
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("millionuser.csv");
-    std::fs::write(&path, csv).expect("write millionuser.csv");
-    println!("\n(CSV written to {})", path.display());
+    let paths = save_experiment("millionuser", &[("csv", &csv)]).expect("write target/experiments");
+    println!("\n(CSV written to {})", paths[0].display());
 }

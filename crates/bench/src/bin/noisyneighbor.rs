@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release -p onserve-bench --bin noisyneighbor`
 
 use onserve_bench::noisyneighbor::{self, Mode, BEHAVED_RPS, BEHAVED_TENANTS, FLOOD_RPS, REPLICAS};
+use onserve_bench::save_experiment;
 use simkit::report::TextTable;
 
 fn main() {
@@ -58,15 +59,11 @@ fn main() {
         on.flood_shed
     );
 
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("noisyneighbor.csv");
-    std::fs::write(&path, noisyneighbor::csv(&points)).expect("write noisyneighbor.csv");
-    let prom = dir.join("noisyneighbor.prom");
-    std::fs::write(&prom, &on.prom).expect("write noisyneighbor.prom");
+    let outputs = [("csv", &*noisyneighbor::csv(&points)), ("prom", &*on.prom)];
+    let paths = save_experiment("noisyneighbor", &outputs).expect("write target/experiments");
     println!(
         "\n(CSV written to {}; QoS-on exposition snapshot to {})",
-        path.display(),
-        prom.display()
+        paths[0].display(),
+        paths[1].display()
     );
 }

@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release -p onserve-bench --bin rollout`
 
 use onserve_bench::rollout::{self, SLOW_FACTOR};
+use onserve_bench::save_experiment;
 use simkit::report::TextTable;
 
 fn main() {
@@ -52,19 +53,15 @@ fn main() {
         restart.dropped, restart.issued, rolling.dropped
     );
 
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    let path = dir.join("rollout.csv");
-    std::fs::write(&path, rollout::csv(&points)).expect("write rollout.csv");
-    let prom = dir.join("rollout.prom");
     let promote = points
         .iter()
         .find(|p| p.mode.label() == "canary-promote")
         .expect("promote row");
-    std::fs::write(&prom, &promote.prom).expect("write rollout.prom");
+    let outputs = [("csv", &*rollout::csv(&points)), ("prom", &*promote.prom)];
+    let paths = save_experiment("rollout", &outputs).expect("write target/experiments");
     println!(
         "\n(CSV written to {}; exposition snapshot to {})",
-        path.display(),
-        prom.display()
+        paths[0].display(),
+        paths[1].display()
     );
 }

@@ -263,21 +263,39 @@ where
 {
     let mut out: Vec<Option<R>> = Vec::new();
     out.resize_with(items.len(), || None);
-    crossbeam::thread::scope(|scope| {
+    // the scope joins every thread and re-raises a sweep point's panic
+    std::thread::scope(|scope| {
         for (i, (slot, item)) in out.iter_mut().zip(items).enumerate() {
             let f = &f;
-            scope.spawn(move |_| *slot = Some(f(i, item)));
+            scope.spawn(move || *slot = Some(f(i, item)));
         }
-    })
-    .expect("sweep threads");
+    });
     out.into_iter()
         .map(|r| r.expect("sweep point completed"))
         .collect()
 }
 
-/// Write a figure's curves to `target/experiments/<name>.csv` so the data
-/// behind every regenerated figure can be re-plotted with external tools.
-/// Returns the path written.
+/// Write one experiment's outputs to `target/experiments/<name>.<ext>`,
+/// one file per `(ext, contents)` pair, so the data behind every table
+/// and figure can be re-plotted or diffed with external tools. Returns
+/// the paths written, in the order given.
+pub fn save_experiment(
+    name: &str,
+    outputs: &[(&str, &str)],
+) -> std::io::Result<Vec<std::path::PathBuf>> {
+    let dir = std::path::Path::new("target").join("experiments");
+    std::fs::create_dir_all(&dir)?;
+    let mut paths = Vec::with_capacity(outputs.len());
+    for (ext, contents) in outputs {
+        let path = dir.join(format!("{name}.{ext}"));
+        std::fs::write(&path, contents)?;
+        paths.push(path);
+    }
+    Ok(paths)
+}
+
+/// Write a figure's curves to `target/experiments/<name>.csv`. Returns
+/// the path written.
 pub fn save_curves(name: &str, curves: &[Curve]) -> std::io::Result<std::path::PathBuf> {
     let headers: Vec<String> = curves
         .iter()
@@ -286,11 +304,7 @@ pub fn save_curves(name: &str, curves: &[Curve]) -> std::io::Result<std::path::P
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let rows: Vec<&[(f64, f64)]> = curves.iter().map(|c| c.rows.as_slice()).collect();
     let csv = simkit::report::curves_to_csv(&header_refs, &rows);
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    std::fs::write(&path, csv)?;
-    Ok(path)
+    Ok(save_experiment(name, &[("csv", &csv)])?.remove(0))
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ pub struct OnServeConfig {
     /// Grid-side retries on *transient* failures (gatekeeper outage, node
     /// failure, storage full): re-select a site excluding the failed one
     /// and run again. The paper's build has none (`0`); this is a
-    /// beyond-paper resilience extension (DESIGN.md section 8).
+    /// beyond-paper resilience extension (DESIGN.md section 6).
     pub job_retries: u32,
 }
 

@@ -432,31 +432,6 @@ impl Sim {
         }
     }
 
-    // -- string-trace compat shim -------------------------------------------
-
-    /// Turn on event tracing. Compat alias for [`Sim::enable_telemetry`]:
-    /// the old string log now lives inside the telemetry store as instant
-    /// events.
-    pub fn enable_trace(&mut self) {
-        self.enable_telemetry();
-    }
-
-    /// Append a trace line if telemetry is enabled. The closure is only
-    /// evaluated when collecting. Lines export as Chrome-trace `"i"`
-    /// (instant) events alongside the spans.
-    pub fn trace(&mut self, msg: impl FnOnce() -> String) {
-        let now = self.now;
-        if let Some(t) = self.telemetry.as_mut() {
-            let line = msg();
-            t.events.push((now, line));
-        }
-    }
-
-    /// The trace lines collected so far (empty when telemetry is off).
-    pub fn trace_lines(&self) -> &[(SimTime, String)] {
-        self.telemetry.as_deref().map(|t| t.events()).unwrap_or(&[])
-    }
-
     #[cfg(test)]
     fn live_ids(&self) -> usize {
         self.pending_ids.len()
@@ -801,16 +776,5 @@ mod tests {
         assert_eq!(profile.server_busy[0].key, "node.cpu.busy");
         assert!((profile.server_busy[0].busy_secs - 0.5).abs() < 1e-9);
         assert!((profile.server_busy[0].utilization - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trace_collects_when_enabled() {
-        let mut sim = Sim::new(0);
-        sim.enable_trace();
-        sim.schedule(Duration::from_secs(2), |sim| sim.trace(|| "hello".into()));
-        sim.run();
-        assert_eq!(sim.trace_lines().len(), 1);
-        assert_eq!(sim.trace_lines()[0].0, SimTime::from_secs(2));
-        assert_eq!(sim.trace_lines()[0].1, "hello");
     }
 }

@@ -605,29 +605,16 @@ impl WindowedRegistry {
     /// series as a `counter` with the lifetime sum. Values are in the raw
     /// recorded units. The output passes [`validate_prometheus_text`].
     pub fn prometheus_text(&self, now: SimTime) -> String {
-        self.prometheus_text_labeled(now, |_| None)
+        self.prometheus_text_multi_labeled(now, |_| Vec::new())
     }
 
     /// [`WindowedRegistry::prometheus_text`] with per-series extra labels:
-    /// `label_for` maps each *raw* (unsanitized) series name onto an
-    /// optional `(key, value)` label attached to every sample of that
-    /// family — how the fleet's health plane tags per-replica series with
-    /// their geo `site`. A callback that always returns `None` produces
-    /// byte-identical output to the unlabeled snapshot.
-    pub fn prometheus_text_labeled(
-        &self,
-        now: SimTime,
-        label_for: impl Fn(&str) -> Option<(String, String)>,
-    ) -> String {
-        self.prometheus_text_multi_labeled(now, |name| label_for(name).into_iter().collect())
-    }
-
-    /// [`WindowedRegistry::prometheus_text_labeled`] generalized to any
-    /// number of extra labels per series — how the fleet's health plane
-    /// tags per-replica series with both a geo `site` and the artifact
-    /// `version` the replica serves. Labels render in the order returned.
-    /// A callback that always returns an empty `Vec` produces
-    /// byte-identical output to the unlabeled snapshot.
+    /// `label_for` maps each *raw* (unsanitized) series name onto the
+    /// `(key, value)` labels attached to every sample of that family — how
+    /// the fleet's health plane tags per-replica series with both a geo
+    /// `site` and the artifact `version` the replica serves. Labels render
+    /// in the order returned. A callback that always returns an empty
+    /// `Vec` produces byte-identical output to the unlabeled snapshot.
     pub fn prometheus_text_multi_labeled(
         &self,
         now: SimTime,
@@ -1146,12 +1133,12 @@ mod windowed_tests {
         let now = SimTime::from_secs(10);
 
         let plain = r.prometheus_text(now);
-        let none = r.prometheus_text_labeled(now, |_| None);
-        assert_eq!(plain, none, "a None labeler changes nothing");
+        let none = r.prometheus_text_multi_labeled(now, |_| Vec::new());
+        assert_eq!(plain, none, "an empty labeler changes nothing");
 
-        let labeled = r.prometheus_text_labeled(now, |name| {
-            name.starts_with("replica.r0.")
-                .then(|| ("site".to_owned(), "east".to_owned()))
+        let labeled = r.prometheus_text_multi_labeled(now, |name| {
+            let site = ("site".to_owned(), "east".to_owned());
+            Vec::from_iter(name.starts_with("replica.r0.").then_some(site))
         });
         validate_prometheus_text(&labeled).expect("labeled output parses strictly");
         assert!(labeled.contains(r#"replica_r0_latency_us{quantile="0.5",site="east"}"#));

@@ -233,8 +233,6 @@ pub struct Telemetry {
     pub(crate) histos: BTreeMap<&'static str, DurationHisto>,
     /// Labelled-event execution counts (see `Sim::schedule_labeled`).
     pub(crate) labels: BTreeMap<&'static str, u64>,
-    /// Compat instant-event log (the old `trace_lines` strings).
-    pub(crate) events: Vec<(SimTime, String)>,
     /// Per-bump counter history `(at, name, cumulative value)` — exported
     /// as Chrome-trace `"C"` counter tracks so Perfetto shows load curves
     /// alongside the spans.
@@ -324,11 +322,6 @@ impl Telemetry {
     /// Labelled-event execution counts (`Sim::schedule_labeled`).
     pub fn labels(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.labels.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Compat instant-event log (old `Sim::trace` lines).
-    pub fn events(&self) -> &[(SimTime, String)] {
-        &self.events
     }
 
     /// Counter bump history `(at, name, cumulative value)`, in record
@@ -444,25 +437,10 @@ impl Telemetry {
             events.push((end, lane, lane_seq[lane], close));
             lane_seq[lane] += 1;
         }
-        // instant events (compat trace lines) on a dedicated lane
-        let instant_lane = lane_free_at.len();
-        for (seq, (at, msg)) in self.events.iter().enumerate() {
-            events.push((
-                at.ticks(),
-                instant_lane,
-                seq,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"trace\",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":{},\"s\":\"t\"}}",
-                    json_escape(msg),
-                    at.ticks(),
-                    instant_lane + 1
-                ),
-            ));
-        }
-        // counter tracks ("C" phase) on the lane after the instants: one
+        // counter tracks ("C" phase) on the lane after the spans: one
         // Perfetto counter track per counter name, each sample carrying the
         // cumulative value at that bump
-        let counter_lane = instant_lane + 1;
+        let counter_lane = lane_free_at.len();
         for (seq, (at, name, value)) in self.counter_samples.iter().enumerate() {
             events.push((
                 at.ticks(),

@@ -28,80 +28,51 @@ fi
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> chaos tier (golden + soak)"
-cargo test -q -p onserve-bench --test golden_determinism chaos_sweep_matches_golden
-cargo test -q -p onserve-fleet --test chaos
+# One tier per golden-pinned bench: its golden test and any extra suites,
+# then the bin twice with the same seed — every file it writes must come
+# out byte-identical.
+#   name | bin args | extensions | extra `cargo test` filters (;-separated)
+bench_tiers=(
+  "chaos         |      | csv      | -p onserve-fleet --test chaos; -p onserve-fleet --test door_all_planes"
+  "affinity      |      | csv      |"
+  "grayfail      |      | csv,prom | -p onserve-fleet --test health"
+  "geo           |      | csv,prom | -p onserve-fleet --test proptests geo; -p onserve-fleet --test proptests fleet_conserves_requests_under_site_outages_and_link_faults"
+  "millionuser   | --ci | csv      |"
+  "rollout       |      | csv,prom | -p onserve-fleet --test rollout; -p onserve-fleet --test proptests rollouts_hold_the_floor_keep_pins_live_and_replay"
+  "noisyneighbor |      | csv,prom | -p onserve-fleet --test qos; -p onserve-fleet --test proptests qos_conserves_per_tenant_and_never_starves_underquota_tenants"
+)
 
-echo "==> chaos bench determinism (two same-seed runs, byte-identical CSV)"
-cargo run --release -q -p onserve-bench --bin chaos > /dev/null
-cp target/experiments/chaos.csv target/experiments/chaos-run1.csv
-cargo run --release -q -p onserve-bench --bin chaos > /dev/null
-cmp target/experiments/chaos-run1.csv target/experiments/chaos.csv
+run_bench_tier() {
+  local name args exts tests filters filter ext
+  IFS='|' read -r name args exts tests <<<"$1"
+  name="${name// /}"
+  IFS=', ' read -ra exts <<<"$exts"
+  IFS=';' read -ra filters <<<"$tests"
+  # the golden tests are named after the sweep, except the one CI-scale run
+  local golden="${name}_sweep_matches_golden"
+  [ "$name" != millionuser ] || golden="millionuser_ci_matches_golden"
 
-echo "==> affinity tier (golden + determinism)"
-cargo test -q -p onserve-bench --test golden_determinism affinity_sweep_matches_golden
-cargo run --release -q -p onserve-bench --bin affinity > /dev/null
-cp target/experiments/affinity.csv target/experiments/affinity-run1.csv
-cargo run --release -q -p onserve-bench --bin affinity > /dev/null
-cmp target/experiments/affinity-run1.csv target/experiments/affinity.csv
+  echo "==> ${name} tier (golden + suites, then two same-seed runs: byte-identical ${exts[*]})"
+  cargo test -q -p onserve-bench --test golden_determinism "$golden"
+  for filter in "${filters[@]}"; do
+    # shellcheck disable=SC2086  # a filter is a word list on purpose
+    cargo test -q $filter
+  done
+  # shellcheck disable=SC2086  # so are the bin's args
+  cargo run --release -q -p onserve-bench --bin "$name" -- $args > /dev/null
+  for ext in "${exts[@]}"; do
+    cp "target/experiments/${name}.${ext}" "target/experiments/${name}-run1.${ext}"
+  done
+  # shellcheck disable=SC2086
+  cargo run --release -q -p onserve-bench --bin "$name" -- $args > /dev/null
+  for ext in "${exts[@]}"; do
+    cmp "target/experiments/${name}-run1.${ext}" "target/experiments/${name}.${ext}"
+  done
+}
 
-echo "==> grayfail tier (golden + health soak)"
-cargo test -q -p onserve-bench --test golden_determinism grayfail_sweep_matches_golden
-cargo test -q -p onserve-fleet --test health
-
-echo "==> grayfail bench determinism (two same-seed runs, byte-identical CSV + exposition)"
-cargo run --release -q -p onserve-bench --bin grayfail > /dev/null
-cp target/experiments/grayfail.csv target/experiments/grayfail-run1.csv
-cp target/experiments/grayfail.prom target/experiments/grayfail-run1.prom
-cargo run --release -q -p onserve-bench --bin grayfail > /dev/null
-cmp target/experiments/grayfail-run1.csv target/experiments/grayfail.csv
-cmp target/experiments/grayfail-run1.prom target/experiments/grayfail.prom
-
-echo "==> geo tier (golden + proptests)"
-cargo test -q -p onserve-bench --test golden_determinism geo_sweep_matches_golden
-cargo test -q -p onserve-fleet --test proptests geo
-cargo test -q -p onserve-fleet --test proptests fleet_conserves_requests_under_site_outages_and_link_faults
-
-echo "==> geo bench determinism (two same-seed runs, byte-identical CSV + exposition)"
-cargo run --release -q -p onserve-bench --bin geo > /dev/null
-cp target/experiments/geo.csv target/experiments/geo-run1.csv
-cp target/experiments/geo.prom target/experiments/geo-run1.prom
-cargo run --release -q -p onserve-bench --bin geo > /dev/null
-cmp target/experiments/geo-run1.csv target/experiments/geo.csv
-cmp target/experiments/geo-run1.prom target/experiments/geo.prom
-
-echo "==> millionuser tier (golden + determinism, CI scale)"
-cargo test -q -p onserve-bench --test golden_determinism millionuser_ci_matches_golden
-cargo run --release -q -p onserve-bench --bin millionuser -- --ci > /dev/null
-cp target/experiments/millionuser.csv target/experiments/millionuser-run1.csv
-cargo run --release -q -p onserve-bench --bin millionuser -- --ci > /dev/null
-cmp target/experiments/millionuser-run1.csv target/experiments/millionuser.csv
-
-echo "==> rollout tier (golden + proptests + chaos-crossed scenarios)"
-cargo test -q -p onserve-bench --test golden_determinism rollout_sweep_matches_golden
-cargo test -q -p onserve-fleet --test rollout
-cargo test -q -p onserve-fleet --test proptests rollouts_hold_the_floor_keep_pins_live_and_replay
-
-echo "==> rollout bench determinism (two same-seed runs, byte-identical CSV + exposition)"
-cargo run --release -q -p onserve-bench --bin rollout > /dev/null
-cp target/experiments/rollout.csv target/experiments/rollout-run1.csv
-cp target/experiments/rollout.prom target/experiments/rollout-run1.prom
-cargo run --release -q -p onserve-bench --bin rollout > /dev/null
-cmp target/experiments/rollout-run1.csv target/experiments/rollout.csv
-cmp target/experiments/rollout-run1.prom target/experiments/rollout.prom
-
-echo "==> qos tier (golden + tier-survival suite + fairness proptest)"
-cargo test -q -p onserve-bench --test golden_determinism noisyneighbor_sweep_matches_golden
-cargo test -q -p onserve-fleet --test qos
-cargo test -q -p onserve-fleet --test proptests qos_conserves_per_tenant_and_never_starves_underquota_tenants
-
-echo "==> noisyneighbor bench determinism (two same-seed runs, byte-identical CSV + exposition)"
-cargo run --release -q -p onserve-bench --bin noisyneighbor > /dev/null
-cp target/experiments/noisyneighbor.csv target/experiments/noisyneighbor-run1.csv
-cp target/experiments/noisyneighbor.prom target/experiments/noisyneighbor-run1.prom
-cargo run --release -q -p onserve-bench --bin noisyneighbor > /dev/null
-cmp target/experiments/noisyneighbor-run1.csv target/experiments/noisyneighbor.csv
-cmp target/experiments/noisyneighbor-run1.prom target/experiments/noisyneighbor.prom
+for tier in "${bench_tiers[@]}"; do
+  run_bench_tier "$tier"
+done
 
 echo "==> benchmark tier (harness unit tests + 2 s correctness smoke per workload)"
 (cd benchmark && cargo test --offline -q)
