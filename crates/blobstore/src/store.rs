@@ -179,6 +179,20 @@ impl BlobDb {
         Ok(id)
     }
 
+    /// [`BlobDb::insert`] over a row of the same name, if there is one:
+    /// remove and insert under one `&mut self`, so no reader finds the name
+    /// missing in between. The replacement gets a fresh row id.
+    pub(crate) fn replace(
+        &mut self,
+        name: &str,
+        description: &str,
+        params: Vec<ParamSpec>,
+        data: &[u8],
+    ) -> Result<u64, DbError> {
+        let _ = self.delete(name);
+        self.insert(name, description, params, data)
+    }
+
     /// Metadata by name.
     pub fn record(&self, name: &str) -> Result<&ExecutableRecord, DbError> {
         let id = self

@@ -48,6 +48,10 @@ pub struct StoreTiming {
     pub cpu_seconds: f64,
 }
 
+/// What a timed write does to the table: [`BlobDb::insert`] or
+/// [`BlobDb::replace`].
+type PutRow = fn(&mut BlobDb, &str, &str, Vec<ParamSpec>, &[u8]) -> Result<u64, DbError>;
+
 /// A [`BlobDb`] bound to a host, with timed operations.
 pub struct TimedDb {
     db: Rc<RefCell<BlobDb>>,
@@ -98,6 +102,42 @@ impl TimedDb {
     ) where
         F: FnOnce(&mut Sim, Result<u64, DbError>, StoreTiming) + 'static,
     {
+        self.write(sim, name, description, params, data, BlobDb::insert, done);
+    }
+
+    /// [`TimedDb::store`] over an existing executable, at the same cost.
+    /// The row is swapped at the DB-write step, where `store` inserts: the
+    /// old executable stays loadable through the disk passes before it, and
+    /// for good if the write fails.
+    pub fn replace<F>(
+        self: &Rc<Self>,
+        sim: &mut Sim,
+        name: &str,
+        description: &str,
+        params: Vec<ParamSpec>,
+        data: Bytes,
+        done: F,
+    ) where
+        F: FnOnce(&mut Sim, Result<u64, DbError>, StoreTiming) + 'static,
+    {
+        self.write(sim, name, description, params, data, BlobDb::replace, done);
+    }
+
+    /// The timed write path; `put` is what the DB-write step does to the
+    /// table once the passes before it are paid for.
+    #[allow(clippy::too_many_arguments)]
+    fn write<F>(
+        self: &Rc<Self>,
+        sim: &mut Sim,
+        name: &str,
+        description: &str,
+        params: Vec<ParamSpec>,
+        data: Bytes,
+        put: PutRow,
+        done: F,
+    ) where
+        F: FnOnce(&mut Sim, Result<u64, DbError>, StoreTiming) + 'static,
+    {
         let bytes = data.len() as f64;
         let span = sim.span_begin("db.store");
         sim.span_attr(span, "file", name);
@@ -107,13 +147,10 @@ impl TimedDb {
         let description = description.to_owned();
         // single close point: every exit path funnels through `done`
         let done = move |sim: &mut Sim, res: Result<u64, DbError>, timing: StoreTiming| {
-            match &res {
-                Ok(_) => sim.span_end(span),
-                Err(e) => sim.span_fail(span, &e.to_string()),
-            }
+            sim.span_close(span, &res);
             done(sim, res, timing);
         };
-        let insert = move |sim: &mut Sim, mut timing: StoreTiming| {
+        let db_write = move |sim: &mut Sim, mut timing: StoreTiming| {
             // compress on CPU, then one disk write of the compressed blob
             let wspan = sim.span_child("db.db_write", span);
             let cpu = compress_cpu_secs(bytes);
@@ -128,7 +165,7 @@ impl TimedDb {
                 let res = if injected {
                     Err(DbError::WriteFailed(name.clone()))
                 } else {
-                    this2.db.borrow_mut().insert(&name, &description, params, &data)
+                    put(&mut this2.db.borrow_mut(), &name, &description, params, &data)
                 };
                 match res {
                     Ok(id) => {
@@ -154,7 +191,7 @@ impl TimedDb {
             });
         };
         match self.strategy {
-            WriteStrategy::Direct => insert(sim, StoreTiming::default()),
+            WriteStrategy::Direct => db_write(sim, StoreTiming::default()),
             WriteStrategy::DoubleWrite => {
                 // temp write, then read it back, then the DB path; the two
                 // child spans make the §VIII-D3 double-write visible in a
@@ -166,7 +203,7 @@ impl TimedDb {
                 host.write_disk(sim, bytes, move |sim| {
                     host2.read_disk(sim, bytes, move |sim| {
                         sim.span_end(tspan);
-                        insert(
+                        db_write(
                             sim,
                             StoreTiming {
                                 disk_write_bytes: bytes,
@@ -368,6 +405,39 @@ mod tests {
         });
         sim.run();
         assert!(ok.get());
+    }
+
+    #[test]
+    fn replace_swaps_the_row_at_the_write_step_or_not_at_all() {
+        let (mut sim, db) = setup(WriteStrategy::DoubleWrite);
+        db.store(&mut sim, "exe", "v1", vec![], payload(1000), |_, r, _| {
+            r.unwrap();
+        });
+        sim.run();
+        // a failed replacement leaves the old row as it was
+        db.inject_faults(Some(simkit::FaultPlan::new(5).write_fail(1.0).injector()));
+        db.replace(&mut sim, "exe", "v2", vec![], payload(2000), |_, r, _| {
+            assert!(matches!(r, Err(DbError::WriteFailed(_))));
+        });
+        sim.run();
+        assert_eq!(db.db().borrow().load("exe").unwrap().len(), 1000);
+        // a good one keeps it loadable through the disk passes, then swaps
+        db.inject_faults(None);
+        let swapped = Rc::new(Cell::new(false));
+        let s2 = swapped.clone();
+        db.replace(&mut sim, "exe", "v2", vec![], payload(5 * 1024 * 1024), move |_, r, _| {
+            r.unwrap();
+            s2.set(true);
+        });
+        sim.step();
+        assert!(!swapped.get(), "still in the temp pass");
+        assert_eq!(db.db().borrow().load("exe").unwrap().len(), 1000);
+        sim.run();
+        assert!(swapped.get());
+        let raw = db.db().borrow();
+        assert_eq!(raw.load("exe").unwrap().len(), 5 * 1024 * 1024);
+        assert_eq!(raw.record("exe").unwrap().description, "v2");
+        assert_eq!(raw.len(), 1);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! and [`Deployment::invoke`].
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use blobstore::{BlobDb, ParamSpec, TimedDb};
@@ -322,26 +321,6 @@ impl Deployment {
         sim.run_until(deadline);
         self.onserve.counters()
     }
-}
-
-/// Soap argument list helper: typed values from `(name, value)` string
-/// pairs is overkill for tests; this just shortens common literals.
-pub fn args1(name: &str, value: SoapValue) -> Vec<(String, SoapValue)> {
-    vec![(name.to_owned(), value)]
-}
-
-/// Convert owned arg pairs into the borrowed form [`Deployment::invoke`]
-/// takes.
-pub fn as_arg_refs(args: &[(String, SoapValue)]) -> Vec<(&str, SoapValue)> {
-    args.iter().map(|(n, v)| (n.as_str(), v.clone())).collect()
-}
-
-/// Map of owned args (used when driving [`OnServe::execute_service`]
-/// directly, bypassing the SOAP layer).
-pub fn arg_map(args: &[(&str, SoapValue)]) -> BTreeMap<String, SoapValue> {
-    args.iter()
-        .map(|(n, v)| (n.to_string(), v.clone()))
-        .collect()
 }
 
 #[cfg(test)]

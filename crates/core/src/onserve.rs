@@ -16,10 +16,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-use blobstore::{DbError, ParamSpec, TimedDb, WriteStrategy};
+use blobstore::{DbError, ParamSpec, StoreTiming, TimedDb, WriteStrategy};
 use bytes::Bytes;
-use cyberaide::{CyberaideAgent, OutputPoller, PollError};
-use gridsim::{BrokerPolicy, GridError, JobDescription};
+use cyberaide::{CyberaideAgent, OutputPoller, PollError, PollStats, SessionId};
+use gridsim::gram::ExecutionModel;
+use gridsim::{
+    BrokerPolicy, GridError, GridSite, JobDescription, JobHandle, JobOutcome, SecurityError,
+};
 use simkit::{Duration, Host, Sim, SpanId};
 use wsstack::container::Responder;
 use wsstack::uddi::BindingTemplate;
@@ -157,9 +160,10 @@ impl From<InvokeError> for SoapFault {
     }
 }
 
-/// Shared failure continuation threaded through the invocation pipeline.
-type FailFn = Rc<dyn Fn(&mut Sim, InvokeError)>;
-
+/// A published service as the middleware knows it. Shared as one
+/// immutable snapshot: an update swaps in a new one, invocations already
+/// running keep the one they were admitted with.
+#[derive(Clone)]
 struct ServiceMeta {
     exe_name: String,
     params: Vec<ParamSpec>,
@@ -167,7 +171,6 @@ struct ServiceMeta {
     owner_pass: String,
     profile: ExecutionProfile,
     service_key: String,
-    version: generator::ServiceVersion,
 }
 
 /// The middleware.
@@ -178,9 +181,9 @@ pub struct OnServe {
     db: Rc<TimedDb>,
     agent: Rc<CyberaideAgent>,
     config: OnServeConfig,
-    services: RefCell<BTreeMap<String, ServiceMeta>>,
+    services: RefCell<BTreeMap<String, Rc<ServiceMeta>>>,
     staged: RefCell<BTreeSet<(String, String)>>,
-    grid_sessions: RefCell<BTreeMap<String, cyberaide::SessionId>>,
+    grid_sessions: RefCell<BTreeMap<String, SessionId>>,
     invocations: Cell<u64>,
     invocation_failures: Cell<u64>,
     /// Authentications performed against the agent (cache misses included).
@@ -193,6 +196,18 @@ pub struct OnServe {
     /// controllers bump this on vN+1 appliances before provisioning;
     /// already-deployed services keep the version they were built at.
     artifact_version: Cell<u32>,
+}
+
+/// Run `f` with `span` as the ambient parent, so the spans the callee opens
+/// nest under it.
+fn under_span(sim: &mut Sim, span: SpanId, f: impl FnOnce(&mut Sim)) {
+    let prev = sim.set_span_parent(span);
+    f(sim);
+    sim.set_span_parent(prev);
+}
+
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
 }
 
 impl OnServe {
@@ -282,11 +297,6 @@ impl OnServe {
         self.artifact_version.set(version);
     }
 
-    /// Version of the build a published service currently serves.
-    pub fn service_version(&self, service_name: &str) -> Option<generator::ServiceVersion> {
-        self.services.borrow().get(service_name).map(|m| m.version)
-    }
-
     /// Scenario A: store the uploaded executable, generate + deploy the
     /// Web service, publish it. (Network/CPU costs of *receiving* the
     /// upload belong to the portal.)
@@ -305,130 +315,36 @@ impl OnServe {
         F: FnOnce(&mut Sim, Result<PublishedService, UploadError>) + 'static,
     {
         let this = Rc::clone(self);
-        let owner_user = owner.0.to_owned();
-        let owner_pass = owner.1.to_owned();
-        let file_name2 = file_name.to_owned();
         let description2 = description.to_owned();
-        let up_span = sim.span_begin("onserve.upload");
-        sim.span_attr(up_span, "file", file_name);
-        // single close point: every exit path funnels through `done`
-        let done = move |sim: &mut Sim, res: Result<PublishedService, UploadError>| {
-            match &res {
-                Ok(_) => sim.span_end(up_span),
-                Err(e) => sim.span_fail(up_span, &e.to_string()),
-            }
-            done(sim, res)
+        let meta = ServiceMeta {
+            exe_name: file_name.to_owned(),
+            params: params.clone(),
+            owner_user: owner.0.to_owned(),
+            owner_pass: owner.1.to_owned(),
+            profile,
+            service_key: String::new(),
         };
-        let prev = sim.set_span_parent(up_span);
-        self.db.clone().store(
+        let publish = move |sim: &mut Sim, span: SpanId, service_name: String| {
+            this.publish(sim, span, service_name, &description2, meta)
+        };
+        self.provision(
             sim,
             file_name,
             description,
-            params.clone(),
+            params,
             data,
-            move |sim, res, _timing| {
-                let id = match res {
-                    Ok(id) => id,
-                    Err(e) => return done(sim, Err(UploadError::Db(e))),
-                };
-                let record = this
-                    .db
-                    .db()
-                    .borrow()
-                    .record_by_id(id)
-                    .expect("just inserted")
-                    .clone();
-                let generated = match generator::generate_versioned(
-                    &record,
-                    this.host.name(),
-                    generator::ServiceVersion(this.artifact_version.get()),
-                ) {
-                    Ok(g) => g,
-                    Err(m) => return done(sim, Err(UploadError::Generation(m))),
-                };
-                let built_version = generated.version;
-                // the ant build burns appliance CPU before deployment
-                let this2 = Rc::clone(&this);
-                let host = Rc::clone(&this.host);
-                let build_span = sim.span_child("generator.build", up_span);
-                sim.span_attr(build_span, "cpu_secs", generated.build_cpu_secs);
-                host.compute(sim, generated.build_cpu_secs, move |sim| {
-                    sim.span_end(build_span);
-                    let service_name = generated.service_name.clone();
-                    let wsdl_text = generated.wsdl.to_text();
-                    let endpoint = generated.wsdl.endpoint.clone();
-                    let handler = Self::make_handler(&this2, &service_name);
-                    let archive = ServiceArchive {
-                        name: service_name.clone(),
-                        wsdl: generated.wsdl,
-                        archive_bytes: generated.archive_bytes,
-                        handler,
-                    };
-                    let this3 = Rc::clone(&this2);
-                    let container = Rc::clone(&this2.container);
-                    let prev = sim.set_span_parent(up_span);
-                    SoapContainer::deploy(&container, sim, archive, move |sim, dres| {
-                        if let Err(f) = dres {
-                            return done(
-                                sim,
-                                Err(UploadError::Generation(format!("deploy failed: {f}"))),
-                            );
-                        }
-                        let pub_span = sim.span_child("uddi.publish", up_span);
-                        let publish = this3.registry.borrow_mut().publish(
-                            "Cyberaide onServe",
-                            &service_name,
-                            &description2,
-                            BindingTemplate {
-                                access_point: endpoint.clone(),
-                                wsdl_location: format!("{endpoint}?wsdl"),
-                            },
-                        );
-                        match publish {
-                            Err(e) => {
-                                sim.span_fail(pub_span, &e.to_string());
-                                this3.container.borrow_mut().undeploy(&service_name);
-                                done(sim, Err(UploadError::Registry(e.to_string())))
-                            }
-                            Ok(service_key) => {
-                                sim.span_attr(pub_span, "service_key", service_key.as_str());
-                                sim.span_end(pub_span);
-                                this3.services.borrow_mut().insert(
-                                    service_name.clone(),
-                                    ServiceMeta {
-                                        exe_name: file_name2.clone(),
-                                        params,
-                                        owner_user,
-                                        owner_pass,
-                                        profile,
-                                        service_key: service_key.clone(),
-                                        version: built_version,
-                                    },
-                                );
-                                done(
-                                    sim,
-                                    Ok(PublishedService {
-                                        service_key,
-                                        service_name,
-                                        endpoint,
-                                        wsdl_text,
-                                    }),
-                                )
-                            }
-                        }
-                    });
-                    sim.set_span_parent(prev);
-                });
-            },
+            false,
+            publish,
+            done,
         );
-        sim.set_span_parent(prev);
     }
 
     /// Replace a published service's executable (and optionally its
     /// declared parameters, description and execution profile) in place:
-    /// same service name, same UDDI key, same endpoint. Cached stagings of
-    /// the old binary are invalidated so the next invocation ships the new
-    /// one even under `reuse_staged_files`.
+    /// same service name, same UDDI key, same endpoint. The old build keeps
+    /// serving until the new one is deployed — and for good if the update
+    /// fails. Cached stagings of the old binary are invalidated so the next
+    /// invocation ships the new one even under `reuse_staged_files`.
     #[allow(clippy::too_many_arguments)]
     pub fn update_executable<F>(
         self: &Rc<Self>,
@@ -442,107 +358,179 @@ impl OnServe {
     ) where
         F: FnOnce(&mut Sim, Result<(), UploadError>) + 'static,
     {
-        let (exe_name, old_params, old_desc) = {
-            let services = self.services.borrow();
-            match services.get(service_name) {
-                None => {
-                    drop(services);
-                    return done(
-                        sim,
-                        Err(UploadError::NoSuchService(service_name.to_owned())),
-                    );
-                }
-                Some(m) => {
-                    let desc = self
-                        .db
-                        .db()
-                        .borrow()
-                        .record(&m.exe_name)
-                        .map(|r| r.description.clone())
-                        .unwrap_or_default();
-                    (m.exe_name.clone(), m.params.clone(), desc)
-                }
+        let Some(old) = self.services.borrow().get(service_name).cloned() else {
+            let unknown = UploadError::NoSuchService(service_name.to_owned());
+            return done(sim, Err(unknown));
+        };
+        let exe_name = old.exe_name.clone();
+        let description = new_description.unwrap_or_else(|| {
+            let db = self.db.db().borrow();
+            db.record(&exe_name)
+                .map(|r| r.description.clone())
+                .unwrap_or_default()
+        });
+        let new = ServiceMeta {
+            params: new_params.unwrap_or_else(|| old.params.clone()),
+            profile: new_profile.unwrap_or(old.profile),
+            ..ServiceMeta::clone(&old)
+        };
+        let params = new.params.clone();
+        let this = Rc::clone(self);
+        let description2 = description.clone();
+        let swap = move |_: &mut Sim, _: SpanId, service_name: String| {
+            let _ = this
+                .registry
+                .borrow_mut()
+                .update_description(&new.service_key, &description2);
+            // invalidate cached stagings of the replaced binary
+            this.staged
+                .borrow_mut()
+                .retain(|(_, exe)| *exe != new.exe_name);
+            let mut services = this.services.borrow_mut();
+            services.insert(service_name, Rc::new(new));
+            Ok(())
+        };
+        self.provision(sim, &exe_name, &description, params, data, true, swap, done);
+    }
+
+    /// The provisioning pipeline of §VII-A, shared by upload and update:
+    /// store the executable, generate the Web service from the stored
+    /// record, build it, deploy it. `replacing` says whether the store may
+    /// displace a row of the same name; `epilogue` is what the caller does
+    /// with the deployed service (publish it, or swap it in for the old
+    /// build) and yields what `done` receives.
+    #[allow(clippy::too_many_arguments)]
+    fn provision<T, E, F>(
+        self: &Rc<Self>,
+        sim: &mut Sim,
+        file_name: &str,
+        description: &str,
+        params: Vec<ParamSpec>,
+        data: Bytes,
+        replacing: bool,
+        epilogue: E,
+        done: F,
+    ) where
+        E: FnOnce(&mut Sim, SpanId, String) -> Result<T, UploadError> + 'static,
+        F: FnOnce(&mut Sim, Result<T, UploadError>) + 'static,
+    {
+        let span = sim.span_begin("onserve.upload");
+        sim.span_attr(span, "file", file_name);
+        // single close point: every exit path funnels through `done`
+        let done = move |sim: &mut Sim, deployed: Result<String, UploadError>| {
+            let res = deployed.and_then(|service_name| epilogue(sim, span, service_name));
+            sim.span_close(span, &res);
+            done(sim, res)
+        };
+        let this = Rc::clone(self);
+        let stored = move |sim: &mut Sim, res: Result<u64, DbError>, _: StoreTiming| {
+            let generated = res.map_err(UploadError::Db).and_then(|id| {
+                let db = this.db.db().borrow();
+                let record = db.record_by_id(id).expect("just inserted");
+                generator::generate_versioned(record, this.host.name(), this.artifact_version())
+                    .map_err(UploadError::Generation)
+            });
+            match generated {
+                Ok(generated) => this.build_and_deploy(sim, span, generated, done),
+                Err(e) => done(sim, Err(e)),
             }
         };
-        let params = new_params.unwrap_or(old_params);
-        let description = new_description.unwrap_or(old_desc);
-        // drop the old row; the timed store writes the replacement
-        let _ = self.db.db().borrow_mut().delete(&exe_name);
+        under_span(sim, span, |sim| {
+            if replacing {
+                self.db
+                    .replace(sim, file_name, description, params, data, stored);
+            } else {
+                self.db
+                    .store(sim, file_name, description, params, data, stored);
+            }
+        });
+    }
+
+    /// The ant build, then hot deployment into the SOAP container; `done`
+    /// receives the deployed service's name.
+    fn build_and_deploy<F>(
+        self: &Rc<Self>,
+        sim: &mut Sim,
+        span: SpanId,
+        generated: generator::GeneratedService,
+        done: F,
+    ) where
+        F: FnOnce(&mut Sim, Result<String, UploadError>) + 'static,
+    {
+        // the ant build burns appliance CPU before deployment
+        let build_span = sim.span_child("generator.build", span);
+        sim.span_attr(build_span, "cpu_secs", generated.build_cpu_secs);
+        let build_cpu_secs = generated.build_cpu_secs;
         let this = Rc::clone(self);
-        let service_name = service_name.to_owned();
-        let exe_arg = exe_name.clone();
-        let desc_arg = description.clone();
-        self.db.clone().store(
-            sim,
-            &exe_arg,
-            &desc_arg,
-            params.clone(),
-            data,
-            move |sim, res, _timing| {
-                let id = match res {
-                    Ok(id) => id,
-                    Err(e) => return done(sim, Err(UploadError::Db(e))),
-                };
-                let record = this
-                    .db
-                    .db()
-                    .borrow()
-                    .record_by_id(id)
-                    .expect("just inserted")
-                    .clone();
-                let generated = match generator::generate_versioned(
-                    &record,
-                    this.host.name(),
-                    generator::ServiceVersion(this.artifact_version.get()),
-                ) {
-                    Ok(g) => g,
-                    Err(m) => return done(sim, Err(UploadError::Generation(m))),
-                };
-                let built_version = generated.version;
-                let this2 = Rc::clone(&this);
-                let host = Rc::clone(&this.host);
-                host.compute(sim, generated.build_cpu_secs, move |sim| {
-                    let handler = Self::make_handler(&this2, &service_name);
-                    let archive = ServiceArchive {
-                        name: service_name.clone(),
-                        wsdl: generated.wsdl,
-                        archive_bytes: generated.archive_bytes,
-                        handler,
-                    };
-                    let this3 = Rc::clone(&this2);
-                    let container = Rc::clone(&this2.container);
-                    SoapContainer::deploy(&container, sim, archive, move |sim, dres| {
-                        if let Err(f) = dres {
-                            return done(
-                                sim,
-                                Err(UploadError::Generation(format!("redeploy failed: {f}"))),
-                            );
-                        }
-                        {
-                            let mut services = this3.services.borrow_mut();
-                            let meta = services
-                                .get_mut(&service_name)
-                                .expect("service present for update");
-                            meta.params = params;
-                            meta.version = built_version;
-                            if let Some(p) = new_profile {
-                                meta.profile = p;
-                            }
-                            let _ = this3
-                                .registry
-                                .borrow_mut()
-                                .update_description(&meta.service_key, &description);
-                        }
-                        // invalidate cached stagings of the replaced binary
-                        this3
-                            .staged
-                            .borrow_mut()
-                            .retain(|(_, exe)| exe != &exe_name);
-                        done(sim, Ok(()));
-                    });
-                });
+        let built = move |sim: &mut Sim| {
+            sim.span_end(build_span);
+            let service_name = generated.service_name;
+            let archive = ServiceArchive {
+                name: service_name.clone(),
+                wsdl: generated.wsdl,
+                archive_bytes: generated.archive_bytes,
+                handler: Self::make_handler(&this, &service_name),
+            };
+            let deployed = move |sim: &mut Sim, res: Result<(), SoapFault>| {
+                let res = res
+                    .map(|()| service_name)
+                    .map_err(|f| UploadError::Generation(format!("deploy failed: {f}")));
+                done(sim, res)
+            };
+            under_span(sim, span, |sim| {
+                SoapContainer::deploy(&this.container, sim, archive, deployed)
+            });
+        };
+        self.host.compute(sim, build_cpu_secs, built);
+    }
+
+    /// Scenario A's epilogue: publish the deployed service in UDDI and
+    /// start answering for it. A rejected publication takes the fresh
+    /// deployment down again.
+    fn publish(
+        &self,
+        sim: &mut Sim,
+        span: SpanId,
+        service_name: String,
+        description: &str,
+        mut meta: ServiceMeta,
+    ) -> Result<PublishedService, UploadError> {
+        let (endpoint, wsdl_text) = {
+            let container = self.container.borrow();
+            let wsdl = container.wsdl_for(&service_name).expect("just deployed");
+            (wsdl.endpoint.clone(), wsdl.to_text())
+        };
+        let pub_span = sim.span_child("uddi.publish", span);
+        let published = self.registry.borrow_mut().publish(
+            "Cyberaide onServe",
+            &service_name,
+            description,
+            BindingTemplate {
+                access_point: endpoint.clone(),
+                wsdl_location: format!("{endpoint}?wsdl"),
             },
         );
+        match published {
+            Err(e) => {
+                sim.span_fail(pub_span, &e.to_string());
+                self.container.borrow_mut().undeploy(&service_name);
+                Err(UploadError::Registry(e.to_string()))
+            }
+            Ok(service_key) => {
+                sim.span_attr(pub_span, "service_key", service_key.as_str());
+                sim.span_end(pub_span);
+                meta.service_key = service_key.clone();
+                self.services
+                    .borrow_mut()
+                    .insert(service_name.clone(), Rc::new(meta));
+                Ok(PublishedService {
+                    service_key,
+                    service_name,
+                    endpoint,
+                    wsdl_text,
+                })
+            }
+        }
     }
 
     /// Unpublish + undeploy + delete a service and its executable.
@@ -570,7 +558,10 @@ impl OnServe {
     }
 
     /// The generated `GridService` template instance for one service.
-    fn make_handler(this: &Rc<Self>, service_name: &str) -> Rc<dyn wsstack::container::ServiceHandler> {
+    fn make_handler(
+        this: &Rc<Self>,
+        service_name: &str,
+    ) -> Rc<dyn wsstack::container::ServiceHandler> {
         let weak: Weak<OnServe> = Rc::downgrade(this);
         let service_name = service_name.to_owned();
         Rc::new(
@@ -588,7 +579,10 @@ impl OnServe {
         )
     }
 
-    /// Scenario B: the full SaaS→JSE translation for one invocation.
+    /// Scenario B: the full SaaS→JSE translation for one invocation. The
+    /// request is admitted (known service, valid arguments) before the
+    /// watchdog is armed; from there the steps of [`Invocation`] run in
+    /// paper order, and every way out is [`Reply::finish`].
     pub fn execute_service(
         self: &Rc<Self>,
         sim: &mut Sim,
@@ -596,387 +590,352 @@ impl OnServe {
         args: &BTreeMap<String, SoapValue>,
         respond: Responder,
     ) {
-        self.invocations.set(self.invocations.get() + 1);
-        let invocation_no = self.invocations.get();
-        let inv_span = sim.span_begin("onserve.invoke");
-        sim.span_attr(inv_span, "service", service_name);
-        sim.span_attr(inv_span, "invocation", invocation_no);
-        sim.counter_add("onserve.invocations", 1);
-        // one-shot responder shared between the pipeline and the watchdog
-        let slot: Rc<RefCell<Option<Responder>>> = Rc::new(RefCell::new(Some(respond)));
-        let fail: FailFn = {
-            let this = Rc::clone(self);
-            let slot = Rc::clone(&slot);
-            Rc::new(move |sim: &mut Sim, e: InvokeError| {
-                if let Some(r) = slot.borrow_mut().take() {
-                    this.invocation_failures
-                        .set(this.invocation_failures.get() + 1);
-                    sim.counter_add("onserve.failures", 1);
-                    sim.span_fail(inv_span, &e.to_string());
-                    r(sim, Err(e.into()));
-                }
-            })
+        let reply = Reply::open(self, sim, service_name, respond);
+        let (meta, rendered) = match self.admit(service_name, args) {
+            Ok(admitted) => admitted,
+            Err(e) => return reply.finish(sim, Err(e)),
         };
-        let (meta_exe, rendered, profile, owner_user, owner_pass) = {
-            let services = self.services.borrow();
-            let meta = match services.get(service_name) {
-                Some(m) => m,
-                None => {
-                    drop(services);
-                    return fail(sim, InvokeError::NoSuchService(service_name.to_owned()));
-                }
-            };
-            match validate_args(&meta.params, args) {
-                Err(m) => {
-                    drop(services);
-                    return fail(sim, InvokeError::BadArguments(m));
-                }
-                Ok(rendered) => (
-                    meta.exe_name.clone(),
-                    rendered,
-                    meta.profile,
-                    meta.owner_user.clone(),
-                    meta.owner_pass.clone(),
-                ),
-            }
+        let on_timeout = {
+            let reply = Rc::clone(&reply);
+            move |sim: &mut Sim| reply.finish(sim, Err(InvokeError::WatchdogTimeout))
         };
-        let slot_for_dog = Rc::clone(&slot);
-        let this = Rc::clone(self);
-        let timeout_secs = self.config.invocation_timeout.as_secs_f64();
-        let dog = Rc::new(Watchdog::arm(
-            sim,
-            self.config.invocation_timeout,
-            move |sim| {
-                if let Some(r) = slot_for_dog.borrow_mut().take() {
-                    this.invocation_failures
-                        .set(this.invocation_failures.get() + 1);
-                    sim.counter_add("onserve.failures", 1);
-                    sim.span_attr(inv_span, "timeout_secs", timeout_secs);
-                    sim.span_fail(inv_span, "watchdog_timeout");
-                    r(sim, Err(InvokeError::WatchdogTimeout.into()));
-                }
-            },
-        ));
-        // Step 1 — file retrieval from the database (temp write included)
-        let this = Rc::clone(self);
-        let fail1 = Rc::clone(&fail);
-        let exe_arg = meta_exe.clone();
-        let prev = sim.set_span_parent(inv_span);
-        self.db.clone().load_for_use(sim, &exe_arg, move |sim, res, _t| {
-            let fail = fail1;
-            let data = match res {
-                Ok(d) => d,
-                Err(e) => return fail(sim, InvokeError::Db(e)),
-            };
-            // Step 2 — authentication via the agent (or a cached session,
-            // when the ablation is on and the proxy is still fresh)
-            let agent = Rc::clone(&this.agent);
-            let owner_for_cache = owner_user.clone();
-            let retries = this.config.job_retries;
-            type WithSession = Box<dyn FnOnce(&mut Sim, cyberaide::SessionId)>;
-            let with_session: WithSession = {
-                let this2 = Rc::clone(&this);
-                let fail2 = Rc::clone(&fail);
-                let slot2 = Rc::clone(&slot);
-                Box::new(move |sim: &mut Sim, session: cyberaide::SessionId| {
-                    let ctx = Rc::new(AttemptCtx {
-                        onserve: this2,
-                        session,
-                        exe_name: meta_exe,
-                        rendered,
-                        profile,
-                        data_len: data.len() as f64,
-                        invocation_no,
-                        attempts_left: Cell::new(retries),
-                        excluded_sites: RefCell::new(Vec::new()),
-                        fail: fail2,
-                        slot: slot2,
-                        dog,
-                        span: inv_span,
-                    });
-                    OnServe::grid_attempt(ctx, sim);
-                })
-            };
-            let this_auth = Rc::clone(&this);
-            let cached = if this.config.cache_grid_sessions {
-                let candidate = this.grid_sessions.borrow().get(&owner_for_cache).copied();
-                match candidate {
-                    // keep a safety margin so the proxy outlives the job
-                    Some(s)
-                        if agent
-                            .session_expires(s)
-                            .is_some_and(|exp| exp > sim.now() + Duration::from_secs(600)) =>
-                    {
-                        Some(s)
-                    }
-                    // stale: evict *and* log out, or the agent's session
-                    // map grows by one dead proxy per expiry
-                    Some(stale) => {
-                        this.grid_sessions.borrow_mut().remove(&owner_for_cache);
-                        agent.logout(stale);
-                        this.session_evictions.set(this.session_evictions.get() + 1);
-                        sim.counter_add("onserve.session_evicted", 1);
-                        None
-                    }
-                    None => None,
-                }
-            } else {
-                None
-            };
-            match cached {
-                Some(session) => {
-                    this.session_hits.set(this.session_hits.get() + 1);
-                    sim.counter_add("onserve.session_cache_hit", 1);
-                    with_session(sim, session)
-                }
-                None => {
-                    this.auths.set(this.auths.get() + 1);
-                    let fail_auth = Rc::clone(&fail);
-                    let prev = sim.set_span_parent(inv_span);
-                    agent.authenticate(sim, &owner_user, &owner_pass, move |sim, auth| {
-                        match auth {
-                            Ok(session) => {
-                                if this_auth.config.cache_grid_sessions {
-                                    this_auth
-                                        .grid_sessions
-                                        .borrow_mut()
-                                        .insert(owner_for_cache, session);
-                                }
-                                with_session(sim, session);
-                            }
-                            Err(e) => fail_auth(sim, InvokeError::Grid(e.to_string())),
-                        }
-                    });
-                    sim.set_span_parent(prev);
-                }
-            }
+        let invocation = Rc::new(Invocation {
+            watchdog: Watchdog::arm(sim, self.config.invocation_timeout, on_timeout),
+            reply,
+            meta,
+            rendered,
+            session: Cell::new(None),
+            data_len: Cell::new(0.0),
+            attempts_left: Cell::new(self.config.job_retries),
+            excluded_sites: RefCell::new(Vec::new()),
         });
-        sim.set_span_parent(prev);
+        invocation.retrieve(sim);
+    }
+
+    /// Admission: the service as published right now, and the arguments
+    /// validated against its declared parameters and rendered for the
+    /// command line.
+    fn admit(
+        &self,
+        service_name: &str,
+        args: &BTreeMap<String, SoapValue>,
+    ) -> Result<(Rc<ServiceMeta>, Vec<String>), InvokeError> {
+        let services = self.services.borrow();
+        let meta = services
+            .get(service_name)
+            .ok_or_else(|| InvokeError::NoSuchService(service_name.to_owned()))?;
+        let rendered = validate_args(&meta.params, args).map_err(InvokeError::BadArguments)?;
+        Ok((Rc::clone(meta), rendered))
+    }
+
+    /// The cached Grid session of `owner`, when the ablation is on and the
+    /// proxy will outlive the job by a safety margin. A stale one is
+    /// evicted *and* logged out, or the agent's session map grows by one
+    /// dead proxy per expiry.
+    fn cached_session(&self, sim: &mut Sim, owner: &str) -> Option<SessionId> {
+        if !self.config.cache_grid_sessions {
+            return None;
+        }
+        let session = self.grid_sessions.borrow().get(owner).copied()?;
+        let fresh = self
+            .agent
+            .session_expires(session)
+            .is_some_and(|exp| exp > sim.now() + Duration::from_secs(600));
+        if fresh {
+            bump(&self.session_hits);
+            sim.counter_add("onserve.session_cache_hit", 1);
+            return Some(session);
+        }
+        self.grid_sessions.borrow_mut().remove(owner);
+        self.agent.logout(session);
+        bump(&self.session_evictions);
+        sim.counter_add("onserve.session_evicted", 1);
+        None
     }
 }
 
-
-/// One grid-side attempt of an invocation: everything from site selection
-/// to output polling, re-enterable for the retry extension.
-struct AttemptCtx {
+/// The close point of one invocation: who to answer and the span to close.
+/// The pipeline and the watchdog race to [`Reply::finish`]; whichever gets
+/// there first answers, the other finds the responder gone.
+struct Reply {
     onserve: Rc<OnServe>,
-    session: cyberaide::SessionId,
-    exe_name: String,
+    /// Serial number of the invocation on this appliance; returned as the
+    /// answer's digest.
+    number: u64,
+    span: SpanId,
+    responder: Cell<Option<Responder>>,
+}
+
+impl Reply {
+    /// Count the invocation and open its root span.
+    fn open(
+        onserve: &Rc<OnServe>,
+        sim: &mut Sim,
+        service_name: &str,
+        respond: Responder,
+    ) -> Rc<Reply> {
+        bump(&onserve.invocations);
+        let number = onserve.invocations.get();
+        let span = sim.span_begin("onserve.invoke");
+        sim.span_attr(span, "service", service_name);
+        sim.span_attr(span, "invocation", number);
+        sim.counter_add("onserve.invocations", 1);
+        Rc::new(Reply {
+            onserve: Rc::clone(onserve),
+            number,
+            span,
+            responder: Cell::new(Some(respond)),
+        })
+    }
+
+    /// Every accepted request terminates here, exactly once: count a
+    /// failure, close the span, answer the consumer.
+    fn finish(&self, sim: &mut Sim, result: Result<PollStats, InvokeError>) {
+        let Some(respond) = self.responder.take() else {
+            return;
+        };
+        let span = self.span;
+        let answer = match result {
+            Ok(stats) => {
+                sim.span_attr(span, "output_bytes", stats.final_bytes as u64);
+                sim.span_attr(span, "polls", stats.polls);
+                sim.span_end(span);
+                Ok(SoapValue::Binary {
+                    bytes: stats.final_bytes,
+                    digest: self.number,
+                })
+            }
+            Err(e) => {
+                bump(&self.onserve.invocation_failures);
+                sim.counter_add("onserve.failures", 1);
+                if e == InvokeError::WatchdogTimeout {
+                    let limit = self.onserve.config.invocation_timeout;
+                    sim.span_attr(span, "timeout_secs", limit.as_secs_f64());
+                    sim.span_fail(span, "watchdog_timeout");
+                } else {
+                    sim.span_fail(span, &e.to_string());
+                }
+                Err(e.into())
+            }
+        };
+        respond(sim, answer);
+    }
+}
+
+/// One admitted invocation: the §VII-B pipeline as steps in paper order,
+/// each handing on to the next from its completion callback. The grid-side
+/// part (site selection onward) is re-enterable for the retry extension.
+struct Invocation {
+    reply: Rc<Reply>,
+    watchdog: Watchdog,
+    /// The service as published when the request was admitted.
+    meta: Rc<ServiceMeta>,
+    /// The validated arguments, rendered for the command line.
     rendered: Vec<String>,
-    profile: ExecutionProfile,
-    data_len: f64,
-    invocation_no: u64,
+    /// The Grid session, from authentication until the pipeline exits.
+    session: Cell<Option<SessionId>>,
+    data_len: Cell<f64>,
     attempts_left: Cell<u32>,
     excluded_sites: RefCell<Vec<String>>,
-    fail: FailFn,
-    slot: Rc<RefCell<Option<Responder>>>,
-    dog: Rc<Watchdog>,
-    /// The invocation root span every grid-side stage nests under.
-    span: SpanId,
 }
 
-impl AttemptCtx {
-    /// Drop the Grid session if sessions are per-invocation (the paper's
-    /// behaviour); cached sessions stay alive for the next invocation.
-    fn logout(&self) {
-        if !self.onserve.config.cache_grid_sessions {
-            self.onserve.agent.logout(self.session);
+impl Invocation {
+    fn onserve(&self) -> &OnServe {
+        &self.reply.onserve
+    }
+
+    fn session(&self) -> SessionId {
+        self.session.get().expect("grid steps run in a session")
+    }
+
+    /// Step 1 — file retrieval from the database (temp write included).
+    fn retrieve(self: &Rc<Self>, sim: &mut Sim) {
+        let inv = Rc::clone(self);
+        under_span(sim, self.reply.span, |sim| {
+            let db = &self.onserve().db;
+            db.load_for_use(sim, &self.meta.exe_name, move |sim, res, _| match res {
+                Ok(data) => {
+                    inv.data_len.set(data.len() as f64);
+                    inv.with_session(sim)
+                }
+                Err(e) => inv.exit(sim, Err(InvokeError::Db(e))),
+            });
+        });
+    }
+
+    /// Step 2 — a Grid session: a cached one when the ablation is on and
+    /// the proxy is still fresh, else a new authentication.
+    fn with_session(self: &Rc<Self>, sim: &mut Sim) {
+        match self.onserve().cached_session(sim, &self.meta.owner_user) {
+            Some(session) => {
+                self.session.set(Some(session));
+                self.select_site(sim)
+            }
+            None => self.authenticate(sim),
         }
     }
 
-    /// Route a failure: retry (when transient, budget left, and the
-    /// watchdog hasn't already answered) or surface it.
-    fn fail_or_retry(
+    /// Step 2 — authentication via the agent (the MyProxy exchange).
+    fn authenticate(self: &Rc<Self>, sim: &mut Sim) {
+        let onserve = self.onserve();
+        bump(&onserve.auths);
+        let inv = Rc::clone(self);
+        let authenticated = move |sim: &mut Sim, auth: Result<SessionId, SecurityError>| {
+            let session = match auth {
+                Ok(session) => session,
+                Err(e) => return inv.exit(sim, Err(InvokeError::Grid(e.to_string()))),
+            };
+            let onserve = inv.onserve();
+            if onserve.config.cache_grid_sessions {
+                let owner = inv.meta.owner_user.clone();
+                onserve.grid_sessions.borrow_mut().insert(owner, session);
+            }
+            inv.session.set(Some(session));
+            inv.select_site(sim)
+        };
+        let (user, pass) = (&self.meta.owner_user, &self.meta.owner_pass);
+        under_span(sim, self.reply.span, |sim| {
+            onserve.agent.authenticate(sim, user, pass, authenticated)
+        });
+    }
+
+    /// Step 3 — resource selection (minus sites that already failed). A
+    /// retry re-enters here, in the same session.
+    fn select_site(self: &Rc<Self>, sim: &mut Sim) {
+        let onserve = self.onserve();
+        let site = onserve.agent.grid().select_excluding(
+            &onserve.config.broker,
+            self.meta.profile.cores,
+            sim.now(),
+            &self.excluded_sites.borrow(),
+        );
+        match site {
+            Ok(site) => self.stage(sim, site),
+            Err(e) => self.exit(sim, Err(InvokeError::Grid(e.to_string()))),
+        }
+    }
+
+    /// Step 4 — upload (staging), unless cached and reuse is on.
+    fn stage(self: &Rc<Self>, sim: &mut Sim, site: Rc<GridSite>) {
+        let onserve = self.onserve();
+        let exe = &self.meta.exe_name;
+        let key = (site.name().to_owned(), exe.clone());
+        let already = onserve.config.reuse_staged_files
+            && onserve.staged.borrow().contains(&key)
+            && site.storage().borrow().has(exe);
+        if already {
+            return self.describe(sim, site);
+        }
+        let inv = Rc::clone(self);
+        let site2 = Rc::clone(&site);
+        let staged = move |sim: &mut Sim, staged: Result<(), GridError>| match staged {
+            Ok(()) => {
+                inv.onserve().staged.borrow_mut().insert(key);
+                inv.describe(sim, site2)
+            }
+            Err(e) => inv.fail(sim, InvokeError::Grid(e.to_string()), site2.name(), true),
+        };
+        under_span(sim, self.reply.span, |sim| {
+            let (agent, bytes) = (&onserve.agent, self.data_len.get());
+            agent.stage_file(sim, self.session(), &site, exe, bytes, staged);
+        });
+    }
+
+    /// Step 5 — job description generation. The run time the executable
+    /// will take is drawn here: after staging, before submission.
+    fn describe(self: &Rc<Self>, sim: &mut Sim, site: Rc<GridSite>) {
+        let (exe, profile) = (&self.meta.exe_name, &self.meta.profile);
+        let output_file = format!(
+            "{exe}-{}-{}.out",
+            self.reply.number,
+            self.attempts_left.get()
+        );
+        let jd = JobDescription::new(exe)
+            .args(self.rendered.iter().cloned())
+            .cores(profile.cores)
+            .walltime(profile.walltime_limit())
+            .capture_stdout(&output_file);
+        let exec = profile.sample(sim.rng());
+        self.submit(sim, site, &jd, exec);
+    }
+
+    /// Step 6 — job submission.
+    fn submit(
         self: &Rc<Self>,
         sim: &mut Sim,
-        err: InvokeError,
-        failed_site: Option<String>,
-        transient: bool,
+        site: Rc<GridSite>,
+        jd: &JobDescription,
+        exec: ExecutionModel,
     ) {
-        if transient && self.attempts_left.get() > 0 && !self.dog.timed_out() {
-            self.attempts_left.set(self.attempts_left.get() - 1);
-            if let Some(site) = failed_site {
-                self.excluded_sites.borrow_mut().push(site);
-            }
-            OnServe::grid_attempt(Rc::clone(self), sim);
-            return;
-        }
-        self.logout();
-        if self.dog.disarm(sim) {
-            (self.fail)(sim, err);
-        } else {
-            // watchdog already answered; drop silently
-            let _ = err;
-        }
+        let inv = Rc::clone(self);
+        let site2 = Rc::clone(&site);
+        let submitted = move |sim: &mut Sim, submitted: Result<JobHandle, GridError>| {
+            let e = match submitted {
+                Ok(handle) => return inv.poll(sim, site2, handle),
+                Err(e) => e,
+            };
+            let transient = matches!(e, GridError::Unavailable(_) | GridError::StorageFull { .. });
+            let err = InvokeError::Grid(e.to_string());
+            inv.fail(sim, err, site2.name(), transient)
+        };
+        under_span(sim, self.reply.span, |sim| {
+            let agent = &self.onserve().agent;
+            agent.submit_job(sim, self.session(), &site, jd, exec, submitted);
+        });
     }
-}
 
-impl OnServe {
-    /// Steps 3–7 of the pipeline (site selection → staging → job
-    /// description → submission → polling) as one attempt.
-    fn grid_attempt(ctx: Rc<AttemptCtx>, sim: &mut Sim) {
-        let this = Rc::clone(&ctx.onserve);
-        // Step 3 — resource selection (minus sites that already failed)
-        let site = {
-            let excluded = ctx.excluded_sites.borrow();
-            this.agent.grid().select_excluding(
-                &this.config.broker,
-                ctx.profile.cores,
-                sim.now(),
-                &excluded,
-            )
+    /// Step 7 — tentative output polling; the output is the answer.
+    fn poll(self: &Rc<Self>, sim: &mut Sim, site: Rc<GridSite>, handle: JobHandle) {
+        let onserve = self.onserve();
+        let poller = OutputPoller {
+            interval: onserve.config.poll_interval,
+            timeout: onserve.config.poll_timeout,
         };
-        let site = match site {
-            Ok(s) => s,
-            Err(e) => {
-                return ctx.fail_or_retry(sim, InvokeError::Grid(e.to_string()), None, false)
-            }
+        let inv = Rc::clone(self);
+        let site_name = site.name().to_owned();
+        let polled = move |sim: &mut Sim, polled: Result<PollStats, (PollError, PollStats)>| {
+            let (err, transient) = match polled {
+                Ok(stats) => return inv.exit(sim, Ok(stats)),
+                Err((PollError::JobFailed(o), _)) => (
+                    InvokeError::JobFailed(format!("{o:?}")),
+                    matches!(o, JobOutcome::NodeFailure | JobOutcome::Cancelled),
+                ),
+                Err((PollError::TimedOut { polls }, _)) => (
+                    InvokeError::Grid(format!("output polling timed out after {polls} polls")),
+                    false,
+                ),
+                Err((PollError::Grid(g), _)) => (InvokeError::Grid(g.to_string()), false),
+            };
+            inv.fail(sim, err, &site_name, transient)
         };
-        // Step 4 — upload (staging), unless cached and reuse is on
-        let key = (site.name().to_owned(), ctx.exe_name.clone());
-        let already = this.config.reuse_staged_files
-            && this.staged.borrow().contains(&key)
-            && site.storage().borrow().has(&ctx.exe_name);
-        let ctx2 = Rc::clone(&ctx);
-        let site_for_stage = Rc::clone(&site);
-        let after_stage = move |sim: &mut Sim, staged: Result<(), GridError>| {
-            let ctx = ctx2;
-            if let Err(e) = staged {
-                let site_name = site.name().to_owned();
-                return ctx.fail_or_retry(
-                    sim,
-                    InvokeError::Grid(e.to_string()),
-                    Some(site_name),
-                    true,
-                );
-            }
-            ctx.onserve
-                .staged
-                .borrow_mut()
-                .insert((site.name().to_owned(), ctx.exe_name.clone()));
-            // Step 5 — job description generation
-            let output_file = format!(
-                "{}-{}-{}.out",
-                ctx.exe_name,
-                ctx.invocation_no,
-                ctx.attempts_left.get()
-            );
-            let jd = JobDescription::new(&ctx.exe_name)
-                .args(ctx.rendered.iter().cloned())
-                .cores(ctx.profile.cores)
-                .walltime(ctx.profile.walltime_limit())
-                .capture_stdout(&output_file);
-            let exec = ctx.profile.sample(sim.rng());
-            // Step 6 — job submission
-            let ctx3 = Rc::clone(&ctx);
-            let site2 = Rc::clone(&site);
-            let prev = sim.set_span_parent(ctx.span);
-            ctx.onserve.agent.clone().submit_job(
-                sim,
-                ctx.session,
-                &site,
-                &jd,
-                exec,
-                move |sim, submitted| {
-                    let ctx = ctx3;
-                    let handle = match submitted {
-                        Ok(h) => h,
-                        Err(e) => {
-                            let transient = matches!(
-                                e,
-                                GridError::Unavailable(_) | GridError::StorageFull { .. }
-                            );
-                            let site_name = site2.name().to_owned();
-                            return ctx.fail_or_retry(
-                                sim,
-                                InvokeError::Grid(e.to_string()),
-                                Some(site_name),
-                                transient,
-                            );
-                        }
-                    };
-                    // Step 7 — tentative output polling
-                    let poller = OutputPoller {
-                        interval: ctx.onserve.config.poll_interval,
-                        timeout: ctx.onserve.config.poll_timeout,
-                    };
-                    let ctx4 = Rc::clone(&ctx);
-                    let site_name = site2.name().to_owned();
-                    let prev = sim.set_span_parent(ctx.span);
-                    poller.start(
-                        sim,
-                        Rc::clone(&ctx.onserve.agent),
-                        ctx.session,
-                        site2,
-                        handle,
-                        move |sim, polled| {
-                            let ctx = ctx4;
-                            match polled {
-                                Ok(stats) => {
-                                    ctx.logout();
-                                    if ctx.dog.disarm(sim) {
-                                        if let Some(r) = ctx.slot.borrow_mut().take() {
-                                            sim.span_attr(
-                                                ctx.span,
-                                                "output_bytes",
-                                                stats.final_bytes as u64,
-                                            );
-                                            sim.span_attr(ctx.span, "polls", stats.polls);
-                                            sim.span_end(ctx.span);
-                                            r(
-                                                sim,
-                                                Ok(SoapValue::Binary {
-                                                    bytes: stats.final_bytes,
-                                                    digest: ctx.invocation_no,
-                                                }),
-                                            );
-                                        }
-                                    }
-                                }
-                                Err((e, _stats)) => {
-                                    let (err, transient) = match e {
-                                        PollError::JobFailed(o) => {
-                                            let transient = matches!(
-                                                o,
-                                                gridsim::JobOutcome::NodeFailure
-                                                    | gridsim::JobOutcome::Cancelled
-                                            );
-                                            (InvokeError::JobFailed(format!("{o:?}")), transient)
-                                        }
-                                        PollError::TimedOut { polls } => (
-                                            InvokeError::Grid(format!(
-                                                "output polling timed out after {polls} polls"
-                                            )),
-                                            false,
-                                        ),
-                                        PollError::Grid(g) => {
-                                            (InvokeError::Grid(g.to_string()), false)
-                                        }
-                                    };
-                                    ctx.fail_or_retry(sim, err, Some(site_name), transient);
-                                }
-                            }
-                        },
-                    );
-                    sim.set_span_parent(prev);
-                },
-            );
-            sim.set_span_parent(prev);
-        };
-        if already {
-            after_stage(sim, Ok(()));
-        } else {
-            let ctx_stage = Rc::clone(&ctx);
-            let prev = sim.set_span_parent(ctx.span);
-            ctx.onserve.agent.clone().stage_file(
-                sim,
-                ctx.session,
-                &site_for_stage,
-                &ctx_stage.exe_name,
-                ctx_stage.data_len,
-                after_stage,
-            );
-            sim.set_span_parent(prev);
+        under_span(sim, self.reply.span, |sim| {
+            let agent = Rc::clone(&onserve.agent);
+            poller.start(sim, agent, self.session(), site, handle, polled);
+        });
+    }
+
+    /// A grid-side step failed at `site`: retry elsewhere (when transient,
+    /// budget left, and the watchdog hasn't already answered) or surface it.
+    fn fail(self: &Rc<Self>, sim: &mut Sim, err: InvokeError, site: &str, transient: bool) {
+        if transient && self.attempts_left.get() > 0 && !self.watchdog.timed_out() {
+            self.attempts_left.set(self.attempts_left.get() - 1);
+            self.excluded_sites.borrow_mut().push(site.to_owned());
+            return self.select_site(sim);
         }
+        self.exit(sim, Err(err))
+    }
+
+    /// Every way out of the pipeline: drop the Grid session if sessions are
+    /// per-invocation (the paper's behaviour; cached ones stay alive for
+    /// the next invocation), call off the watchdog, and finish — a no-op
+    /// when the watchdog has already answered.
+    fn exit(&self, sim: &mut Sim, result: Result<PollStats, InvokeError>) {
+        if let Some(session) = self.session.take() {
+            if !self.onserve().config.cache_grid_sessions {
+                self.onserve().agent.logout(session);
+            }
+        }
+        self.watchdog.disarm(sim);
+        self.reply.finish(sim, result);
     }
 }

@@ -107,10 +107,7 @@ impl Portal {
                             .client_path
                             .backward
                             .transfer(sim, 6.0 * 1024.0, move |sim| {
-                                match &result {
-                                    Ok(_) => sim.span_end(span),
-                                    Err(e) => sim.span_fail(span, &e.to_string()),
-                                }
+                                sim.span_close(span, &result);
                                 done(sim, result);
                             });
                     },

@@ -111,11 +111,6 @@ impl Shell {
         *self.session.borrow()
     }
 
-    /// Jobs submitted through this shell (index = the `<job>` argument).
-    pub fn job_count(&self) -> usize {
-        self.jobs.borrow().len()
-    }
-
     fn require_session(&self) -> Result<SessionId, String> {
         self.session.borrow().ok_or_else(|| "not authenticated (use: auth <user> <pass>)".into())
     }

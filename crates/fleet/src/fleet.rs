@@ -119,6 +119,13 @@ struct Replica {
     boot_span: SpanId,
 }
 
+impl Replica {
+    /// In rotation: booted and provisioned, neither retired nor crashed.
+    fn is_active(&self) -> bool {
+        self.deployment.is_some() && !self.retired
+    }
+}
+
 struct Inner {
     next_id: usize,
     replicas: Vec<Replica>,
@@ -129,6 +136,24 @@ struct Inner {
     lost: u64,
     /// Front-end UDDI key per service name.
     service_keys: BTreeMap<String, String>,
+}
+
+impl Inner {
+    /// Replicas in rotation, in boot order.
+    fn actives(&self) -> impl Iterator<Item = &Replica> {
+        self.replicas.iter().filter(|r| r.is_active())
+    }
+
+    /// The replica in rotation under `name`.
+    fn active(&self, name: &str) -> Option<&Replica> {
+        self.actives().find(|r| r.name == name)
+    }
+
+    fn active_mut(&mut self, name: &str) -> Option<&mut Replica> {
+        self.replicas
+            .iter_mut()
+            .find(|r| r.name == name && r.is_active())
+    }
 }
 
 /// A replicated onServe installation behind one front end.
@@ -305,12 +330,7 @@ impl Fleet {
 
     /// Replicas serving traffic right now.
     pub fn active_replicas(&self) -> usize {
-        self.inner
-            .borrow()
-            .replicas
-            .iter()
-            .filter(|r| r.deployment.is_some() && !r.retired)
-            .count()
+        self.inner.borrow().actives().count()
     }
 
     /// Replicas still booting or provisioning.
@@ -344,13 +364,8 @@ impl Fleet {
 
     /// Names of the replicas serving traffic right now, in boot order.
     pub fn active_replica_names(&self) -> Vec<String> {
-        self.inner
-            .borrow()
-            .replicas
-            .iter()
-            .filter(|r| r.deployment.is_some() && !r.retired)
-            .map(|r| r.name.clone())
-            .collect()
+        let inner = self.inner.borrow();
+        inner.actives().map(|r| r.name.clone()).collect()
     }
 
     /// Boot one more replica; it joins the rotation after image copy, VM
@@ -404,13 +419,7 @@ impl Fleet {
         self.target_version.set(version);
         self.version_labels.set(true);
         if let Some(health) = self.dispatcher.health_plane() {
-            for r in self
-                .inner
-                .borrow()
-                .replicas
-                .iter()
-                .filter(|r| r.deployment.is_some() && !r.retired)
-            {
+            for r in self.inner.borrow().actives() {
                 health.set_version(&r.name, &format!("v{}", r.version));
             }
         }
@@ -419,12 +428,7 @@ impl Fleet {
     /// The artifact version an *active* replica serves (`None` when
     /// `name` is retired, crashed, still booting, or unknown).
     pub fn replica_version(&self, name: &str) -> Option<u32> {
-        self.inner
-            .borrow()
-            .replicas
-            .iter()
-            .find(|r| r.name == name && r.deployment.is_some() && !r.retired)
-            .map(|r| r.version)
+        self.inner.borrow().active(name).map(|r| r.version)
     }
 
     /// Is `name` still booting or provisioning (ordered but not yet in
@@ -443,13 +447,7 @@ impl Fleet {
     /// progress gauge (a finished roll has exactly one entry).
     pub fn version_counts(&self) -> BTreeMap<u32, usize> {
         let mut counts = BTreeMap::new();
-        for r in self
-            .inner
-            .borrow()
-            .replicas
-            .iter()
-            .filter(|r| r.deployment.is_some() && !r.retired)
-        {
+        for r in self.inner.borrow().actives() {
             *counts.entry(r.version).or_insert(0) += 1;
         }
         counts
@@ -464,11 +462,7 @@ impl Fleet {
         assert!(factor >= 1.0, "slow factor must be >= 1.0, got {factor}");
         {
             let inner = self.inner.borrow();
-            let Some(replica) = inner
-                .replicas
-                .iter()
-                .find(|r| r.name == name && r.deployment.is_some() && !r.retired)
-            else {
+            let Some(replica) = inner.active(name) else {
                 return false;
             };
             replica.slow_factor.set(factor);
@@ -484,12 +478,8 @@ impl Fleet {
     /// The gray-failure latency multiplier currently applied to `name`
     /// (`None` when it is not an active replica).
     pub fn replica_slow_factor(&self, name: &str) -> Option<f64> {
-        self.inner
-            .borrow()
-            .replicas
-            .iter()
-            .find(|r| r.name == name && r.deployment.is_some() && !r.retired)
-            .map(|r| r.slow_factor.get())
+        let inner = self.inner.borrow();
+        inner.active(name).map(|r| r.slow_factor.get())
     }
 
     /// Kill an active replica with no drain: the VM is hard-destroyed
@@ -500,11 +490,7 @@ impl Fleet {
     pub fn crash_replica(self: &Rc<Self>, sim: &mut Sim, name: &str) -> bool {
         {
             let mut inner = self.inner.borrow_mut();
-            let Some(replica) = inner
-                .replicas
-                .iter_mut()
-                .find(|r| r.name == name && r.deployment.is_some() && !r.retired)
-            else {
+            let Some(replica) = inner.active_mut(name) else {
                 return false;
             };
             replica.retired = true;
@@ -540,7 +526,7 @@ impl Fleet {
                 .replicas
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| r.deployment.is_some() && !r.retired)
+                .filter(|(_, r)| r.is_active())
                 .min_by_key(|(i, r)| {
                     let pins = pin_counts.get(&r.name).copied().unwrap_or(0);
                     let load = self.dispatcher.outstanding_on(&r.name);
@@ -571,11 +557,7 @@ impl Fleet {
         }
         {
             let mut inner = self.inner.borrow_mut();
-            let Some(replica) = inner
-                .replicas
-                .iter_mut()
-                .find(|r| r.name == name && r.deployment.is_some() && !r.retired)
-            else {
+            let Some(replica) = inner.active_mut(name) else {
                 return false;
             };
             replica.retired = true;
@@ -597,11 +579,7 @@ impl Fleet {
         injector: Option<Rc<simkit::fault::FaultInjector>>,
     ) -> bool {
         let inner = self.inner.borrow();
-        let Some(replica) = inner
-            .replicas
-            .iter()
-            .find(|r| r.name == name && r.deployment.is_some() && !r.retired)
-        else {
+        let Some(replica) = inner.active(name) else {
             return false;
         };
         let deployment = replica.deployment.as_ref().expect("active replica");
@@ -649,9 +627,7 @@ impl Fleet {
         let targets: Vec<Rc<Deployment>> = self
             .inner
             .borrow()
-            .replicas
-            .iter()
-            .filter(|r| !r.retired)
+            .actives()
             .filter_map(|r| r.deployment.clone())
             .collect();
         if targets.is_empty() {
@@ -702,15 +678,7 @@ impl Fleet {
                 owner,
             });
         }
-        let actives: Vec<String> = self
-            .inner
-            .borrow()
-            .replicas
-            .iter()
-            .filter(|r| r.deployment.is_some() && !r.retired)
-            .map(|r| r.name.clone())
-            .collect();
-        for replica in actives {
+        for replica in self.active_replica_names() {
             self.advertise(&service, &replica);
         }
     }

@@ -274,6 +274,27 @@ impl RolloutController {
         self.poll_later(sim);
     }
 
+    /// Drain-and-retire the oldest old-version replica and log it — but
+    /// never through the floor: a crash may have shrunk the fleet under us,
+    /// and then the capacity just added only restored it.
+    fn retire_oldest(&self, sim: &mut Sim) {
+        let active = self.fleet.active_replicas();
+        if active <= self.cfg.min_healthy {
+            return;
+        }
+        let Some(victim) = self.old_version_actives().first().cloned() else {
+            return;
+        };
+        if self.fleet.retire_replica(sim, &victim) {
+            sim.counter_add("rollout.retire", 1);
+            self.replaced.set(self.replaced.get() + 1);
+            self.retire_log.borrow_mut().push(RetireEvent {
+                replica: victim,
+                active_before: active,
+            });
+        }
+    }
+
     /// The boot we are waiting on landed (or died): retire one
     /// old-version replica if the floor allows, then take the next step.
     fn on_boot_poll(self: Rc<Self>, sim: &mut Sim, name: String) {
@@ -283,22 +304,8 @@ impl RolloutController {
             return;
         }
         if self.fleet.replica_version(&name).is_some() {
-            // in rotation: retire the oldest old-version replica, but
-            // never through the floor (a crash may have shrunk the
-            // fleet under us — then this boot only restored capacity)
-            let active = self.fleet.active_replicas();
-            if active > self.cfg.min_healthy {
-                if let Some(victim) = self.old_version_actives().first().cloned() {
-                    if self.fleet.retire_replica(sim, &victim) {
-                        sim.counter_add("rollout.retire", 1);
-                        self.replaced.set(self.replaced.get() + 1);
-                        self.retire_log.borrow_mut().push(RetireEvent {
-                            replica: victim,
-                            active_before: active,
-                        });
-                    }
-                }
-            }
+            // in rotation: this boot pays for one retirement
+            self.retire_oldest(sim);
         }
         // a boot that died (crashed before activating) just loops:
         // the next step orders another replacement
@@ -423,19 +430,7 @@ impl RolloutController {
         sim.counter_add("rollout.promoted", 1);
         // the canary already replaced one old replica's worth of
         // capacity: retire the first victim right away if possible
-        let active = self.fleet.active_replicas();
-        if active > self.cfg.min_healthy {
-            if let Some(victim) = self.old_version_actives().first().cloned() {
-                if self.fleet.retire_replica(sim, &victim) {
-                    sim.counter_add("rollout.retire", 1);
-                    self.replaced.set(self.replaced.get() + 1);
-                    self.retire_log.borrow_mut().push(RetireEvent {
-                        replica: victim,
-                        active_before: active,
-                    });
-                }
-            }
-        }
+        self.retire_oldest(sim);
         self.step(sim);
     }
 

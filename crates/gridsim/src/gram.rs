@@ -180,11 +180,6 @@ impl Gatekeeper {
         v
     }
 
-    /// Remove a DN from the grid-map.
-    pub fn revoke_grant(&mut self, dn: &str) -> bool {
-        self.gridmap.remove(dn).is_some()
-    }
-
     /// Drain/outage switch: a non-accepting gatekeeper rejects submissions
     /// with [`GridError::Unavailable`].
     pub fn set_accepting(&mut self, accepting: bool) {

@@ -339,6 +339,15 @@ impl Sim {
         }
     }
 
+    /// Close a span by the outcome it guarded: [`Sim::span_end`] on `Ok`,
+    /// [`Sim::span_fail`] with the error's text on `Err`.
+    pub fn span_close<T, E: std::fmt::Display>(&mut self, id: SpanId, outcome: &Result<T, E>) {
+        match outcome {
+            Ok(_) => self.span_end(id),
+            Err(e) => self.span_fail(id, &e.to_string()),
+        }
+    }
+
     /// Set the ambient causal parent that [`Sim::span_begin`] attaches new
     /// spans to, returning the previous value so callers can restore it.
     ///
@@ -366,14 +375,6 @@ impl Sim {
             *total += delta;
             let total = *total;
             t.counter_samples.push((now, name, total));
-        }
-    }
-
-    /// Record a duration observation under `name` without opening a span
-    /// (no-op while disabled).
-    pub fn observe_duration(&mut self, name: &'static str, d: Duration) {
-        if let Some(t) = self.telemetry.as_mut() {
-            t.histos.entry(name).or_default().record(d);
         }
     }
 

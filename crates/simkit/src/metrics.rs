@@ -253,7 +253,7 @@ pub(crate) fn log2_bucket(v: u64) -> usize {
 
 /// Inclusive upper bound of log₂ bucket `i`.
 #[inline]
-fn log2_bucket_upper(i: usize) -> u64 {
+pub(crate) fn log2_bucket_upper(i: usize) -> u64 {
     if i == 0 {
         1
     } else {

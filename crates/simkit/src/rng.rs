@@ -110,11 +110,6 @@ impl Rng {
         mean + std_dev * z
     }
 
-    /// Log-normal with the given *underlying* normal parameters.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// Bounded Pareto on `[lo, hi]` with shape `alpha` — heavy-tailed job
     /// runtimes and file sizes, the classic grid-workload shapes.
     pub fn bounded_pareto(&mut self, alpha: f64, lo: f64, hi: f64) -> f64 {

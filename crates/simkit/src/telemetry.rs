@@ -32,6 +32,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::metrics::{log2_bucket, log2_bucket_upper, LOG2_BUCKETS};
 use crate::time::{Duration, SimTime};
 
 /// Handle to a recorded span. `SpanId::NONE` is the null handle: returned
@@ -140,14 +141,11 @@ impl SpanRecord {
     }
 }
 
-/// Number of log₂ duration buckets (covers 1 µs .. u64::MAX µs).
-const HISTO_BUCKETS: usize = 64;
-
 /// A log-bucketed duration histogram: bucket `i` counts durations in
 /// `(2^(i-1), 2^i]` microseconds (bucket 0 holds 0–1 µs).
 #[derive(Clone, Debug)]
 pub struct DurationHisto {
-    counts: [u64; HISTO_BUCKETS],
+    counts: [u64; LOG2_BUCKETS],
     count: u64,
     sum_ticks: u64,
     max_ticks: u64,
@@ -156,7 +154,7 @@ pub struct DurationHisto {
 impl Default for DurationHisto {
     fn default() -> Self {
         DurationHisto {
-            counts: [0; HISTO_BUCKETS],
+            counts: [0; LOG2_BUCKETS],
             count: 0,
             sum_ticks: 0,
             max_ticks: 0,
@@ -165,14 +163,10 @@ impl Default for DurationHisto {
 }
 
 impl DurationHisto {
-    fn bucket_of(us: u64) -> usize {
-        ((64 - us.leading_zeros()) as usize).min(HISTO_BUCKETS - 1)
-    }
-
     /// Record one duration.
     pub fn record(&mut self, d: Duration) {
         let us = d.ticks();
-        self.counts[Self::bucket_of(us)] += 1;
+        self.counts[log2_bucket(us)] += 1;
         self.count += 1;
         self.sum_ticks = self.sum_ticks.saturating_add(us);
         self.max_ticks = self.max_ticks.max(us);
@@ -186,15 +180,6 @@ impl DurationHisto {
     /// Sum of all observations, seconds.
     pub fn total_secs(&self) -> f64 {
         self.sum_ticks as f64 / crate::time::TICKS_PER_SEC as f64
-    }
-
-    /// Mean observation, seconds (0 when empty).
-    pub fn mean_secs(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_secs() / self.count as f64
-        }
     }
 
     /// Largest observation, seconds.
@@ -216,10 +201,7 @@ impl DurationHisto {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let upper = if i == 0 { 1 } else { 1u64 << i.min(63) };
-                (upper, c)
-            })
+            .map(|(i, &c)| (log2_bucket_upper(i), c))
             .collect()
     }
 }

@@ -550,6 +550,97 @@ fn update_unknown_service_errors() {
     assert!(hit.get());
 }
 
+/// Output size of one plain invocation of `service` (drains the sim).
+fn invoke_for_output(sim: &mut Sim, d: &Deployment, service: &str) -> Result<f64, String> {
+    let out = Rc::new(RefCell::new(None));
+    let o = out.clone();
+    d.invoke(sim, service, &[], move |_, r| {
+        *o.borrow_mut() = Some(match r {
+            Ok(SoapValue::Binary { bytes, .. }) => Ok(bytes),
+            other => Err(format!("{other:?}")),
+        });
+    });
+    sim.run();
+    let answer = out.borrow_mut().take().expect("responded");
+    answer
+}
+
+#[test]
+fn failed_update_leaves_the_old_binary_serving() {
+    // Regression: the update used to delete the old row up front, so a
+    // store that failed left the service published with no executable.
+    let mut sim = Sim::new(17);
+    let d = Deployment::build(&mut sim, &DeploymentSpec::default());
+    let old = ExecutionProfile::quick().producing(100.0);
+    upload_and_publish(&mut sim, &d, "tool.exe", 64 * 1024, old, &[]);
+    let faults = simkit::FaultConfig {
+        write_fail_p: 1.0,
+        ..simkit::FaultConfig::default()
+    };
+    let db = d.onserve.db();
+    db.inject_faults(Some(simkit::FaultInjector::new(5, faults)));
+    let result = Rc::new(RefCell::new(None));
+    let r2 = result.clone();
+    d.onserve.clone().update_executable(
+        &mut sim,
+        "tool",
+        onserve::deployment::synth_payload(128 * 1024, 99),
+        None,
+        Some("version 2".into()),
+        Some(ExecutionProfile::quick().producing(222.0)),
+        move |_, r| *r2.borrow_mut() = Some(r),
+    );
+    sim.run();
+    assert_eq!(
+        result.borrow_mut().take(),
+        Some(Err(onserve::UploadError::Db(
+            blobstore::DbError::WriteFailed("tool.exe".into())
+        )))
+    );
+    db.inject_faults(None);
+    assert_eq!(
+        db.db().borrow().record("tool.exe").map(|r| r.original_len),
+        Ok(64 * 1024),
+        "the old row must survive a failed replacement"
+    );
+    assert_eq!(invoke_for_output(&mut sim, &d, "tool"), Ok(100.0));
+}
+
+#[test]
+fn invocation_during_an_update_is_served_from_the_old_binary() {
+    // Regression: between the up-front delete and the insert at the end of
+    // the store's disk passes, invocations faulted with "no such
+    // executable".
+    let mut sim = Sim::new(18);
+    let d = Deployment::build(&mut sim, &DeploymentSpec::default());
+    let old = ExecutionProfile::quick().producing(100.0);
+    upload_and_publish(&mut sim, &d, "tool.exe", 64 * 1024, old, &[]);
+    let updated_at = Rc::new(Cell::new(None));
+    let u = updated_at.clone();
+    d.onserve.clone().update_executable(
+        &mut sim,
+        "tool",
+        onserve::deployment::synth_payload(5 * 1024 * 1024, 99),
+        None,
+        None,
+        Some(ExecutionProfile::quick().producing(222.0)),
+        move |sim, r| {
+            r.expect("update");
+            u.set(Some(sim.now()));
+        },
+    );
+    // the request reaches the middleware while the 5 MB temp write is
+    // still on the disk
+    let started = sim.now();
+    assert_eq!(invoke_for_output(&mut sim, &d, "tool"), Ok(100.0));
+    assert!(
+        updated_at.get().expect("update finished") > started + Duration::from_millis(100),
+        "the update must still have been in flight when the invocation arrived"
+    );
+    // and once the update is through, the new build answers
+    assert_eq!(invoke_for_output(&mut sim, &d, "tool"), Ok(222.0));
+}
+
 #[test]
 fn registry_browser_reflects_live_state() {
     let mut sim = Sim::new(15);

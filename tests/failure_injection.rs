@@ -367,3 +367,45 @@ fn zero_retries_is_the_paper_behaviour() {
     let fault = invoke_expect_fault(&mut sim, &d, "app");
     assert!(fault.message.contains("unavailable"), "{fault}");
 }
+
+#[test]
+fn pre_grid_failures_leave_no_watchdog_and_no_session_behind() {
+    // Regression: a failed retrieval or authentication answered the
+    // consumer but never disarmed the watchdog, so a drained simulation
+    // ran on to the 48 h invocation timeout.
+    for (passphrase, corrupt, expect) in [("s3cret", true, "corrupt"), ("wrong", false, "passphrase")] {
+        let mut sim = Sim::new(32);
+        let d = Deployment::build(&mut sim, &DeploymentSpec::default());
+        let mut req = d.upload_request("app.exe", 8192, ExecutionProfile::quick(), &[]);
+        req.grid_passphrase = passphrase.into();
+        d.portal.upload(&mut sim, req, |_, r| {
+            r.expect("publish");
+        });
+        sim.run();
+        if corrupt {
+            d.onserve
+                .db()
+                .db()
+                .borrow_mut()
+                .corrupt_blob("app.exe")
+                .unwrap();
+        }
+        let answered_at = Rc::new(Cell::new(None));
+        let a = answered_at.clone();
+        d.invoke(&mut sim, "app", &[], move |sim, r| {
+            let fault = r.expect_err("should fault");
+            assert!(fault.message.contains(expect), "{fault}");
+            a.set(Some(sim.now()));
+        });
+        sim.run();
+        let answered_at = answered_at.get().expect("fault delivered");
+        assert!(
+            sim.now().since(answered_at) < Duration::from_secs(1),
+            "{expect}: drained at {:?}, answered at {answered_at:?}",
+            sim.now()
+        );
+        assert_eq!(sim.pending(), 0, "{expect}: events left behind");
+        assert_eq!(d.agent.session_count(), 0, "{expect}: session leaked");
+        assert_eq!(d.onserve.counters(), (1, 1));
+    }
+}
