@@ -1,10 +1,11 @@
 //! Tracked kernel performance baseline.
 //!
 //! Measures the simkit hot paths (event queue, processor-sharing server,
-//! metric recorder) plus the end-to-end Figure-6 pipeline, and writes the
-//! results as machine-readable JSON to `BENCH_kernel.json` at the repo
-//! root. CI and future optimisation PRs diff this file to catch
-//! regressions.
+//! metric recorder), the end-to-end Figure-6 pipeline and the two
+//! host-time sinks of the upload path (payload synthesis, exact-name UDDI
+//! inquiry), and writes the results as machine-readable JSON to
+//! `BENCH_kernel.json` at the repo root. CI and future optimisation PRs
+//! diff this file to catch regressions.
 //!
 //! Run with: `cargo run --release -p onserve-bench --bin perfbaseline`
 //!
@@ -30,11 +31,12 @@
 
 use std::time::{Duration as WallDuration, Instant};
 
-use onserve::deployment::DeploymentSpec;
+use onserve::deployment::{synth_payload, DeploymentSpec};
 use onserve::profile::ExecutionProfile;
 use onserve_bench::{Runner, KB};
 use simkit::wheel::TimerWheel;
 use simkit::{Duration, PsServer, Recorder, ServerConfig, Sim};
+use wsstack::{BindingTemplate, UddiRegistry};
 
 /// One measured scenario.
 struct Entry {
@@ -237,6 +239,46 @@ fn bench_fig6_pipeline() -> Entry {
     })
 }
 
+/// The 64 KB synthetic executable every fleet upload builds once per
+/// replica, under the seed `Deployment::upload_request` derives. One op =
+/// one payload.
+fn bench_synth_payload() -> Entry {
+    const LEN: usize = 64 * 1024;
+    measure("deployment.synth_payload_64k", 20, || {
+        std::hint::black_box(synth_payload(
+            std::hint::black_box(LEN),
+            0x5eed ^ LEN as u64,
+        ));
+        1
+    })
+}
+
+/// An exact-name inquiry against a front-end registry of 2000 services —
+/// the discovery step of a consumer, on the registry shape
+/// `benchmark/src/probes.rs` times as `wsstack.uddi_find_ns`. One op =
+/// one `find`.
+fn bench_uddi_find_exact() -> Entry {
+    let mut reg = UddiRegistry::new();
+    for i in 0..2000 {
+        let access_point = format!("http://replica0:8080/axis2/services/wl{i}");
+        let binding = BindingTemplate {
+            wsdl_location: format!("{access_point}?wsdl"),
+            access_point,
+        };
+        reg.publish(
+            "onserve-fleet",
+            &format!("wl{i}"),
+            "fleet front-end endpoint",
+            binding,
+        )
+        .expect("unique names");
+    }
+    measure("uddi.find_exact_2000", 20, move || {
+        assert_eq!(reg.find(std::hint::black_box("wl1234")).len(), 1);
+        1
+    })
+}
+
 /// Maximum tolerated min-ns ratio vs the committed baseline in `--check`.
 const CHECK_TOLERANCE: f64 = 1.25;
 
@@ -271,12 +313,14 @@ fn main() {
         bench_span_disabled,
         bench_span_enabled,
         bench_fig6_pipeline,
+        bench_synth_payload,
+        bench_uddi_find_exact,
     ];
     let entries: Vec<Entry> = scenarios.iter().map(|f| f()).collect();
 
     for e in &entries {
         println!(
-            "{:<24} {:>12.1} ns/op  (min {:>10.1})  {:>14.0} ops/s",
+            "{:<28} {:>12.1} ns/op  (min {:>10.1})  {:>14.0} ops/s",
             e.name, e.mean_ns, e.min_ns, e.ops_per_sec
         );
     }
@@ -299,7 +343,7 @@ fn main() {
                 .and_then(|s| s.get("min_ns"))
                 .and_then(|v| v.as_num());
             match base {
-                None => eprintln!("  {:<24} no committed baseline (new scenario)", e.name),
+                None => eprintln!("  {:<28} no committed baseline (new scenario)", e.name),
                 Some(base) => {
                     let mut floor = e.min_ns;
                     let mut attempts = 0;
@@ -310,7 +354,7 @@ fn main() {
                     }
                     if floor > base * CHECK_TOLERANCE {
                         eprintln!(
-                            "REGRESSION {:<24} floor {:.1} ns/op vs baseline {:.1} (+{:.0}%)",
+                            "REGRESSION {:<28} floor {:.1} ns/op vs baseline {:.1} (+{:.0}%)",
                             e.name,
                             floor,
                             base,

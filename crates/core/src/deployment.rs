@@ -102,12 +102,20 @@ pub struct Deployment {
 /// Deterministic compressible payload for synthetic executables: a
 /// repeating structured pattern salted by `seed`.
 pub fn synth_payload(len: usize, seed: u64) -> Bytes {
-    let mut data = Vec::with_capacity(len);
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    // `x >> 40` is a 24-bit value, so its `{:08x}` rendering always starts
+    // with the template's two zeros; only the six digits after them change.
+    let mut segment = *b"SEG00000000:PAYLOAD-DATA-BLOCK;";
+    // the last segment may overrun `len` before the truncate
+    let mut data = Vec::with_capacity(len + segment.len());
     let mut x = seed | 1;
     while data.len() < len {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let chunk = format!("SEG{:08x}:PAYLOAD-DATA-BLOCK;", x >> 40);
-        data.extend_from_slice(chunk.as_bytes());
+        let v = x >> 40;
+        for (i, digit) in segment[5..11].iter_mut().enumerate() {
+            *digit = HEX[(v >> (20 - 4 * i)) as usize & 0xf];
+        }
+        data.extend_from_slice(&segment);
     }
     data.truncate(len);
     Bytes::from(data)

@@ -13,6 +13,35 @@ use proptest::prelude::*;
 use simkit::{Duration, Rng, Sim};
 use wsstack::SoapValue;
 
+/// The generator `synth_payload` replaced, kept verbatim as the reference:
+/// one `format!` per 31-byte segment.
+fn synth_payload_reference(len: usize, seed: u64) -> Vec<u8> {
+    let mut data = Vec::with_capacity(len);
+    let mut x = seed | 1;
+    while data.len() < len {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let chunk = format!("SEG{:08x}:PAYLOAD-DATA-BLOCK;", x >> 40);
+        data.extend_from_slice(chunk.as_bytes());
+    }
+    data.truncate(len);
+    data
+}
+
+/// Every cut point through the first six segments, and the sizes the
+/// benches upload (the 64 KB blob, one byte past it, the 5 MB executable),
+/// under the seed every caller derives and under extreme ones.
+#[test]
+fn synth_payload_equals_the_format_reference_at_fixed_sizes() {
+    for len in (0..=200).chain([1024, 65_536, 65_537, 5 * 1024 * 1024]) {
+        for seed in [0x5eed ^ len as u64, 0, u64::MAX, 0xffff_ff00_0000_0000] {
+            assert!(
+                synth_payload(len, seed)[..] == synth_payload_reference(len, seed)[..],
+                "len {len} seed {seed:#x}"
+            );
+        }
+    }
+}
+
 proptest! {
     /// Derived service names are always valid identifiers: non-empty,
     /// ASCII-alphanumeric/underscore, non-digit first char.
@@ -112,6 +141,20 @@ proptest! {
         let b = synth_payload(len, seed);
         prop_assert_eq!(a.len(), len);
         prop_assert_eq!(a, b);
+    }
+
+    /// The template-patching generator is the `format!` one, byte for
+    /// byte — also from seeds whose top bits are all ones, where a digit
+    /// wider than the template's six patched ones would first show.
+    #[test]
+    fn synth_payload_equals_the_format_reference(
+        len in 0usize..100_000,
+        seed in prop_oneof![
+            any::<u64>(),
+            any::<u64>().prop_map(|s| s | 0xffff_ff00_0000_0000),
+        ],
+    ) {
+        prop_assert!(synth_payload(len, seed)[..] == synth_payload_reference(len, seed)[..]);
     }
 
     /// Randomized end-to-end: any quick profile publishes and invokes

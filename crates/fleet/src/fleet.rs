@@ -15,7 +15,7 @@
 //! gives each replica its own store on its own appliance disk.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use blobstore::{BlobDb, TimedDb};
@@ -129,7 +129,12 @@ impl Replica {
 struct Inner {
     next_id: usize,
     replicas: Vec<Replica>,
+    /// Catalogued executables in upload order — the replay order for
+    /// replicas that boot later.
     catalog: Vec<CatalogEntry>,
+    /// File names in `catalog`: the front door asks "already catalogued?"
+    /// on every upload.
+    catalogued: BTreeSet<String>,
     booting: usize,
     booted: u64,
     retired: u64,
@@ -212,6 +217,7 @@ impl Fleet {
                 next_id: 0,
                 replicas: Vec::new(),
                 catalog: Vec::new(),
+                catalogued: BTreeSet::new(),
                 booting: 0,
                 booted: 0,
                 retired: 0,
@@ -668,7 +674,7 @@ impl Fleet {
         let service = service_name(file_name);
         {
             let mut inner = self.inner.borrow_mut();
-            if inner.catalog.iter().any(|c| c.file_name == file_name) {
+            if !inner.catalogued.insert(file_name.to_owned()) {
                 return;
             }
             inner.catalog.push(CatalogEntry {
@@ -1148,6 +1154,49 @@ mod tests {
         // the late replica replayed the catalog and advertises the service
         let registry = fleet.registry();
         let mut registry = registry.borrow_mut();
+        let services = registry.find("tool");
+        assert_eq!(services.len(), 1);
+        assert_eq!(services[0].bindings.len(), 2);
+    }
+
+    #[test]
+    fn a_file_name_through_the_door_twice_is_catalogued_and_replayed_once() {
+        let mut sim = Sim::new(13);
+        let fleet = Fleet::new(&mut sim, spec(StorageTopology::Replicated, 1));
+        sim.run();
+        let faults = Rc::new(RefCell::new(Vec::new()));
+        for _ in 0..2 {
+            let faults = Rc::clone(&faults);
+            fleet.dispatcher().clone().submit(
+                &mut sim,
+                Request::Upload {
+                    file_name: "tool.exe".into(),
+                    len: 64 * 1024,
+                    profile: ExecutionProfile::quick(),
+                },
+                Box::new(move |_, res| faults.borrow_mut().extend(res.err())),
+            );
+            sim.run();
+        }
+        // the replica's database refused the second copy ...
+        let faults = faults.borrow();
+        assert_eq!(faults.len(), 1);
+        let refused = faults[0].to_string();
+        assert!(refused.contains("duplicate executable name"), "{refused}");
+        // ... and the catalog took the name once
+        assert_eq!(fleet.inner.borrow().catalog.len(), 1);
+        assert_eq!(fleet.inner.borrow().catalogued.len(), 1);
+
+        // a replica booted afterwards replays one entry: a second replay
+        // would fault in its database and trip `provision_next`'s assert
+        fleet.scale_up(&mut sim);
+        sim.run();
+        assert_eq!(fleet.active_replicas(), 2);
+        for replica in fleet.inner.borrow().actives() {
+            let d = replica.deployment.as_ref().unwrap();
+            assert_eq!(d.onserve.db().db().borrow().len(), 1, "{}", replica.name);
+        }
+        let mut registry = fleet.registry.borrow_mut();
         let services = registry.find("tool");
         assert_eq!(services.len(), 1);
         assert_eq!(services[0].bindings.len(), 2);

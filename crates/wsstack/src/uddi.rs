@@ -8,7 +8,7 @@
 //! deterministic keys, so the onServe `UddiManager` equivalent and the
 //! service-discovery scenario (§VII-B) work unchanged.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Where a published service can be reached and described.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,7 +66,11 @@ impl std::error::Error for UddiError {}
 #[derive(Default)]
 pub struct UddiRegistry {
     services: BTreeMap<String, BusinessService>, // key -> record
-    by_name: BTreeMap<String, String>,           // name -> key
+    /// `(name.to_lowercase(), key)` per service: the keys of the services
+    /// whose names fold to one string sit together, ascending. Inquiries
+    /// match case-insensitively while `publish` rejects only an exact-case
+    /// duplicate, so a folded name can have several (`Blast` and `blast`).
+    by_folded_name: BTreeSet<(String, String)>,
     next_key: u64,
     /// Publish/inquiry counters for the evaluation report.
     publishes: u64,
@@ -89,7 +93,11 @@ impl UddiRegistry {
         description: &str,
         binding: BindingTemplate,
     ) -> Result<String, UddiError> {
-        if self.by_name.contains_key(name) {
+        let first = (name.to_lowercase(), String::new());
+        if self
+            .keys_from(&first)
+            .any(|k| self.services[k].name == name)
+        {
             return Err(UddiError::DuplicateName(name.to_owned()));
         }
         self.next_key += 1;
@@ -110,19 +118,42 @@ impl UddiRegistry {
             description: description.to_owned(),
             bindings: vec![binding],
         };
-        self.by_name.insert(name.to_owned(), key.clone());
+        self.by_folded_name.insert((first.0, key.clone()));
         self.services.insert(key.clone(), record);
         Ok(key)
     }
 
     /// UDDI `find_service`: `%` is the any-substring wildcard, matching is
-    /// case-insensitive (as in the UDDI spec's default behaviour).
+    /// case-insensitive (as in the UDDI spec's default behaviour). Hits
+    /// come back in ascending service-key order. A `%`-free pattern is one
+    /// lookup in the folded-name index; a wildcard walks every service.
     pub fn find(&mut self, name_pattern: &str) -> Vec<&BusinessService> {
         self.inquiries += 1;
         let pat = name_pattern.to_lowercase();
+        if pat.contains('%') {
+            return self.scan(&pat);
+        }
+        let first = (pat, String::new());
+        self.keys_from(&first)
+            .map(|key| &self.services[key])
+            .collect()
+    }
+
+    /// Keys of the services whose folded name is `first.0`, ascending.
+    /// `first.1` is empty — the bound no real key sorts below.
+    fn keys_from<'a>(&'a self, first: &'a (String, String)) -> impl Iterator<Item = &'a String> {
+        self.by_folded_name
+            .range(first..)
+            .take_while(move |(folded, _)| *folded == first.0)
+            .map(|(_, key)| key)
+    }
+
+    /// Every service whose folded name matches the already-folded
+    /// `pattern`, by walking the registry in key order.
+    fn scan(&self, pattern: &str) -> Vec<&BusinessService> {
         self.services
             .values()
-            .filter(|s| pattern_matches(&pat, &s.name.to_lowercase()))
+            .filter(|s| pattern_matches(pattern, &s.name.to_lowercase()))
             .collect()
     }
 
@@ -200,7 +231,8 @@ impl UddiRegistry {
             .services
             .remove(service_key)
             .ok_or_else(|| UddiError::UnknownKey(service_key.to_owned()))?;
-        self.by_name.remove(&svc.name);
+        self.by_folded_name
+            .remove(&(svc.name.to_lowercase(), service_key.to_owned()));
         Ok(svc)
     }
 
@@ -335,6 +367,45 @@ mod tests {
     }
 
     #[test]
+    fn names_differing_only_in_case_coexist_and_are_found_in_key_order() {
+        let mut r = registry_with(&["Blast", "Solver", "blast"]);
+        // only an exact-case duplicate is refused
+        for taken in ["Blast", "blast"] {
+            assert_eq!(
+                r.publish("x", taken, "", binding(taken)).unwrap_err(),
+                UddiError::DuplicateName(taken.into())
+            );
+        }
+        let hits: Vec<(String, String)> = r
+            .find("BLAST")
+            .iter()
+            .map(|s| (s.name.clone(), s.service_key.clone()))
+            .collect();
+        assert_eq!(hits.len(), 2);
+        assert_eq!((hits[0].0.as_str(), hits[1].0.as_str()), ("Blast", "blast"));
+        assert!(hits[0].1 < hits[1].1, "ascending by key: {hits:?}");
+    }
+
+    #[test]
+    fn delete_reclaims_the_folded_name() {
+        let mut r = registry_with(&["Blast", "blast"]);
+        let first = r.find("blast")[0].service_key.clone();
+        r.delete(&first).unwrap();
+        // the sibling under the same folded name survives, alone
+        let left: Vec<&str> = r.find("BLAST").iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(left, ["blast"]);
+        let second = r.find("blast")[0].service_key.clone();
+        r.delete(&second).unwrap();
+        assert!(r.find("blast").is_empty());
+        assert!(r.by_folded_name.is_empty(), "the index let go of both");
+        // and the name is free again, found under its new key only
+        let again = r.publish("b", "Blast", "", binding("Blast")).unwrap();
+        let hits = r.find("blast");
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].service_key, again);
+    }
+
+    #[test]
     fn keys_are_unique_and_deterministic() {
         let mut r1 = registry_with(&["a", "b", "c"]);
         let mut r2 = registry_with(&["a", "b", "c"]);
@@ -405,5 +476,91 @@ mod tests {
         let key = r.find("a")[0].service_key.clone();
         let _ = r.get(&key);
         assert_eq!(r.counters(), (2, 3));
+    }
+}
+
+/// The folded-name index answers inquiries; the scan it replaced for
+/// `%`-free patterns is the reference it must agree with.
+#[cfg(test)]
+mod equivalence {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Publish(String),
+        /// Delete the `nth % len` live service.
+        Delete(usize),
+        Find(String),
+    }
+
+    /// A nine-letter alphabet whose names collide when folded, with
+    /// non-ASCII letters and the context-sensitive final sigma.
+    fn name_strategy() -> impl Strategy<Value = String> {
+        proptest::string::string_regex("[abABäÄσΣς]{1,3}").expect("regex")
+    }
+
+    fn pattern_strategy() -> impl Strategy<Value = String> {
+        prop_oneof![
+            name_strategy(),
+            name_strategy().prop_map(|n| format!("{n}%")),
+            name_strategy().prop_map(|n| format!("%{n}")),
+            name_strategy().prop_map(|n| format!("%{n}%")),
+            (name_strategy(), name_strategy()).prop_map(|(a, b)| format!("{a}%{b}")),
+            Just("%".to_owned()),
+        ]
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            name_strategy().prop_map(Op::Publish),
+            name_strategy().prop_map(Op::Publish),
+            (0usize..1 << 16).prop_map(Op::Delete),
+            pattern_strategy().prop_map(Op::Find),
+            pattern_strategy().prop_map(Op::Find),
+        ]
+    }
+
+    fn keys(hits: Vec<&BusinessService>) -> Vec<String> {
+        hits.into_iter().map(|s| s.service_key.clone()).collect()
+    }
+
+    proptest! {
+        /// Over arbitrary publish / delete / find programs the index
+        /// returns exactly what walking the registry returns, in the same
+        /// order, and holds one entry per live service.
+        #[test]
+        fn indexed_find_matches_the_scan(
+            ops in proptest::collection::vec(op_strategy(), 1..120),
+        ) {
+            let mut r = UddiRegistry::new();
+            for op in &ops {
+                match op {
+                    Op::Publish(name) => {
+                        let exists = r.services.values().any(|s| &s.name == name);
+                        let res = r.publish("b", name, "", BindingTemplate {
+                            access_point: format!("http://x/{name}"),
+                            wsdl_location: String::new(),
+                        });
+                        prop_assert_eq!(res.is_err(), exists, "publish {}", name);
+                    }
+                    Op::Delete(nth) => {
+                        if !r.is_empty() {
+                            let key = r.services.keys().nth(nth % r.len()).unwrap().clone();
+                            r.delete(&key).unwrap();
+                            prop_assert!(r.find("%").iter().all(|s| s.service_key != key));
+                        }
+                    }
+                    Op::Find(pattern) => {
+                        let expect = keys(r.scan(&pattern.to_lowercase()));
+                        prop_assert_eq!(keys(r.find(pattern)), expect, "find {}", pattern);
+                    }
+                }
+                for (folded, key) in &r.by_folded_name {
+                    prop_assert_eq!(&r.services[key].name.to_lowercase(), folded);
+                }
+                prop_assert_eq!(r.by_folded_name.len(), r.len());
+            }
+        }
     }
 }

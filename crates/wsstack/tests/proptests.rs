@@ -60,6 +60,52 @@ fn arb_param_type() -> impl Strategy<Value = ParamType> {
     ]
 }
 
+/// One step of a registry program.
+#[derive(Debug, Clone)]
+enum UddiOp {
+    Publish(String),
+    /// Delete the `nth % live` service still published.
+    Delete(usize),
+    Find(String),
+}
+
+/// Names over a small alphabet, so that many collide once case-folded:
+/// ASCII in both cases, an umlaut in both cases, and all three sigmas
+/// (`Σ` lowercases to `σ` or `ς` depending on its position).
+fn arb_uddi_name() -> impl Strategy<Value = String> {
+    proptest::string::string_regex("[abABäÄσΣς]{1,3}").expect("regex")
+}
+
+fn arb_uddi_pattern() -> impl Strategy<Value = String> {
+    prop_oneof![
+        arb_uddi_name(),
+        arb_uddi_name().prop_map(|n| format!("{n}%")),
+        arb_uddi_name().prop_map(|n| format!("%{n}")),
+        arb_uddi_name().prop_map(|n| format!("%{n}%")),
+        Just("%".to_owned()),
+    ]
+}
+
+fn arb_uddi_op() -> impl Strategy<Value = UddiOp> {
+    prop_oneof![
+        arb_uddi_name().prop_map(UddiOp::Publish),
+        arb_uddi_name().prop_map(UddiOp::Publish),
+        (0usize..1 << 16).prop_map(UddiOp::Delete),
+        arb_uddi_pattern().prop_map(UddiOp::Find),
+        arb_uddi_pattern().prop_map(UddiOp::Find),
+    ]
+}
+
+/// `%`-wildcard matching written the slow obvious way, independent of the
+/// registry's own matcher: `%` stands for any run of characters.
+fn glob(pattern: &[char], name: &[char]) -> bool {
+    match pattern.split_first() {
+        None => name.is_empty(),
+        Some((&'%', rest)) => (0..=name.len()).any(|skip| glob(rest, &name[skip..])),
+        Some((c, rest)) => name.first() == Some(c) && glob(rest, &name[1..]),
+    }
+}
+
 proptest! {
     /// XML writer → parser is the identity for arbitrary trees.
     #[test]
@@ -158,6 +204,61 @@ proptest! {
                     "substring miss: {} in {}", pat, n
                 );
             }
+        }
+    }
+
+    /// UDDI against a model that only remembers what was published: over
+    /// arbitrary interleavings of publish / delete / find, with names that
+    /// collide when case-folded, every inquiry returns exactly the live
+    /// services whose folded name matches, ascending by key; only an
+    /// exact-case duplicate is refused; a deleted service is never
+    /// returned and its name can be published again.
+    #[test]
+    fn uddi_matches_a_model_over_interleavings(
+        ops in proptest::collection::vec(arb_uddi_op(), 1..120),
+    ) {
+        let mut reg = UddiRegistry::new();
+        let mut live: Vec<(String, String)> = Vec::new(); // (key, name)
+        for op in &ops {
+            match op {
+                UddiOp::Publish(name) => {
+                    let res = reg.publish("b", name, "", BindingTemplate {
+                        access_point: format!("http://x/{name}"),
+                        wsdl_location: String::new(),
+                    });
+                    if live.iter().any(|(_, n)| n == name) {
+                        prop_assert!(res.is_err(), "exact duplicate {} accepted", name);
+                    } else {
+                        prop_assert!(res.is_ok(), "{} refused: {:?}", name, res);
+                        live.push((res.unwrap(), name.clone()));
+                    }
+                }
+                UddiOp::Delete(nth) => {
+                    if !live.is_empty() {
+                        let (key, name) = live.remove(nth % live.len());
+                        prop_assert_eq!(reg.delete(&key).unwrap().name, name);
+                        prop_assert!(reg.delete(&key).is_err());
+                    }
+                }
+                UddiOp::Find(pattern) => {
+                    let folded: Vec<char> = pattern.to_lowercase().chars().collect();
+                    let mut expect: Vec<(String, String)> = live
+                        .iter()
+                        .filter(|(_, n)| {
+                            glob(&folded, &n.to_lowercase().chars().collect::<Vec<_>>())
+                        })
+                        .cloned()
+                        .collect();
+                    expect.sort();
+                    let got: Vec<(String, String)> = reg
+                        .find(pattern)
+                        .iter()
+                        .map(|s| (s.service_key.clone(), s.name.clone()))
+                        .collect();
+                    prop_assert_eq!(got, expect, "find {}", pattern);
+                }
+            }
+            prop_assert_eq!(reg.len(), live.len());
         }
     }
 
