@@ -1,11 +1,11 @@
 //! Tracked kernel performance baseline.
 //!
 //! Measures the simkit hot paths (event queue, processor-sharing server,
-//! metric recorder), the end-to-end Figure-6 pipeline and the two
-//! host-time sinks of the upload path (payload synthesis, exact-name UDDI
-//! inquiry), and writes the results as machine-readable JSON to
-//! `BENCH_kernel.json` at the repo root. CI and future optimisation PRs
-//! diff this file to catch regressions.
+//! metric recorder, span-tree export), the end-to-end Figure-6 pipeline
+//! and the two host-time sinks of the upload path (payload synthesis,
+//! exact-name UDDI inquiry), and writes the results as machine-readable
+//! JSON to `BENCH_kernel.json` at the repo root. CI and future
+//! optimisation PRs diff this file to catch regressions.
 //!
 //! Run with: `cargo run --release -p onserve-bench --bin perfbaseline`
 //!
@@ -22,18 +22,17 @@
 //! noisy to judge — median within-scenario sample spread over 1.35x —
 //! over-tolerance scenarios are reported but the gate exits 0 (advisory):
 //! a verdict from a machine that can't time a constant loop twice alike
-//! is not a verdict.
-//!
-//! The criterion benches in `benches/kernel.rs` cover the same scenarios
-//! interactively; this binary exists because bins cannot link
-//! dev-dependencies, and because a flat JSON file is easier to track than
-//! criterion's output directory.
+//! is not a verdict. That downgrade covers timing verdicts only: a scenario
+//! measured here but missing from `BENCH_kernel.json`, or listed there but
+//! no longer measured, always fails the check — the gate must not pass by
+//! omission.
 
 use std::time::{Duration as WallDuration, Instant};
 
 use onserve::deployment::{synth_payload, DeploymentSpec};
 use onserve::profile::ExecutionProfile;
 use onserve_bench::{Runner, KB};
+use simkit::telemetry::{parse_json, Json};
 use simkit::wheel::TimerWheel;
 use simkit::{Duration, PsServer, Recorder, ServerConfig, Sim};
 use wsstack::{BindingTemplate, UddiRegistry};
@@ -221,6 +220,29 @@ fn bench_span_enabled() -> Entry {
     })
 }
 
+/// Rendering the span summary of a traced fleet run: 8 000 answered
+/// requests, each a three-deep `dispatcher.dispatch → soap.dispatch →
+/// onserve.invoke` chain. One op = one span rendered; the cost per span
+/// must not grow with the number of spans.
+fn bench_span_tree() -> Entry {
+    const CHAINS: u64 = 8_000;
+    let mut sim = Sim::new(5);
+    sim.enable_telemetry();
+    for i in 0..CHAINS {
+        let door = sim.span_begin("dispatcher.dispatch");
+        sim.span_attr(door, "request", i);
+        let soap = sim.span_child("soap.dispatch", door);
+        let invoke = sim.span_child("onserve.invoke", soap);
+        for id in [invoke, soap, door] {
+            sim.span_end(id);
+        }
+    }
+    measure("telemetry.span_tree_24k", 10, move || {
+        std::hint::black_box(sim.span_summary());
+        3 * CHAINS
+    })
+}
+
 /// The full Figure-6 invocation pipeline; one op = one invocation.
 fn bench_fig6_pipeline() -> Entry {
     measure("pipeline.fig6", 10, || {
@@ -299,6 +321,27 @@ const CHECK_SETTLE: WallDuration = WallDuration::from_millis(300);
 /// this; a shared vCPU being preempted mid-sample blows past it.
 const NOISE_SPREAD_LIMIT: f64 = 1.35;
 
+/// A scenario's committed floor.
+fn baseline(doc: &Json, name: &str) -> Option<f64> {
+    doc.get(name)?.get("min_ns")?.as_num()
+}
+
+/// Scenarios on one side only: measured here without a committed floor, or
+/// committed but no longer measured. Either way `BENCH_kernel.json` is
+/// stale, and `--check` fails rather than wave the scenario through.
+fn out_of_step(measured: &[&str], doc: &Json) -> Vec<String> {
+    let mut stale = Vec::new();
+    for name in measured.iter().filter(|n| baseline(doc, n).is_none()) {
+        stale.push(format!("{name:<28} measured but not in the committed baseline"));
+    }
+    if let Json::Obj(fields) = doc {
+        for (name, _) in fields.iter().filter(|(n, _)| !measured.contains(&n.as_str())) {
+            stale.push(format!("{name:<28} in the committed baseline but no longer measured"));
+        }
+    }
+    stale
+}
+
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let scenarios: Vec<fn() -> Entry> = vec![
@@ -312,6 +355,7 @@ fn main() {
         bench_recorder,
         bench_span_disabled,
         bench_span_enabled,
+        bench_span_tree,
         bench_fig6_pipeline,
         bench_synth_payload,
         bench_uddi_find_exact,
@@ -335,34 +379,39 @@ fn main() {
 
     if check {
         let committed = std::fs::read_to_string(&path).expect("read BENCH_kernel.json");
-        let doc = simkit::telemetry::parse_json(&committed).expect("parse BENCH_kernel.json");
+        let doc = parse_json(&committed).expect("parse BENCH_kernel.json");
+        // the scenario sets must match both ways before any timing counts
+        let names: Vec<&str> = entries.iter().map(|e| e.name).collect();
+        let stale = out_of_step(&names, &doc);
+        if !stale.is_empty() {
+            eprintln!("  {}", stale.join("\n  "));
+            eprintln!(
+                "perf check FAILED: {} scenario(s) out of step with {} — \
+                 re-record `BENCH_kernel.json`",
+                stale.len(),
+                path.display()
+            );
+            std::process::exit(1);
+        }
         let mut regressions = 0;
         for (i, e) in entries.iter().enumerate() {
-            let base = doc
-                .get(e.name)
-                .and_then(|s| s.get("min_ns"))
-                .and_then(|v| v.as_num());
-            match base {
-                None => eprintln!("  {:<28} no committed baseline (new scenario)", e.name),
-                Some(base) => {
-                    let mut floor = e.min_ns;
-                    let mut attempts = 0;
-                    while floor > base * CHECK_TOLERANCE && attempts < CHECK_RETRIES {
-                        std::thread::sleep(CHECK_SETTLE);
-                        floor = floor.min(scenarios[i]().min_ns);
-                        attempts += 1;
-                    }
-                    if floor > base * CHECK_TOLERANCE {
-                        eprintln!(
-                            "REGRESSION {:<28} floor {:.1} ns/op vs baseline {:.1} (+{:.0}%)",
-                            e.name,
-                            floor,
-                            base,
-                            100.0 * (floor / base - 1.0)
-                        );
-                        regressions += 1;
-                    }
-                }
+            let base = baseline(&doc, e.name).expect("checked above: every scenario has one");
+            let mut floor = e.min_ns;
+            let mut attempts = 0;
+            while floor > base * CHECK_TOLERANCE && attempts < CHECK_RETRIES {
+                std::thread::sleep(CHECK_SETTLE);
+                floor = floor.min(scenarios[i]().min_ns);
+                attempts += 1;
+            }
+            if floor > base * CHECK_TOLERANCE {
+                eprintln!(
+                    "REGRESSION {:<28} floor {:.1} ns/op vs baseline {:.1} (+{:.0}%)",
+                    e.name,
+                    floor,
+                    base,
+                    100.0 * (floor / base - 1.0)
+                );
+                regressions += 1;
             }
         }
         let mut spreads: Vec<f64> = entries.iter().map(|e| e.spread).collect();
@@ -395,4 +444,19 @@ fn main() {
     json.push_str("}\n");
     std::fs::write(&path, json).expect("write BENCH_kernel.json");
     eprintln!("(baseline written to {})", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_refuses_a_baseline_out_of_step_either_way() {
+        let doc = parse_json(r#"{"kept": {"min_ns": 1.5}, "gone": {"min_ns": 2.0}}"#).unwrap();
+        assert!(out_of_step(&["kept", "gone"], &doc).is_empty());
+        let stale = out_of_step(&["kept", "added"], &doc);
+        assert_eq!(stale.len(), 2, "{stale:?}");
+        assert!(stale[0].starts_with("added ") && stale[0].contains("not in the committed"));
+        assert!(stale[1].starts_with("gone ") && stale[1].contains("no longer measured"));
+    }
 }

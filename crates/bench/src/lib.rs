@@ -3,9 +3,9 @@
 //! Shared experiment drivers for the benchmark harness.
 //!
 //! Every figure-regeneration binary (`fig6`, `fig7`, `fig8`,
-//! `scalability`, `netsweep`, `diskio`, `overhead`) and the criterion
-//! benches build on the same blocking [`Runner`] around a
-//! [`Deployment`], plus the figure-rendering helpers here. Binaries print
+//! `scalability`, `netsweep`, `diskio`, `overhead`) builds on the same
+//! blocking [`Runner`] around a [`Deployment`], plus the
+//! figure-rendering helpers here. Binaries print
 //! the same series the paper plots (ASCII charts + row tables) so
 //! EXPERIMENTS.md can quote exact numbers.
 

@@ -98,16 +98,12 @@ pub struct HealthPlane {
     cfg: HealthConfig,
     reg: RefCell<WindowedRegistry>,
     tenants: Cell<usize>,
-    /// Replica → geo site, for `site="..."` labels on per-replica series
-    /// in the Prometheus exposition. Fed by [`crate::Fleet::attach_geo`];
-    /// empty (the default) leaves the exposition byte-identical to the
-    /// pre-geo format.
-    sites: RefCell<BTreeMap<String, String>>,
-    /// Replica → served artifact version, for `version="vN"` labels on
-    /// per-replica series. Fed by the fleet at activation; empty (the
-    /// default) leaves the exposition byte-identical to the unversioned
-    /// format.
-    versions: RefCell<BTreeMap<String, String>>,
+    /// Replica → label key → value: the labels every per-replica series
+    /// of that replica carries in the Prometheus exposition (`site` from
+    /// [`crate::Fleet::attach_geo`], `version` from activation). Labels
+    /// render in key order whatever order they were tagged in; an empty
+    /// table (the default) leaves the exposition unlabeled.
+    tags: RefCell<BTreeMap<String, BTreeMap<&'static str, String>>>,
     /// Tenants granted distinct `fleet.tenant.<t>.*` QoS series (capped
     /// at [`HealthConfig::max_tenants`]; overflow folds into
     /// `fleet.tenant.other.*`). Only populated when the dispatcher's QoS
@@ -126,8 +122,7 @@ impl HealthPlane {
         Rc::new(HealthPlane {
             reg: RefCell::new(WindowedRegistry::new(cfg.window, cfg.ring)),
             tenants: Cell::new(0),
-            sites: RefCell::new(BTreeMap::new()),
-            versions: RefCell::new(BTreeMap::new()),
+            tags: RefCell::new(BTreeMap::new()),
             qos_tenants: RefCell::new(BTreeSet::new()),
             cfg,
         })
@@ -138,14 +133,7 @@ impl HealthPlane {
     /// a `site="<site>"` label. Idempotent; called by
     /// [`crate::Fleet::attach_geo`] and on every later replica activation.
     pub fn set_site(&self, replica: &str, site: &str) {
-        self.sites
-            .borrow_mut()
-            .insert(replica.to_owned(), site.to_owned());
-    }
-
-    /// The geo site `replica` was tagged with, if any.
-    pub fn site_of(&self, replica: &str) -> Option<String> {
-        self.sites.borrow().get(replica).cloned()
+        self.tag(replica, "site", site);
     }
 
     /// Tag `replica`'s per-replica series with the artifact version it
@@ -153,14 +141,16 @@ impl HealthPlane {
     /// `version="vN"` label. Idempotent; re-tagged when a rollout boots
     /// a replacement at a newer version.
     pub fn set_version(&self, replica: &str, version: &str) {
-        self.versions
-            .borrow_mut()
-            .insert(replica.to_owned(), version.to_owned());
+        self.tag(replica, "version", version);
     }
 
-    /// The artifact version `replica` was tagged with, if any.
-    pub fn version_of(&self, replica: &str) -> Option<String> {
-        self.versions.borrow().get(replica).cloned()
+    /// Set (or replace) the `key` label of `replica`'s per-replica series.
+    fn tag(&self, replica: &str, key: &'static str, value: &str) {
+        self.tags
+            .borrow_mut()
+            .entry(replica.to_owned())
+            .or_default()
+            .insert(key, value.to_owned());
     }
 
     /// The active thresholds.
@@ -245,11 +235,6 @@ impl HealthPlane {
         (agg.count() > 0).then(|| agg.quantile(0.99) / 1e6)
     }
 
-    /// Distinct tenant series seen (excluding the overflow series).
-    pub fn tenant_series(&self) -> usize {
-        self.tenants.get()
-    }
-
     /// The series key a QoS tenant writes under: its own name while we
     /// are under [`HealthConfig::max_tenants`] distinct tenants, `other`
     /// past the cap.
@@ -310,8 +295,7 @@ impl HealthPlane {
     /// [`HealthPlane::set_version`]; with no tags the output is
     /// byte-identical to the unlabeled format.
     pub fn prometheus_text(&self, now: SimTime) -> String {
-        let sites = self.sites.borrow();
-        let versions = self.versions.borrow();
+        let tags = self.tags.borrow();
         self.reg.borrow().prometheus_text_multi_labeled(now, |name| {
             if let Some(rest) = name.strip_prefix("fleet.tenant.") {
                 // suffixes (accepted/shed/queue_depth/latency_us/errors)
@@ -327,14 +311,8 @@ impl HealthPlane {
             let Some((replica, _)) = rest.split_once('.') else {
                 return Vec::new();
             };
-            let mut labels = Vec::new();
-            if let Some(site) = sites.get(replica) {
-                labels.push(("site".to_owned(), site.clone()));
-            }
-            if let Some(version) = versions.get(replica) {
-                labels.push(("version".to_owned(), version.clone()));
-            }
-            labels
+            let labels = tags.get(replica).into_iter().flatten();
+            labels.map(|(k, v)| ((*k).to_owned(), v.clone())).collect()
         })
     }
 
@@ -623,7 +601,6 @@ mod tests {
         for tenant in ["alice", "bob", "carol", "dave", "alice"] {
             plane.record_submit(t, 1, 1, Some(tenant));
         }
-        assert_eq!(plane.tenant_series(), 2);
         let csv = plane.timeseries_csv();
         assert!(csv.contains("tenant.alice.requests"));
         assert!(csv.contains("tenant.bob.requests"));
@@ -660,7 +637,6 @@ mod tests {
         );
 
         plane.set_site("replica0", "east");
-        assert_eq!(plane.site_of("replica0").as_deref(), Some("east"));
         let text = plane.prometheus_text(t);
         simkit::validate_prometheus_text(&text).expect("labeled snapshot parses strictly");
         assert!(
@@ -690,7 +666,6 @@ mod tests {
 
         // version alone
         plane.set_version("replica1", "v2");
-        assert_eq!(plane.version_of("replica1").as_deref(), Some("v2"));
         let text = plane.prometheus_text(t);
         simkit::validate_prometheus_text(&text).expect("version-labeled snapshot parses");
         assert!(
@@ -715,5 +690,51 @@ mod tests {
         );
         // fleet-wide series never pick up per-replica labels
         assert!(!text.contains(r#"fleet_attempt_latency_us{quantile="0.5",version="#));
+    }
+
+    #[test]
+    fn tags_render_in_key_order_whatever_the_tagging_order() {
+        let plane = HealthPlane::new(HealthConfig::default());
+        let t = SimTime::from_secs(3);
+        plane.record_attempt(t, "replica0", Duration::from_millis(7), false);
+        plane.record_attempt(t, "replica1", Duration::from_millis(5), false);
+        let untagged = plane.prometheus_text(t);
+        assert_eq!(untagged, plane.reg.borrow().prometheus_text(t), "no tags: the bare registry");
+
+        // `Fleet::activate` tags version before site; `attach_geo` on a
+        // running fleet tags site first — same label set either way
+        plane.set_version("replica0", "v1");
+        plane.set_site("replica0", "east");
+        plane.set_site("replica1", "east");
+        plane.set_version("replica1", "v1");
+        let text = plane.prometheus_text(t);
+        for replica in ["replica0", "replica1"] {
+            let sum = format!(r#"fleet_replica_{replica}_latency_us_sum{{site="east",version="v1"}}"#);
+            assert!(text.contains(&sum), "{replica} renders site then version:\n{text}");
+        }
+
+        // re-tagging replaces the value and adds no second label
+        plane.set_version("replica1", "v2");
+        let text = plane.prometheus_text(t);
+        simkit::validate_prometheus_text(&text).expect("re-tagged snapshot parses");
+        assert!(text.contains(r#"fleet_replica_replica1_latency_us_sum{site="east",version="v2"}"#));
+        assert!(text.contains(r#"fleet_replica_replica0_latency_us_sum{site="east",version="v1"}"#));
+    }
+
+    #[test]
+    fn hostile_tenant_names_are_escaped_in_the_exposition() {
+        // a tenant is a request principal: outside input
+        let plane = HealthPlane::new(HealthConfig::default());
+        let t = SimTime::from_secs(3);
+        for tenant in ["a\"b", "x\ny", "back\\slash"] {
+            plane.record_tenant_accepted(t, tenant);
+            plane.record_tenant_latency(t, tenant, Duration::from_millis(4), false);
+        }
+        let text = plane.prometheus_text(t);
+        simkit::validate_prometheus_text(&text).expect("hostile tenants still parse strictly");
+        for escaped in [r#"a\"b"#, r"x\ny", r"back\\slash"] {
+            let accepted = format!("_accepted{{tenant=\"{escaped}\"}} 1\n");
+            assert_eq!(text.matches(&accepted).count(), 1, "{escaped:?} in:\n{text}");
+        }
     }
 }

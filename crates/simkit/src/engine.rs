@@ -360,11 +360,6 @@ impl Sim {
         std::mem::replace(&mut self.span_parent, parent)
     }
 
-    /// The current ambient parent.
-    pub fn span_parent(&self) -> SpanId {
-        self.span_parent
-    }
-
     /// Bump a monotonic counter by `delta` (no-op while disabled). Each
     /// bump also appends a `(now, name, cumulative)` sample so the Chrome
     /// trace exporter can render counter tracks.

@@ -64,11 +64,9 @@ pub use fault::{CrashSchedule, FaultConfig, FaultCounts, FaultInjector, FaultPla
 pub use host::{Duplex, Host, HostSpec, Link, GBIT_PER_S, KB, MB};
 pub use metrics::{
     sanitize_metric_name, validate_prometheus_text, MetricId, Recorder, Series, WindowAgg,
-    WindowedId, WindowedRegistry, WindowedSeries, LOG2_BUCKETS,
+    WindowedId, WindowedRegistry, WindowedSeries,
 };
 pub use rng::Rng;
 pub use server::{FifoServer, FlowId, PsServer, ServerConfig, Share};
-pub use telemetry::{
-    AttrValue, DurationHisto, KernelProfile, ServerBusy, SpanId, SpanRecord, Telemetry,
-};
+pub use telemetry::{AttrValue, KernelProfile, ServerBusy, SpanId, SpanRecord, Telemetry};
 pub use time::{Duration, SimTime};

@@ -83,18 +83,6 @@ impl Series {
             .collect()
     }
 
-    /// `(bucket_start_seconds, value / bucket_width)` rows: converts an
-    /// accumulated quantity into a rate (bytes → bytes/s, busy-seconds →
-    /// utilization fraction).
-    pub fn rate_rows(&self) -> Vec<(f64, f64)> {
-        let iv = self.interval.as_secs_f64();
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i as f64 * iv, v / iv))
-            .collect()
-    }
-
     /// Sum over all buckets.
     pub fn total(&self) -> f64 {
         self.buckets.iter().sum()
@@ -103,20 +91,6 @@ impl Series {
     /// Largest bucket value (0 for an empty series).
     pub fn max(&self) -> f64 {
         self.buckets.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Index of the largest bucket (`None` for an empty series).
-    pub fn argmax(&self) -> Option<usize> {
-        if self.buckets.is_empty() {
-            return None;
-        }
-        let mut best = 0;
-        for (i, &v) in self.buckets.iter().enumerate() {
-            if v > self.buckets[best] {
-                best = i;
-            }
-        }
-        Some(best)
     }
 
     /// Indices of local maxima strictly above `threshold` — used by tests to
@@ -240,20 +214,20 @@ impl Recorder {
 // Windowed time-series registry (the fleet health plane's substrate)
 // ---------------------------------------------------------------------------
 
-/// Number of log₂ buckets in a windowed histogram (and in
-/// [`crate::telemetry::DurationHisto`]). Bucket 0 covers values 0–1, bucket
-/// `i` covers `(2^(i-1), 2^i]`, bucket 63 absorbs everything larger.
-pub const LOG2_BUCKETS: usize = 64;
+/// Number of log₂ buckets in a histogram [`WindowAgg`]. Bucket 0 covers
+/// values 0–1, bucket `i` covers `(2^(i-1), 2^i]`, bucket 63 absorbs
+/// everything larger.
+const LOG2_BUCKETS: usize = 64;
 
 /// Log₂ bucket index for a raw value.
 #[inline]
-pub(crate) fn log2_bucket(v: u64) -> usize {
+fn log2_bucket(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(LOG2_BUCKETS - 1)
 }
 
 /// Inclusive upper bound of log₂ bucket `i`.
 #[inline]
-pub(crate) fn log2_bucket_upper(i: usize) -> u64 {
+fn log2_bucket_upper(i: usize) -> u64 {
     if i == 0 {
         1
     } else {
@@ -269,33 +243,6 @@ fn log2_bucket_lower(i: usize) -> u64 {
     } else {
         log2_bucket_upper(i - 1)
     }
-}
-
-/// Quantile estimate from a log₂ bucket array by linear interpolation
-/// inside the bucket holding the target rank, clamped to the observed
-/// maximum. Returns 0.0 for an empty distribution. `q` is clamped to
-/// `[0, 1]`. Shared by [`WindowAgg`] and `DurationHisto::quantile`.
-pub(crate) fn quantile_from_log2(counts: &[u64], total: u64, max: u64, q: f64) -> f64 {
-    if total == 0 {
-        return 0.0;
-    }
-    let q = q.clamp(0.0, 1.0);
-    // rank of the sample we want, 1-based: q=0 -> first, q=1 -> last
-    let target = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut cum = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        cum += c;
-        if cum >= target {
-            let lower = log2_bucket_lower(i) as f64;
-            let upper = (log2_bucket_upper(i).min(max.max(1))) as f64;
-            let into = (target - (cum - c)) as f64 / c as f64;
-            return (lower + into * (upper - lower).max(0.0)).min(max as f64);
-        }
-    }
-    max as f64
 }
 
 /// One window's aggregate: count / sum / max, plus an optional log₂
@@ -385,14 +332,31 @@ impl WindowAgg {
         }
     }
 
-    /// Quantile estimate in raw value units (log₂-bucket interpolation,
-    /// clamped to the observed max). 0.0 when the aggregate is empty or
+    /// Quantile estimate in raw value units: linear interpolation inside
+    /// the log₂ bucket holding the target rank, clamped to the observed
+    /// max. `q` is clamped to `[0, 1]`; 0.0 when the aggregate is empty or
     /// counter-only.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.buckets.is_empty() {
+        if self.buckets.is_empty() || self.count == 0 {
             return 0.0;
         }
-        quantile_from_log2(&self.buckets, self.count, self.max, q)
+        let q = q.clamp(0.0, 1.0);
+        // rank of the sample we want, 1-based: q=0 -> first, q=1 -> last
+        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut cum = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            cum += c;
+            if cum >= target {
+                let lower = log2_bucket_lower(i) as f64;
+                let upper = (log2_bucket_upper(i).min(self.max.max(1))) as f64;
+                let into = (target - (cum - c)) as f64 / c as f64;
+                return (lower + into * (upper - lower).max(0.0)).min(self.max as f64);
+            }
+        }
+        self.max as f64
     }
 }
 
@@ -511,7 +475,7 @@ pub struct WindowedRegistry {
     width: Duration,
     ring: usize,
     names: BTreeMap<String, WindowedId>,
-    series: Vec<(String, WindowedSeries)>,
+    series: Vec<WindowedSeries>,
 }
 
 impl WindowedRegistry {
@@ -544,7 +508,7 @@ impl WindowedRegistry {
 
     fn intern(&mut self, name: &str, histo: bool) -> WindowedId {
         if let Some(&id) = self.names.get(name) {
-            let existing = &self.series[id.0 as usize].1;
+            let existing = &self.series[id.0 as usize];
             assert_eq!(
                 existing.is_histogram(),
                 histo,
@@ -557,7 +521,7 @@ impl WindowedRegistry {
         );
         self.names.insert(name.to_owned(), id);
         self.series
-            .push((name.to_owned(), WindowedSeries::new(self.width, self.ring, histo)));
+            .push(WindowedSeries::new(self.width, self.ring, histo));
         id
     }
 
@@ -575,17 +539,17 @@ impl WindowedRegistry {
 
     /// Record `v` at instant `t` into the series behind `id`.
     pub fn record(&mut self, id: WindowedId, t: SimTime, v: u64) {
-        self.series[id.0 as usize].1.record(t, v);
+        self.series[id.0 as usize].record(t, v);
     }
 
     /// Look up a series by name.
     pub fn series(&self, name: &str) -> Option<&WindowedSeries> {
-        self.names.get(name).map(|&id| &self.series[id.0 as usize].1)
+        self.names.get(name).map(|&id| &self.series[id.0 as usize])
     }
 
     /// Look up a series by interned id.
     pub fn series_by_id(&self, id: WindowedId) -> &WindowedSeries {
-        &self.series[id.0 as usize].1
+        &self.series[id.0 as usize]
     }
 
     /// Merge the lookback range of the series behind `id` as of `now`.
@@ -613,8 +577,9 @@ impl WindowedRegistry {
     /// `(key, value)` labels attached to every sample of that family — how
     /// the fleet's health plane tags per-replica series with both a geo
     /// `site` and the artifact `version` the replica serves. Labels render
-    /// in the order returned. A callback that always returns an empty
-    /// `Vec` produces byte-identical output to the unlabeled snapshot.
+    /// in the order returned, values escaped (a tenant label is a request
+    /// principal, i.e. outside input). A callback that always returns an
+    /// empty `Vec` produces byte-identical output to the unlabeled snapshot.
     pub fn prometheus_text_multi_labeled(
         &self,
         now: SimTime,
@@ -635,7 +600,7 @@ impl WindowedRegistry {
             } else {
                 let joined = extra
                     .iter()
-                    .map(|(k, v)| format!("{k}=\"{v}\""))
+                    .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
                     .collect::<Vec<_>>()
                     .join(",");
                 (format!("{{{joined}}}"), format!(",{joined}"))
@@ -692,6 +657,12 @@ fn fmt_prom_value(v: f64) -> String {
     } else {
         format!("{v}")
     }
+}
+
+/// Escape a label value for the text exposition: `\` → `\\`, `"` → `\"`,
+/// newline → `\n` — the three escapes [`validate_prometheus_text`] accepts.
+fn escape_label_value(v: &str) -> String {
+    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
 /// Map an internal dotted series name onto the Prometheus metric-name
@@ -912,14 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_rows_divide_by_interval() {
-        let mut r = rec();
-        r.add_point("x", SimTime::from_secs(0), 6.0);
-        let rows = r.series("x").unwrap().rate_rows();
-        assert_eq!(rows, vec![(0.0, 2.0)]);
-    }
-
-    #[test]
     fn rows_give_bucket_starts() {
         let mut r = rec();
         r.add_point("x", SimTime::from_secs(7), 1.0);
@@ -935,7 +898,6 @@ mod tests {
         }
         assert_eq!(s.peaks(0.5), vec![1, 4, 7]);
         assert_eq!(s.peaks(4.0), vec![1, 4]);
-        assert_eq!(s.argmax(), Some(4));
     }
 
     #[test]

@@ -5,15 +5,8 @@
 //! monitor screenshots in Figures 6–8) plus the raw rows so EXPERIMENTS.md
 //! can quote exact numbers.
 
-use crate::metrics::Series;
-
-/// Render one series as a fixed-height ASCII area chart. `title` is printed
-/// above; `unit` labels the y-axis maximum.
-pub fn ascii_chart(title: &str, unit: &str, series: &Series, height: usize) -> String {
-    ascii_chart_rows(title, unit, &series.rows(), height)
-}
-
-/// Chart from raw `(t, value)` rows (already bucketed).
+/// Render `(t, value)` rows (already bucketed) as a fixed-height ASCII area
+/// chart. `title` is printed above; `unit` labels the y-axis maximum.
 pub fn ascii_chart_rows(title: &str, unit: &str, rows: &[(f64, f64)], height: usize) -> String {
     let height = height.max(2);
     let mut out = String::new();
@@ -182,7 +175,7 @@ mod tests {
         for (i, v) in [0.0, 1.0, 4.0, 1.0, 0.0].iter().enumerate() {
             r.add_point("x", SimTime::from_secs(i as u64), *v);
         }
-        let chart = ascii_chart("net in", "KB/s", r.series("x").unwrap(), 4);
+        let chart = ascii_chart_rows("net in", "KB/s", &r.series("x").unwrap().rows(), 4);
         assert!(chart.contains("net in"));
         assert!(chart.contains('#'));
         // the peak column has full height: count '#' per line

@@ -121,14 +121,6 @@ impl Rng {
         x.clamp(lo, hi)
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Pick a uniformly random element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "Rng::choose on empty slice");
@@ -219,16 +211,6 @@ mod tests {
             let x = r.bounded_pareto(1.1, 1.0, 1000.0);
             assert!((1.0..=1000.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::new(21);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

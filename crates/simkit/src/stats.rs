@@ -72,13 +72,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Relative change `(b - a) / a` expressed as a factor; reports how much
-/// faster/slower a measured value is versus a baseline.
-pub fn speedup(baseline: f64, measured: f64) -> f64 {
-    assert!(measured > 0.0, "non-positive measurement");
-    baseline / measured
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,11 +122,5 @@ mod tests {
         assert_eq!(percentile_sorted(&v, 0.5), 5.0);
         assert_eq!(percentile_sorted(&v, 0.0), 0.0);
         assert_eq!(percentile_sorted(&v, 1.0), 10.0);
-    }
-
-    #[test]
-    fn speedup_factor() {
-        assert_eq!(speedup(10.0, 2.0), 5.0);
-        assert_eq!(speedup(2.0, 4.0), 0.5);
     }
 }

@@ -32,8 +32,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::metrics::{log2_bucket, log2_bucket_upper, LOG2_BUCKETS};
-use crate::time::{Duration, SimTime};
+use crate::metrics::WindowAgg;
+use crate::time::{SimTime, TICKS_PER_SEC};
 
 /// Handle to a recorded span. `SpanId::NONE` is the null handle: returned
 /// by `Sim::span_begin` while telemetry is disabled, and accepted (as a
@@ -141,78 +141,14 @@ impl SpanRecord {
     }
 }
 
-/// A log-bucketed duration histogram: bucket `i` counts durations in
-/// `(2^(i-1), 2^i]` microseconds (bucket 0 holds 0–1 µs).
-#[derive(Clone, Debug)]
-pub struct DurationHisto {
-    counts: [u64; LOG2_BUCKETS],
-    count: u64,
-    sum_ticks: u64,
-    max_ticks: u64,
-}
-
-impl Default for DurationHisto {
-    fn default() -> Self {
-        DurationHisto {
-            counts: [0; LOG2_BUCKETS],
-            count: 0,
-            sum_ticks: 0,
-            max_ticks: 0,
-        }
-    }
-}
-
-impl DurationHisto {
-    /// Record one duration.
-    pub fn record(&mut self, d: Duration) {
-        let us = d.ticks();
-        self.counts[log2_bucket(us)] += 1;
-        self.count += 1;
-        self.sum_ticks = self.sum_ticks.saturating_add(us);
-        self.max_ticks = self.max_ticks.max(us);
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations, seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.sum_ticks as f64 / crate::time::TICKS_PER_SEC as f64
-    }
-
-    /// Largest observation, seconds.
-    pub fn max_secs(&self) -> f64 {
-        self.max_ticks as f64 / crate::time::TICKS_PER_SEC as f64
-    }
-
-    /// Quantile estimate in seconds: linear interpolation inside the log₂
-    /// bucket holding the target rank, clamped to the observed maximum.
-    /// `q` is clamped to `[0, 1]`; an empty histogram yields 0.0.
-    pub fn quantile(&self, q: f64) -> f64 {
-        crate::metrics::quantile_from_log2(&self.counts, self.count, self.max_ticks, q)
-            / crate::time::TICKS_PER_SEC as f64
-    }
-
-    /// Non-empty buckets as `(upper_bound_us, count)` pairs, ascending.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (log2_bucket_upper(i), c))
-            .collect()
-    }
-}
-
 /// The telemetry store owned by a [`Sim`](crate::engine::Sim) once
 /// `enable_telemetry` has been called.
 #[derive(Default)]
 pub struct Telemetry {
     pub(crate) spans: Vec<SpanRecord>,
     pub(crate) counters: BTreeMap<&'static str, u64>,
-    pub(crate) histos: BTreeMap<&'static str, DurationHisto>,
+    /// Closed-span durations in ticks, one log₂ histogram per span name.
+    pub(crate) histos: BTreeMap<&'static str, WindowAgg>,
     /// Labelled-event execution counts (see `Sim::schedule_labeled`).
     pub(crate) labels: BTreeMap<&'static str, u64>,
     /// Per-bump counter history `(at, name, cumulative value)` — exported
@@ -257,7 +193,10 @@ impl Telemetry {
         rec.end = Some(at.max(rec.start));
         rec.failed = failed;
         let d = at.max(rec.start).since(rec.start);
-        self.histos.entry(rec.name).or_default().record(d);
+        self.histos
+            .entry(rec.name)
+            .or_insert_with(WindowAgg::histogram)
+            .record(d.ticks());
     }
 
     pub(crate) fn add_attr(&mut self, id: SpanId, key: &'static str, value: AttrValue) {
@@ -296,30 +235,14 @@ impl Telemetry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The duration histogram for a span name or explicit observation key.
-    pub fn histogram(&self, name: &str) -> Option<&DurationHisto> {
+    /// The histogram of closed-span durations, in ticks, for a span name.
+    pub fn histogram(&self, name: &str) -> Option<&WindowAgg> {
         self.histos.get(name)
     }
 
     /// Labelled-event execution counts (`Sim::schedule_labeled`).
     pub fn labels(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.labels.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Counter bump history `(at, name, cumulative value)`, in record
-    /// order (virtual time is therefore non-decreasing).
-    pub fn counter_samples(&self) -> &[(SimTime, &'static str, u64)] {
-        &self.counter_samples
-    }
-
-    /// Ids of `id`'s direct children, in creation order.
-    pub fn children_of(&self, id: SpanId) -> Vec<SpanId> {
-        self.spans
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.parent == id)
-            .map(|(i, _)| SpanId(i as u32 + 1))
-            .collect()
     }
 
     /// Whether `id` is `root` or transitively below it.
@@ -334,15 +257,6 @@ impl Telemetry {
                 _ => return false,
             }
         }
-    }
-
-    /// Ids of every span in `root`'s subtree (including `root`), creation
-    /// order.
-    pub fn subtree(&self, root: SpanId) -> Vec<SpanId> {
-        (1..=self.spans.len() as u32)
-            .map(SpanId)
-            .filter(|&id| self.is_descendant(id, root))
-            .collect()
     }
 
     /// Export as Chrome trace-event JSON (`ts` in virtual-time
@@ -455,15 +369,23 @@ impl Telemetry {
     /// values. Spans still open at export time render as `open`.
     pub fn span_tree(&self, now: SimTime) -> String {
         let mut out = String::from("span tree (virtual seconds):\n");
-        let roots: Vec<SpanId> = self
-            .spans
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.parent.is_none())
-            .map(|(i, _)| SpanId(i as u32 + 1))
-            .collect();
-        for root in roots {
-            self.render_subtree(&mut out, root, 0, now);
+        // Child lists, built once: two link arrays indexed by raw span id
+        // (slot 0 heads the roots). A parent is always an earlier span, so
+        // prepending newest-first leaves every list in creation order.
+        let mut first_child = vec![0u32; self.spans.len() + 1];
+        let mut next_sibling = vec![0u32; self.spans.len() + 1];
+        for (i, s) in self.spans.iter().enumerate().rev() {
+            let parent = s.parent.raw() as usize;
+            next_sibling[i + 1] = first_child[parent];
+            first_child[parent] = i as u32 + 1;
+        }
+        // pre-order: a span, then its subtree, then its next sibling
+        let mut stack = vec![(first_child[0], 0)];
+        while let Some((id, depth)) = stack.pop() {
+            let Some(s) = self.span(SpanId(id)) else { continue };
+            render_span(&mut out, s, depth, now);
+            stack.push((next_sibling[id as usize], depth));
+            stack.push((first_child[id as usize], depth + 1));
         }
         if !self.histos.is_empty() {
             out.push_str("\nper-stage totals:\n");
@@ -476,9 +398,9 @@ impl Telemetry {
                     "  {:<24} {:>6} {:>12.3} {:>12.3} {:>12.3}\n",
                     name,
                     h.count(),
-                    h.total_secs(),
-                    h.quantile(0.5),
-                    h.quantile(0.99)
+                    h.sum() as f64 / TICKS_PER_SEC as f64,
+                    h.quantile(0.5) / TICKS_PER_SEC as f64,
+                    h.quantile(0.99) / TICKS_PER_SEC as f64
                 ));
             }
         }
@@ -496,35 +418,33 @@ impl Telemetry {
         }
         out
     }
+}
 
-    fn render_subtree(&self, out: &mut String, id: SpanId, depth: usize, now: SimTime) {
-        let Some(s) = self.span(id) else { return };
-        let indent = "  ".repeat(depth);
-        let span_len = match s.end {
-            Some(e) => format!("{:.3}s", e.since(s.start).as_secs_f64()),
-            None => format!("open ({:.3}s)", now.since(s.start).as_secs_f64()),
-        };
-        let mut line = format!(
-            "{indent}{} [{:.3} – {}] {}",
-            s.name,
-            s.start.as_secs_f64(),
-            s.end
-                .map(|e| format!("{:.3}", e.as_secs_f64()))
-                .unwrap_or_else(|| "…".into()),
-            span_len
-        );
-        if s.failed {
-            line.push_str(" FAILED");
-        }
-        for (k, v) in &s.attrs {
-            let _ = write!(line, " {k}={v}");
-        }
-        out.push_str(&line);
-        out.push('\n');
-        for child in self.children_of(id) {
-            self.render_subtree(out, child, depth + 1, now);
-        }
+/// One line of [`Telemetry::span_tree`]: `depth` levels of indent, the
+/// span's interval (or `open`), the failure mark and the attributes.
+fn render_span(out: &mut String, s: &SpanRecord, depth: usize, now: SimTime) {
+    let indent = "  ".repeat(depth);
+    let span_len = match s.end {
+        Some(e) => format!("{:.3}s", e.since(s.start).as_secs_f64()),
+        None => format!("open ({:.3}s)", now.since(s.start).as_secs_f64()),
+    };
+    let mut line = format!(
+        "{indent}{} [{:.3} – {}] {}",
+        s.name,
+        s.start.as_secs_f64(),
+        s.end
+            .map(|e| format!("{:.3}", e.as_secs_f64()))
+            .unwrap_or_else(|| "…".into()),
+        span_len
+    );
+    if s.failed {
+        line.push_str(" FAILED");
     }
+    for (k, v) in &s.attrs {
+        let _ = write!(line, " {k}={v}");
+    }
+    out.push_str(&line);
+    out.push('\n');
 }
 
 fn json_escape(s: &str) -> String {
@@ -948,10 +868,9 @@ mod tests {
             ("grandchild", 2, 20, Some(30)),
             ("other_root", 0, 5, Some(40)),
         ]);
-        assert_eq!(t.children_of(SpanId(1)), vec![SpanId(2)]);
+        assert_eq!(t.span(SpanId(2)).unwrap().parent, SpanId(1));
         assert!(t.is_descendant(SpanId(3), SpanId(1)));
         assert!(!t.is_descendant(SpanId(4), SpanId(1)));
-        assert_eq!(t.subtree(SpanId(1)), vec![SpanId(1), SpanId(2), SpanId(3)]);
     }
 
     #[test]
@@ -973,18 +892,41 @@ mod tests {
         assert_eq!(t.histogram("x").unwrap().count(), 1);
     }
 
+    fn histo_of(ticks: &[u64]) -> WindowAgg {
+        let mut h = WindowAgg::histogram();
+        for &v in ticks {
+            h.record(v);
+        }
+        h
+    }
+
     #[test]
     fn histogram_buckets_are_log2() {
-        let mut h = DurationHisto::default();
-        h.record(Duration::from_micros(1));
-        h.record(Duration::from_micros(3));
-        h.record(Duration::from_micros(1000));
+        let h = histo_of(&[1, 3, 1000]);
         assert_eq!(h.count(), 3);
-        let buckets = h.buckets();
-        assert_eq!(buckets.iter().map(|&(_, c)| c).sum::<u64>(), 3);
-        // 3 µs lands in the (2,4] bucket
-        assert!(buckets.iter().any(|&(ub, c)| ub == 4 && c == 1));
-        assert!((h.max_secs() - 1e-3).abs() < 1e-12);
+        assert_eq!(h.sum(), 1004);
+        assert_eq!(h.max(), 1000);
+        // 3 µs lands in the (2,4] bucket: rank 2 of 3 interpolates to its
+        // upper bound, and two 3s alone interpolate up from its lower one
+        assert_eq!(h.quantile(0.5), 4.0);
+        assert_eq!(histo_of(&[3, 3]).quantile(0.5), 2.5);
+    }
+
+    #[test]
+    fn span_histogram_is_a_window_agg_fed_the_span_ticks() {
+        let ticks = [1u64, 3, 700, 1_000, 65_536, 2_000_000, 2_000_000, 90_000_000];
+        let mut t = Telemetry::default();
+        for (i, &d) in ticks.iter().enumerate() {
+            let start = SimTime::from_ticks(i as u64 * 17);
+            let id = t.begin_span("stage", SpanId::NONE, start);
+            t.end_span(id, SimTime::from_ticks(start.ticks() + d), i % 3 == 0);
+        }
+        // count, sum, max and every bucket — hence every quantile
+        let (got, want) = (t.histogram("stage").unwrap(), histo_of(&ticks));
+        assert_eq!(got, &want, "one histogram, one behaviour");
+        assert_eq!((got.count(), got.max()), (ticks.len() as u64, 90_000_000));
+        assert_eq!(got.quantile(0.99), want.quantile(0.99));
+        assert!(t.histogram("never.closed").is_none());
     }
 
     #[test]
@@ -1084,37 +1026,114 @@ mod tests {
         assert!(!text.contains("mean_s"), "{text}");
     }
 
+    /// `span_tree`'s renderer as it was while it rescanned every span for
+    /// each span's children — quadratic, kept here only as the reference
+    /// the linked-list walk is compared against.
+    fn reference_subtree(t: &Telemetry, out: &mut String, id: SpanId, depth: usize, now: SimTime) {
+        let Some(s) = t.span(id) else { return };
+        let indent = "  ".repeat(depth);
+        let span_len = match s.end {
+            Some(e) => format!("{:.3}s", e.since(s.start).as_secs_f64()),
+            None => format!("open ({:.3}s)", now.since(s.start).as_secs_f64()),
+        };
+        let mut line = format!(
+            "{indent}{} [{:.3} – {}] {}",
+            s.name,
+            s.start.as_secs_f64(),
+            s.end
+                .map(|e| format!("{:.3}", e.as_secs_f64()))
+                .unwrap_or_else(|| "…".into()),
+            span_len
+        );
+        if s.failed {
+            line.push_str(" FAILED");
+        }
+        for (k, v) in &s.attrs {
+            let _ = write!(line, " {k}={v}");
+        }
+        out.push_str(&line);
+        out.push('\n');
+        for (i, child) in t.spans.iter().enumerate() {
+            if child.parent == id {
+                reference_subtree(t, out, SpanId(i as u32 + 1), depth + 1, now);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Any forest — wide, deep, open, closed, failed, attributed —
+        /// renders byte-for-byte as the recursive reference rendered it.
+        #[test]
+        fn span_tree_matches_the_recursive_reference(
+            // (parent pick, start tick, fate: open / closed / failed, length, attr count)
+            plan in proptest::collection::vec(
+                (0usize..1 << 20, 0u64..5_000_000, 0u8..4, 0u64..3_000_000, 0usize..4),
+                0..2_000,
+            ),
+        ) {
+            const NAMES: [&str; 3] = ["dispatcher.dispatch", "soap.dispatch", "onserve.invoke"];
+            let mut t = Telemetry::default();
+            for (i, &(pick, start, fate, len, attrs)) in plan.iter().enumerate() {
+                // a root, or a child of any earlier span (depth stays ~ln n,
+                // so the recursive reference cannot run out of stack)
+                let parent = if pick % 3 == 0 { 0 } else { pick % (i + 1) };
+                let id = t.begin_span(NAMES[pick % 3], SpanId(parent as u32), SimTime::from_ticks(start));
+                for a in 0..attrs {
+                    let value = match a {
+                        0 => AttrValue::Str(format!("svc {pick}")),
+                        1 => AttrValue::U64(len),
+                        2 => AttrValue::F64(start as f64 / 7.0),
+                        _ => AttrValue::Bool(pick % 2 == 0),
+                    };
+                    t.add_attr(id, ["service", "bytes", "secs", "hit"][a], value);
+                }
+                if fate > 0 {
+                    t.end_span(id, SimTime::from_ticks(start + len), fate == 3);
+                }
+            }
+            let now = SimTime::from_ticks(6_000_000);
+            let mut want = String::from("span tree (virtual seconds):\n");
+            for (i, s) in t.spans.iter().enumerate() {
+                if s.parent.is_none() {
+                    reference_subtree(&t, &mut want, SpanId(i as u32 + 1), 0, now);
+                }
+            }
+            // the tree section first, then nothing or the totals
+            let got = t.span_tree(now);
+            let rest = got.strip_prefix(want.as_str());
+            proptest::prop_assert!(
+                rest.is_some_and(|r| r.is_empty() || r.starts_with("\nper-stage totals:\n")),
+                "tree differs:\n{}\nvs reference:\n{}", got, want
+            );
+        }
+    }
+
     #[test]
     fn histogram_quantile_interpolates_and_clamps() {
-        let mut h = DurationHisto::default();
-        for ms in [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 1000] {
-            h.record(Duration::from_millis(ms));
-        }
-        let p50 = h.quantile(0.5);
-        let p99 = h.quantile(0.99);
+        let ms = |v: u64| v * 1_000;
+        let h = histo_of(&[10, 20, 30, 40, 50, 60, 70, 80, 90, 1000].map(ms));
+        let secs = |h: &WindowAgg, q: f64| h.quantile(q) / TICKS_PER_SEC as f64;
+        let p50 = secs(&h, 0.5);
+        let p99 = secs(&h, 0.99);
         assert!(p50 > 0.0 && p50 < 0.1, "p50 = {p50}");
-        assert!((h.quantile(1.0) - 1.0).abs() < 1e-9, "q1 clamps to max");
+        assert!((secs(&h, 1.0) - 1.0).abs() < 1e-9, "q1 clamps to max");
         assert!((p99 - 1.0).abs() < 0.6, "p99 = {p99} near the outlier");
-        assert!(p50 <= h.quantile(0.9), "monotone in q");
+        assert!(p50 <= secs(&h, 0.9), "monotone in q");
         // degenerate cases
-        assert_eq!(DurationHisto::default().quantile(0.99), 0.0);
-        let mut one = DurationHisto::default();
-        one.record(Duration::from_millis(7));
-        assert!((one.quantile(0.5) - 0.007).abs() < 1e-9);
-        assert!((one.quantile(0.0) - one.quantile(1.0)).abs() < 1e-2);
+        assert_eq!(WindowAgg::histogram().quantile(0.99), 0.0);
+        let one = histo_of(&[ms(7)]);
+        assert!((secs(&one, 0.5) - 0.007).abs() < 1e-9);
+        assert!((secs(&one, 0.0) - secs(&one, 1.0)).abs() < 1e-2);
     }
 
     #[test]
     fn histogram_quantile_exact_within_single_value() {
         // all mass on one value: every quantile clamps to it
-        let mut h = DurationHisto::default();
-        for _ in 0..100 {
-            h.record(Duration::from_micros(1024));
-        }
+        let h = histo_of(&[1024; 100]);
         for q in [0.0, 0.25, 0.5, 0.75, 0.99, 1.0] {
             let v = h.quantile(q);
-            assert!(v <= 1024e-6 + 1e-12, "q={q} gave {v}");
-            assert!(v > 512e-6, "q={q} gave {v} below the bucket");
+            assert!(v <= 1024.0, "q={q} gave {v}");
+            assert!(v > 512.0, "q={q} gave {v} below the bucket");
         }
     }
 

@@ -125,4 +125,36 @@ proptest! {
             .expect("generated exposition must satisfy the strict parser");
         prop_assert!(families >= 2 && samples >= families);
     }
+
+    /// Label values are outside input (a tenant label is a request
+    /// principal): whatever they contain — quotes, backslashes, newlines,
+    /// the exposition's own punctuation — the labelled snapshot satisfies
+    /// the strict parser, with as many samples as the unlabelled one.
+    #[test]
+    fn hostile_label_values_always_validate(
+        value in proptest::collection::vec(
+            prop_oneof![
+                Just('"'), Just('\\'), Just('\n'), Just('\r'), Just(' '), Just('{'),
+                Just('}'), Just(','), Just('='), Just('n'), any::<char>(),
+            ],
+            0..12,
+        ),
+    ) {
+        let value: String = value.into_iter().collect();
+        let mut reg = WindowedRegistry::new(Duration::from_secs(5), 8);
+        let lat = reg.histogram("tenant.lat_us");
+        let reqs = reg.counter("tenant.requests");
+        reg.record(lat, SimTime::from_secs(1), 250);
+        reg.record(reqs, SimTime::from_secs(1), 1);
+        let now = SimTime::from_secs(10);
+        // twice, so a hostile value is also followed by `,key="…"`
+        let text = reg.prometheus_text_multi_labeled(now, |_| {
+            vec![("tenant".to_owned(), value.clone()), ("site".to_owned(), value.clone())]
+        });
+        prop_assert_eq!(
+            simkit::validate_prometheus_text(&text),
+            simkit::validate_prometheus_text(&reg.prometheus_text(now)),
+            "label {:?} broke the exposition:\n{}", value, text
+        );
+    }
 }
