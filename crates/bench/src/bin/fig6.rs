@@ -13,7 +13,9 @@
 //! Run with: `cargo run -p onserve-bench --bin fig6`
 //!
 //! Pass `--trace fig6.trace.json` to record the run's causal span tree
-//! and dump it as Chrome trace-event JSON (open in Perfetto).
+//! and dump it as Chrome trace-event JSON (open in Perfetto); the kernel
+//! profile printed with it then also says which scheduled closures the
+//! host's time went to.
 
 use onserve::deployment::DeploymentSpec;
 use onserve::profile::ExecutionProfile;
@@ -26,6 +28,7 @@ fn main() {
     let mut r = Runner::new(6, &DeploymentSpec::default());
     if trace.is_some() {
         r.sim.enable_telemetry();
+        r.sim.enable_host_profile();
     }
     // a very small file (some bytes); the job runs ~60 s and writes a
     // modest output that the poller keeps re-fetching

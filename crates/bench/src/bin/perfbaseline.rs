@@ -1,10 +1,11 @@
 //! Tracked kernel performance baseline.
 //!
 //! Measures the simkit hot paths (event queue, processor-sharing server,
-//! metric recorder, span-tree export), the end-to-end Figure-6 pipeline
-//! and the two host-time sinks of the upload path (payload synthesis,
-//! exact-name UDDI inquiry), and writes the results as machine-readable
-//! JSON to `BENCH_kernel.json` at the repo root. CI and future
+//! metric recorder, span-tree export), the end-to-end Figure-6 pipeline,
+//! the two host-time sinks of the upload path (payload synthesis,
+//! exact-name UDDI inquiry) and the two of the invocation path (sizing a
+//! SOAP request, delegating and validating a proxy chain), and writes the
+//! results as machine-readable JSON to `BENCH_kernel.json` at the repo root. CI and future
 //! optimisation PRs diff this file to catch regressions.
 //!
 //! Run with: `cargo run --release -p onserve-bench --bin perfbaseline`
@@ -27,15 +28,19 @@
 //! no longer measured, always fails the check — the gate must not pass by
 //! omission.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::{Duration as WallDuration, Instant};
 
+use gridsim::{CertAuthority, MyProxyServer};
 use onserve::deployment::{synth_payload, DeploymentSpec};
 use onserve::profile::ExecutionProfile;
 use onserve_bench::{Runner, KB};
 use simkit::telemetry::{parse_json, Json};
 use simkit::wheel::TimerWheel;
-use simkit::{Duration, PsServer, Recorder, ServerConfig, Sim};
-use wsstack::{BindingTemplate, UddiRegistry};
+use simkit::{Duration, PsServer, Recorder, ServerConfig, Sim, SimTime};
+use wsstack::soap::Envelope;
+use wsstack::{BindingTemplate, SoapValue, UddiRegistry};
 
 /// One measured scenario.
 struct Entry {
@@ -176,14 +181,35 @@ fn bench_ps_flows(name: &'static str, n: u64) -> Entry {
     })
 }
 
+/// The appliance's shape on each of its resources: one flow at a time on
+/// an otherwise idle server, the next submitted from the completion of
+/// the last (`ps_flows_2/16/64` submit everything up front and never see
+/// a server go from empty to one flow and back). One op = one flow.
+fn bench_ps_flows_1() -> Entry {
+    const FLOWS: u64 = 256;
+    fn next(srv: &Rc<RefCell<PsServer>>, sim: &mut Sim, left: u64) {
+        if left > 0 {
+            let srv2 = Rc::clone(srv);
+            PsServer::submit(srv, sim, 50.0, move |sim| next(&srv2, sim, left - 1));
+        }
+    }
+    measure("server.ps_flows_1", 20, || {
+        let mut sim = Sim::new(2);
+        let srv = PsServer::new(ServerConfig::named("srv", 100.0));
+        next(&srv, &mut sim, FLOWS);
+        sim.run();
+        FLOWS
+    })
+}
+
 /// Span accumulation into the bucketed recorder; one op = one add_span.
 fn bench_recorder() -> Entry {
     const SPANS: u64 = 256;
     measure("metrics.add_span", 20, || {
         let mut rec = Recorder::new(Duration::from_secs(3));
         for i in 0..SPANS {
-            let t0 = simkit::SimTime::from_secs_f64(i as f64 * 0.7);
-            let t1 = simkit::SimTime::from_secs_f64(i as f64 * 0.7 + 0.9);
+            let t0 = SimTime::from_secs_f64(i as f64 * 0.7);
+            let t1 = SimTime::from_secs_f64(i as f64 * 0.7 + 0.9);
             rec.add_span("host.cpu.busy", t0, t1, 0.9);
         }
         SPANS
@@ -301,6 +327,50 @@ fn bench_uddi_find_exact() -> Entry {
     })
 }
 
+/// Sizing the `appliance_paper` request — `tool.execute(label, steps,
+/// scale)`, the envelope `benchmark/src/probes.rs` encodes — which the
+/// channel and the container each do once per call. One op = one
+/// `wire_size`.
+fn bench_wire_size_paper() -> Entry {
+    let env = Envelope::request("tool", "execute")
+        .arg("label", SoapValue::Str("case-04217".into()))
+        .arg("steps", SoapValue::Int(4200))
+        .arg("scale", SoapValue::Double(1.25));
+    measure("soap.wire_size_paper", 20, move || {
+        std::hint::black_box(std::hint::black_box(&env).wire_size());
+        1
+    })
+}
+
+/// What authentication and each later presentation of the proxy cost the
+/// host: MyProxy delegates a short proxy from the stored credential
+/// (EEC → stored proxy → session proxy, a 3-certificate chain) and a
+/// gatekeeper validates it. One op = one `retrieve` plus one `validate`.
+fn bench_retrieve_validate() -> Entry {
+    let mut ca = CertAuthority::new("/O=SimTeraGrid/CN=CA", 7);
+    let eec = ca.issue(
+        "/O=SimTeraGrid/CN=alice",
+        SimTime::ZERO,
+        Duration::from_secs(365 * 86_400),
+    );
+    let mut myproxy = MyProxyServer::new();
+    myproxy.store(
+        "alice",
+        "s3cret",
+        eec.delegate(SimTime::ZERO, Duration::from_secs(30 * 86_400)),
+    );
+    let now = SimTime::from_secs(60);
+    measure("security.retrieve_validate", 20, move || {
+        let session = myproxy
+            .retrieve("alice", "s3cret", now, Duration::from_secs(12 * 3600))
+            .expect("stored credential");
+        let proxy = session.proxy();
+        assert_eq!(proxy.depth(), 2);
+        proxy.validate(&ca, now, 8).expect("valid chain");
+        1
+    })
+}
+
 /// Maximum tolerated min-ns ratio vs the committed baseline in `--check`.
 const CHECK_TOLERANCE: f64 = 1.25;
 
@@ -349,6 +419,7 @@ fn main() {
         bench_wheel_push_pop,
         bench_wheel_cascade,
         bench_same_tick_batch,
+        bench_ps_flows_1,
         || bench_ps_flows("server.ps_flows_2", 2),
         || bench_ps_flows("server.ps_flows_16", 16),
         || bench_ps_flows("server.ps_flows_64", 64),
@@ -359,6 +430,8 @@ fn main() {
         bench_fig6_pipeline,
         bench_synth_payload,
         bench_uddi_find_exact,
+        bench_wire_size_paper,
+        bench_retrieve_validate,
     ];
     let entries: Vec<Entry> = scenarios.iter().map(|f| f()).collect();
 

@@ -16,8 +16,14 @@ use simkit::Duration;
 
 /// The fig6 scenario with telemetry on, drained to completion.
 fn traced_fig6() -> Runner {
+    fig6(|sim| sim.enable_telemetry())
+}
+
+/// The fig6 scenario, drained to completion, after `prepare` has switched
+/// on whatever the test observes with.
+fn fig6(prepare: impl FnOnce(&mut simkit::Sim)) -> Runner {
     let mut r = Runner::new(6, &DeploymentSpec::default());
-    r.sim.enable_telemetry();
+    prepare(&mut r.sim);
     r.publish(
         "small.exe",
         64,
@@ -110,4 +116,29 @@ fn disabled_run_exports_empty_trace() {
     let sim = simkit::Sim::new(0);
     let check = validate_chrome_trace(&sim.export_chrome_trace()).expect("empty skeleton parses");
     assert_eq!(check.events, 0);
+}
+
+#[test]
+fn host_profile_changes_nothing_the_run_computes() {
+    let plain = fig6(|_| {});
+    let profiled = fig6(|sim| sim.enable_host_profile());
+    assert_eq!(plain.sim.events_executed(), profiled.sim.events_executed());
+    assert_eq!(plain.sim.now(), profiled.sim.now());
+    let (a, b) = (plain.sim.recorder_ref(), profiled.sim.recorder_ref());
+    assert_eq!(a.keys().collect::<Vec<_>>(), b.keys().collect::<Vec<_>>());
+    for key in a.keys() {
+        assert_eq!(a.total(key).to_bits(), b.total(key).to_bits(), "{key}");
+    }
+    // off: no rows, nothing printed; on: every fired event is in one row
+    assert!(plain.sim.profile().host_time_by_closure.is_empty());
+    assert!(!plain.sim.profile().to_string().contains("host"));
+    let rows = profiled.sim.profile().host_time_by_closure;
+    assert_eq!(
+        rows.iter().map(|c| c.count).sum::<u64>(),
+        profiled.sim.events_executed()
+    );
+    assert!(
+        rows.iter().any(|c| c.closure.contains("PsServer")),
+        "{rows:?}"
+    );
 }

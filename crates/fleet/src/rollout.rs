@@ -135,6 +135,18 @@ pub enum RolloutOutcome {
     RolledBack,
 }
 
+impl RolloutOutcome {
+    /// The variant's name — the text `Debug` prints — without building a
+    /// `String`, for the span attribute dropped when telemetry is off.
+    fn name(self) -> &'static str {
+        match self {
+            RolloutOutcome::Completed => "Completed",
+            RolloutOutcome::Promoted => "Promoted",
+            RolloutOutcome::RolledBack => "RolledBack",
+        }
+    }
+}
+
 /// One retirement the controller performed, for invariant checks:
 /// the active count *before* the drain began always exceeds
 /// `min_healthy`.
@@ -546,7 +558,7 @@ impl RolloutController {
         }
         *self.outcome.borrow_mut() = Some(outcome);
         let span = sim.span_begin("rollout.done");
-        sim.span_attr(span, "outcome", format!("{outcome:?}"));
+        sim.span_attr(span, "outcome", outcome.name());
         sim.span_attr(span, "replaced", self.replaced.get());
         sim.span_end(span);
         sim.counter_add("rollout.done", 1);
@@ -558,4 +570,20 @@ enum Verdict {
     Fail,
     /// Not enough signal yet; extend the judgment window.
     Extend,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::RolloutOutcome;
+
+    #[test]
+    fn outcome_name_is_its_debug_text() {
+        for o in [
+            RolloutOutcome::Completed,
+            RolloutOutcome::Promoted,
+            RolloutOutcome::RolledBack,
+        ] {
+            assert_eq!(o.name(), format!("{o:?}"));
+        }
+    }
 }

@@ -381,10 +381,10 @@ impl Gatekeeper {
             }
         }
         if let (Some(span), JobState::Done(outcome)) = (span_to_close, state) {
-            sim.span_attr(span, "outcome", format!("{outcome:?}"));
+            sim.span_attr(span, "outcome", outcome.name());
             match outcome {
                 JobOutcome::Completed => sim.span_end(span),
-                other => sim.span_fail(span, &format!("{other:?}")),
+                other => sim.span_fail(span, other.name()),
             }
         }
     }

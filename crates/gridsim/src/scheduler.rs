@@ -37,6 +37,19 @@ pub enum JobOutcome {
     NodeFailure,
 }
 
+impl JobOutcome {
+    /// The variant's name — the text `Debug` prints — without building a
+    /// `String`, for span attributes that are dropped when telemetry is off.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            JobOutcome::Completed => "Completed",
+            JobOutcome::WalltimeExceeded => "WalltimeExceeded",
+            JobOutcome::Cancelled => "Cancelled",
+            JobOutcome::NodeFailure => "NodeFailure",
+        }
+    }
+}
+
 /// Scheduler-level job identifier.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SchedJobId(pub u64);
@@ -498,6 +511,18 @@ mod tests {
     }
 
     type FinishLog = Rc<RefCell<Vec<(f64, JobOutcome)>>>;
+
+    #[test]
+    fn outcome_name_is_its_debug_text() {
+        for o in [
+            JobOutcome::Completed,
+            JobOutcome::WalltimeExceeded,
+            JobOutcome::Cancelled,
+            JobOutcome::NodeFailure,
+        ] {
+            assert_eq!(o.name(), format!("{o:?}"));
+        }
+    }
 
     fn finish_recorder() -> (FinishLog, impl Fn(&FinishLog) -> DoneFn) {
         let log: FinishLog = Rc::new(RefCell::new(Vec::new()));

@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 use simkit::{Duration, SimTime};
 
@@ -168,7 +169,7 @@ impl CertAuthority {
         cert.sign(self.key);
         let secret = fnv1a(&[subject.as_bytes(), &serial.to_le_bytes(), &self.key.to_le_bytes()]);
         Credential {
-            chain: vec![cert],
+            proxy: Rc::new(ProxyCert { chain: vec![cert] }),
             secret,
         }
     }
@@ -280,38 +281,44 @@ fn proxy_secret(parent_secret: u64, serial: u64) -> u64 {
 }
 
 /// A credential as *held* by a party: chain plus the current private key.
+///
+/// The chain is immutable once signed, so it sits behind a shared handle:
+/// a clone of the credential, the proxy presented to a gatekeeper and the
+/// session an agent keeps all read the same certificates.
 #[derive(Clone, Debug)]
 pub struct Credential {
-    chain: Vec<SimCert>,
+    proxy: Rc<ProxyCert>,
     secret: u64,
 }
 
 impl Credential {
-    /// The public chain (what gets sent to a gatekeeper).
-    pub fn proxy(&self) -> ProxyCert {
-        ProxyCert {
-            chain: self.chain.clone(),
-        }
+    /// The public chain (what gets sent to a gatekeeper), as an owned
+    /// handle onto the shared certificates — it outlives the credential it
+    /// came from and derefs to [`ProxyCert`]; take `ProxyCert::clone` of it
+    /// for a chain of your own to edit.
+    pub fn proxy(&self) -> Rc<ProxyCert> {
+        Rc::clone(&self.proxy)
     }
 
     /// The acting identity.
     pub fn identity(&self) -> &str {
-        &self.chain[0].subject
+        self.proxy.identity()
     }
 
     /// Effective expiry (minimum along the chain).
     pub fn expires_at(&self) -> SimTime {
-        self.proxy().expires_at()
+        self.proxy.expires_at()
     }
 
     /// Delegate a new proxy valid for `lifetime` from `now` (clamped to the
     /// parent's expiry — a delegated proxy can never outlive its parent).
     pub fn delegate(&self, now: SimTime, lifetime: Duration) -> Credential {
-        let parent = self.chain.last().expect("non-empty chain");
+        let parent_chain = &self.proxy.chain;
+        let parent = parent_chain.last().expect("non-empty chain");
         let serial = fnv1a(&[
             &self.secret.to_le_bytes(),
             &now.ticks().to_le_bytes(),
-            &(self.chain.len() as u64).to_le_bytes(),
+            &(parent_chain.len() as u64).to_le_bytes(),
         ]);
         let mut cert = SimCert {
             subject: format!("{}/CN=proxy", parent.subject),
@@ -323,10 +330,12 @@ impl Credential {
             fingerprint: 0,
         };
         cert.sign(self.secret);
-        let mut chain = self.chain.clone();
+        // the one copy delegation needs: the parent's chain plus the new cert
+        let mut chain = Vec::with_capacity(parent_chain.len() + 1);
+        chain.extend_from_slice(parent_chain);
         chain.push(cert);
         Credential {
-            chain,
+            proxy: Rc::new(ProxyCert { chain }),
             secret: proxy_secret(self.secret, serial),
         }
     }
@@ -424,6 +433,30 @@ mod tests {
     }
 
     #[test]
+    fn delegation_extends_a_copy_and_leaves_the_parent_chain_alone() {
+        let (ca, cred) = setup();
+        let parent = cred.delegate(SimTime::from_secs(60), hour());
+        let held = parent.proxy();
+        let before = ProxyCert::clone(&held);
+        let child = parent.delegate(SimTime::from_secs(120), hour());
+        let chain = child.proxy();
+        assert_eq!(chain.chain.len(), before.chain.len() + 1);
+        assert_eq!(chain.chain[..before.chain.len()], before.chain[..]);
+        let added = chain.chain.last().unwrap();
+        assert!(added.is_proxy);
+        assert_eq!(added.issuer, before.chain.last().unwrap().subject);
+        // the parent — and a handle taken before delegating — still read
+        // the chain they had, and every holder reads one copy of it
+        assert_eq!(*held, before);
+        assert_eq!(*parent.proxy(), before);
+        assert!(Rc::ptr_eq(&held, &parent.proxy()));
+        assert!(Rc::ptr_eq(&held, &parent.clone().proxy()));
+        assert_eq!(parent.expires_at(), before.expires_at());
+        held.validate(&ca, SimTime::from_secs(300), 4).unwrap();
+        chain.validate(&ca, SimTime::from_secs(300), 4).unwrap();
+    }
+
+    #[test]
     fn proxy_expiry_enforced() {
         let (ca, cred) = setup();
         let p = cred.delegate(SimTime::ZERO, hour());
@@ -489,7 +522,7 @@ mod tests {
     fn tampered_chain_fails() {
         let (ca, cred) = setup();
         let p = cred.delegate(SimTime::ZERO, hour());
-        let mut chain = p.proxy();
+        let mut chain = ProxyCert::clone(&p.proxy());
         chain.chain[1].subject = "/O=SimGrid/CN=mallory/CN=proxy".into();
         assert!(matches!(
             chain.validate(&ca, SimTime::from_secs(1), 4),
@@ -501,7 +534,7 @@ mod tests {
     fn chain_order_enforced() {
         let (ca, cred) = setup();
         let p = cred.delegate(SimTime::ZERO, hour());
-        let mut bad = p.proxy();
+        let mut bad = ProxyCert::clone(&p.proxy());
         bad.chain.reverse();
         assert_eq!(
             bad.validate(&ca, SimTime::from_secs(1), 4),

@@ -14,11 +14,12 @@
 //! update. Pop order is exactly the old heap's `(time, seq)` total order —
 //! the golden CSVs of every bench tier are byte-identical either way.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 use crate::metrics::Recorder;
 use crate::rng::Rng;
-use crate::telemetry::{AttrValue, KernelProfile, ServerBusy, SpanId, Telemetry};
+use crate::telemetry::{AttrValue, ClosureCost, KernelProfile, ServerBusy, SpanId, Telemetry};
 use crate::time::{Duration, SimTime};
 use crate::wheel::{Entry, TimerWheel};
 
@@ -88,6 +89,9 @@ pub struct Sim {
     /// Deepest the queue ever got (kernel self-profiling; a compare+store
     /// per push, cheap enough to keep always-on).
     queue_high_water: usize,
+    /// Host time per scheduled closure type, `(executions, wall ns)`;
+    /// `None` until `enable_host_profile`.
+    host_profile: Option<HashMap<&'static str, (u64, u64)>>,
 }
 
 impl Sim {
@@ -105,6 +109,7 @@ impl Sim {
             telemetry: None,
             span_parent: SpanId::NONE,
             queue_high_water: 0,
+            host_profile: None,
         }
     }
 
@@ -161,11 +166,33 @@ impl Sim {
     where
         F: FnOnce(&mut Sim) + 'static,
     {
+        if self.host_profile.is_none() {
+            return self.enqueue(at, Box::new(f));
+        }
+        // A closure's type is named after the function that defines it, so
+        // every scheduling site is told apart without touching one.
+        let closure = std::any::type_name::<F>();
+        self.enqueue(
+            at,
+            Box::new(move |sim| {
+                let start = Instant::now();
+                f(sim);
+                let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                if let Some(profile) = sim.host_profile.as_mut() {
+                    let (count, total_ns) = profile.entry(closure).or_insert((0, 0));
+                    *count += 1;
+                    *total_ns += ns;
+                }
+            }),
+        )
+    }
+
+    fn enqueue(&mut self, at: SimTime, event: Event) -> EventId {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
         self.pending_ids.insert(seq);
-        self.queue.push(at.ticks(), seq, Box::new(f));
+        self.queue.push(at.ticks(), seq, event);
         if self.queue.len() > self.queue_high_water {
             self.queue_high_water = self.queue.len();
         }
@@ -373,10 +400,26 @@ impl Sim {
         }
     }
 
+    /// Turn on host-time attribution: from here on every scheduled closure
+    /// is timed with the wall clock when it fires and the time is charged
+    /// to the closure's type, i.e. to the function that scheduled it
+    /// ([`KernelProfile::host_time_by_closure`]). A closure's time includes
+    /// the callbacks it runs synchronously, not the events it schedules,
+    /// so the rows add up to the time spent executing events. Idempotent;
+    /// independent of [`Sim::enable_telemetry`]; result-neutral — the same
+    /// sequence numbers are handed out, only wall-clock readings are added.
+    /// While off, scheduling pays one `is_none()` branch.
+    pub fn enable_host_profile(&mut self) {
+        if self.host_profile.is_none() {
+            self.host_profile = Some(HashMap::new());
+        }
+    }
+
     /// Kernel self-profiling snapshot: events executed/pending, queue depth
-    /// high-water, executed counts per `schedule_labeled` label, and
+    /// high-water, executed counts per `schedule_labeled` label,
     /// per-server busy/utilization rollups derived from the recorder's
-    /// `*.busy` series.
+    /// `*.busy` series, and host time per closure when
+    /// [`Sim::enable_host_profile`] is on.
     pub fn profile(&self) -> KernelProfile {
         let now_secs = self.now.as_secs_f64();
         let server_busy = self
@@ -392,6 +435,21 @@ impl Sim {
                 }
             })
             .collect();
+        let mut host_time_by_closure: Vec<ClosureCost> = self
+            .host_profile
+            .iter()
+            .flat_map(|p| p.iter())
+            .map(|(&closure, &(count, host_ns))| ClosureCost {
+                closure: closure.to_owned(),
+                count,
+                host_ns,
+            })
+            .collect();
+        host_time_by_closure.sort_by(|a, b| {
+            b.host_ns
+                .cmp(&a.host_ns)
+                .then_with(|| a.closure.cmp(&b.closure))
+        });
         KernelProfile {
             events_executed: self.executed,
             pending_events: self.pending_ids.len(),
@@ -407,6 +465,7 @@ impl Sim {
                 })
                 .unwrap_or_default(),
             server_busy,
+            host_time_by_closure,
         }
     }
 
@@ -752,6 +811,72 @@ mod tests {
         let mut labeled = Sim::new(0);
         let b = labeled.schedule_labeled(Duration::from_secs(1), "x", |_| {});
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn host_profile_names_closures_by_their_defining_function() {
+        fn ticker(sim: &mut Sim, left: u32) {
+            if left > 0 {
+                sim.schedule(Duration::from_secs(1), move |sim| ticker(sim, left - 1));
+            }
+        }
+        let mut sim = Sim::new(0);
+        sim.enable_host_profile();
+        ticker(&mut sim, 5);
+        sim.schedule(Duration::from_secs(2), |_| {});
+        let cancelled = sim.schedule(Duration::from_secs(2), |_| {});
+        sim.cancel_event(cancelled);
+        sim.run();
+        let profile = sim.profile();
+        let rows = &profile.host_time_by_closure;
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        let ticks = rows
+            .iter()
+            .find(|c| c.closure.contains("ticker"))
+            .expect("row named after the defining fn");
+        assert!(
+            ticks.closure.ends_with("::{{closure}}"),
+            "{}",
+            ticks.closure
+        );
+        assert_eq!(ticks.count, 5);
+        // fired events only, one row each: the counts add up to the kernel's
+        assert_eq!(
+            rows.iter().map(|c| c.count).sum::<u64>(),
+            sim.events_executed()
+        );
+        assert!(
+            rows.windows(2).all(|w| w[0].host_ns >= w[1].host_ns),
+            "sorted by time"
+        );
+        assert!(profile.to_string().contains("  host  "), "{profile}");
+    }
+
+    #[test]
+    fn host_profile_is_result_neutral_and_silent_when_off() {
+        let run = |profiled: bool| {
+            let mut sim = Sim::new(3);
+            if profiled {
+                sim.enable_host_profile();
+            }
+            let mut ids = Vec::new();
+            for i in 0..20u64 {
+                ids.push(sim.schedule(Duration::from_millis(i * 7 % 5), move |sim| {
+                    let jitter = sim.rng().below(10);
+                    sim.schedule(Duration::from_millis(jitter), |_| {});
+                }));
+            }
+            sim.cancel_event(ids[3]);
+            sim.run();
+            (ids, sim.events_executed(), sim.now(), sim.profile())
+        };
+        let (ids_off, events_off, now_off, profile_off) = run(false);
+        let (ids_on, events_on, now_on, profile_on) = run(true);
+        assert_eq!(ids_off, ids_on, "same seq allocation");
+        assert_eq!((events_off, now_off), (events_on, now_on));
+        assert!(profile_off.host_time_by_closure.is_empty());
+        assert!(!profile_off.to_string().contains("host"), "{profile_off}");
+        assert_eq!(profile_on.host_time_by_closure.len(), 2);
     }
 
     #[test]

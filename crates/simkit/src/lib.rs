@@ -68,5 +68,7 @@ pub use metrics::{
 };
 pub use rng::Rng;
 pub use server::{FifoServer, FlowId, PsServer, ServerConfig, Share};
-pub use telemetry::{AttrValue, KernelProfile, ServerBusy, SpanId, SpanRecord, Telemetry};
+pub use telemetry::{
+    AttrValue, ClosureCost, KernelProfile, ServerBusy, SpanId, SpanRecord, Telemetry,
+};
 pub use time::{Duration, SimTime};

@@ -42,24 +42,20 @@ impl Series {
         self.buckets[idx] += amount;
     }
 
-    fn add_span(&mut self, t0: SimTime, t1: SimTime, amount: f64) {
-        if t1 <= t0 || amount == 0.0 {
-            if amount != 0.0 {
-                self.add_point(t0, amount);
-            }
+    fn add_span(&mut self, span: &SpanSplit, amount: f64) {
+        if amount == 0.0 {
             return;
         }
-        let span = (t1 - t0).as_secs_f64();
-        let first = self.bucket_index(t0);
-        let last = self.bucket_index(SimTime::from_ticks(t1.ticks().saturating_sub(1)));
-        self.grow_to(last);
-        let iv = self.interval.as_secs_f64();
-        for idx in first..=last {
-            let b_start = idx as f64 * iv;
-            let b_end = b_start + iv;
-            let overlap =
-                (t1.as_secs_f64().min(b_end) - t0.as_secs_f64().max(b_start)).max(0.0);
-            self.buckets[idx] += amount * overlap / span;
+        self.grow_to(span.last);
+        let Some(secs) = span.secs else {
+            self.buckets[span.first] += amount;
+            return;
+        };
+        for idx in span.first..=span.last {
+            let b_start = idx as f64 * span.interval;
+            let b_end = b_start + span.interval;
+            let overlap = (span.t1.min(b_end) - span.t0.max(b_start)).max(0.0);
+            self.buckets[idx] += amount * overlap / secs;
         }
     }
 
@@ -111,6 +107,23 @@ impl Series {
         }
         out
     }
+}
+
+/// How an interval `[t0, t1)` falls across a recorder's buckets, worked out
+/// once ([`Recorder::split`]) so that every series taking a share of the
+/// same interval — a link's own series and both endpoints' NIC series —
+/// pays the tick-to-bucket divisions one time, not once per series.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SpanSplit {
+    first: usize,
+    last: usize,
+    /// Bucket width and both ends, in seconds.
+    interval: f64,
+    t0: f64,
+    t1: f64,
+    /// Length in seconds; `None` for a degenerate span (`t1 <= t0`), which
+    /// collapses to a point at `t0`.
+    secs: Option<f64>,
 }
 
 /// Interned handle to one series, returned by [`Recorder::intern`].
@@ -181,7 +194,34 @@ impl Recorder {
 
     /// [`add_span`](Self::add_span) through an interned id.
     pub fn add_span_id(&mut self, id: MetricId, t0: SimTime, t1: SimTime, amount: f64) {
-        self.series[id.0 as usize].add_span(t0, t1, amount);
+        let span = self.split(t0, t1);
+        self.add_split(id, &span, amount);
+    }
+
+    /// Lay `[t0, t1)` over this recorder's buckets, for [`Recorder::add_split`].
+    pub(crate) fn split(&self, t0: SimTime, t1: SimTime) -> SpanSplit {
+        let width = self.interval.ticks().max(1);
+        let first = (t0.ticks() / width) as usize;
+        let degenerate = t1 <= t0;
+        SpanSplit {
+            first,
+            last: if degenerate {
+                first
+            } else {
+                ((t1.ticks() - 1) / width) as usize
+            },
+            interval: self.interval.as_secs_f64(),
+            t0: t0.as_secs_f64(),
+            t1: t1.as_secs_f64(),
+            secs: (!degenerate).then(|| (t1 - t0).as_secs_f64()),
+        }
+    }
+
+    /// Distribute `amount` over an interval already laid out by
+    /// [`Recorder::split`] on this recorder: what
+    /// [`add_span_id`](Self::add_span_id) does, bucket for bucket.
+    pub(crate) fn add_split(&mut self, id: MetricId, span: &SpanSplit, amount: f64) {
+        self.series[id.0 as usize].add_span(span, amount);
     }
 
     /// Look up a series by key.
@@ -828,6 +868,7 @@ fn validate_label_set(labels: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rec() -> Recorder {
         Recorder::new(Duration::from_secs(3))
@@ -848,6 +889,76 @@ mod tests {
         r.add_point("x", SimTime::from_secs(2), 3.0);
         assert_eq!(r.series("x").unwrap().buckets(), &[5.0]);
         assert_eq!(r.total("x"), 5.0);
+    }
+
+    /// `Series::add_span` as it was when every series laid the interval
+    /// over the buckets for itself — the arithmetic the figures' goldens
+    /// were recorded with.
+    fn add_span_per_series(
+        buckets: &mut Vec<f64>,
+        interval: Duration,
+        t0: SimTime,
+        t1: SimTime,
+        amount: f64,
+    ) {
+        let bucket_index = |t: SimTime| (t.ticks() / interval.ticks().max(1)) as usize;
+        let grow_to = |buckets: &mut Vec<f64>, idx: usize| {
+            if buckets.len() <= idx {
+                buckets.resize(idx + 1, 0.0);
+            }
+        };
+        if t1 <= t0 || amount == 0.0 {
+            if amount != 0.0 {
+                let idx = bucket_index(t0);
+                grow_to(buckets, idx);
+                buckets[idx] += amount;
+            }
+            return;
+        }
+        let span = (t1 - t0).as_secs_f64();
+        let first = bucket_index(t0);
+        let last = bucket_index(SimTime::from_ticks(t1.ticks().saturating_sub(1)));
+        grow_to(buckets, last);
+        let iv = interval.as_secs_f64();
+        for (idx, bucket) in buckets.iter_mut().enumerate().take(last + 1).skip(first) {
+            let b_start = idx as f64 * iv;
+            let b_end = b_start + iv;
+            let overlap = (t1.as_secs_f64().min(b_end) - t0.as_secs_f64().max(b_start)).max(0.0);
+            *bucket += amount * overlap / span;
+        }
+    }
+
+    proptest! {
+        /// One layout shared by several series gives each the buckets it
+        /// got laying the interval out itself, bit for bit — degenerate
+        /// and zero-amount spans included.
+        #[test]
+        fn shared_split_matches_per_series_arithmetic(
+            interval_us in prop_oneof![Just(3_000_000u64), 1u64..10_000_000],
+            spans in proptest::collection::vec(
+                (0u64..40_000_000, 0u64..20_000_000, any::<bool>(), -5.0f64..500.0, 0.0f64..3.0),
+                1..40,
+            ),
+        ) {
+            let interval = Duration::from_micros(interval_us);
+            let mut rec = Recorder::new(interval);
+            let (a, b) = (rec.intern("a"), rec.intern("b"));
+            let (mut want_a, mut want_b) = (Vec::new(), Vec::new());
+            for &(start, len, backwards, amount_a, amount_b) in &spans {
+                let t0 = SimTime::from_ticks(start);
+                let end = if backwards { start.saturating_sub(len) } else { start + len };
+                let t1 = SimTime::from_ticks(end);
+                let amount_a = amount_a.max(0.0); // a run of exact zeros
+                let span = rec.split(t0, t1);
+                rec.add_split(a, &span, amount_a);
+                rec.add_split(b, &span, amount_b);
+                add_span_per_series(&mut want_a, interval, t0, t1, amount_a);
+                add_span_per_series(&mut want_b, interval, t0, t1, amount_b);
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(rec.series_by_id(a).buckets()), bits(&want_a));
+            prop_assert_eq!(bits(rec.series_by_id(b).buckets()), bits(&want_b));
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! falls out of the bucketed series.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::engine::Sim;
@@ -124,6 +123,7 @@ fn share_is_default(s: &Share) -> bool {
 }
 
 struct PsFlow {
+    id: FlowId,
     remaining: f64,
     initial: f64,
     share: Share,
@@ -134,7 +134,11 @@ struct PsFlow {
 /// Processor-sharing (fair-share) fluid server.
 pub struct PsServer {
     cfg: ServerConfig,
-    flows: BTreeMap<FlowId, PsFlow>,
+    /// Active flows in ascending `FlowId` order: ids are handed out
+    /// ascending and `submit_with` appends, removal keeps order. Every
+    /// walk below therefore visits flows — and sums `f64`s — in id order,
+    /// which is what the figures' bucket values depend on.
+    flows: Vec<PsFlow>,
     next_id: u64,
     last_update: SimTime,
     epoch: u64,
@@ -166,7 +170,7 @@ impl PsServer {
         assert!(cfg.capacity > 0.0, "server capacity must be positive");
         Rc::new(RefCell::new(PsServer {
             cfg,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
             next_id: 0,
             last_update: SimTime::ZERO,
             epoch: 0,
@@ -218,16 +222,14 @@ impl PsServer {
             if !share_is_default(&share) {
                 s.nondefault_shares += 1;
             }
-            s.flows.insert(
+            s.flows.push(PsFlow {
                 id,
-                PsFlow {
-                    remaining: work,
-                    initial: work,
-                    share,
-                    rate: 0.0,
-                    done: Some(Box::new(done)),
-                },
-            );
+                remaining: work,
+                initial: work,
+                share,
+                rate: 0.0,
+                done: Some(Box::new(done)),
+            });
             s.recompute_rates();
         }
         Self::reschedule(this, sim);
@@ -243,14 +245,15 @@ impl PsServer {
         {
             let mut s = this.borrow_mut();
             s.advance(sim);
-            removed = match s.flows.remove(&id) {
-                Some(f) => {
+            removed = match s.flows.binary_search_by_key(&id, |f| f.id) {
+                Ok(at) => {
+                    let f = s.flows.remove(at);
                     if !share_is_default(&f.share) {
                         s.nondefault_shares -= 1;
                     }
                     true
                 }
-                None => false,
+                Err(_) => false,
             };
             s.recompute_rates();
         }
@@ -285,7 +288,7 @@ impl PsServer {
         // up to the next tick, so rate×dt can overshoot the work that
         // actually existed.
         let mut served_total = 0.0;
-        for f in self.flows.values_mut() {
+        for f in &mut self.flows {
             let served = (f.rate * dt).min(f.remaining);
             f.remaining -= served;
             served_total += served;
@@ -296,11 +299,13 @@ impl PsServer {
             let ids = self
                 .metric_ids
                 .get_or_insert_with(|| intern_cfg(&self.cfg, sim.recorder()));
+            // every key shares the interval: lay it over the buckets once
+            let span = sim.recorder().split(t0, now);
             for &id in &ids.busy {
-                sim.recorder().add_span_id(id, t0, now, busy);
+                sim.recorder().add_split(id, &span, busy);
             }
             for &id in &ids.throughput {
-                sim.recorder().add_span_id(id, t0, now, served_total);
+                sim.recorder().add_split(id, &span, served_total);
             }
         }
         self.last_update = now;
@@ -321,7 +326,7 @@ impl PsServer {
         }
         if self.nondefault_shares == 0 {
             let rate = self.cfg.capacity / n as f64;
-            for f in self.flows.values_mut() {
+            for f in &mut self.flows {
                 f.rate = rate;
             }
             return;
@@ -334,7 +339,7 @@ impl PsServer {
         rates.clear();
         rates.resize(n, 0.0);
         shares.clear();
-        shares.extend(self.flows.values().map(|f| f.share));
+        shares.extend(self.flows.iter().map(|f| f.share));
         let mut cap_left = self.cfg.capacity;
         loop {
             let free_weight: f64 = shares
@@ -369,7 +374,7 @@ impl PsServer {
                 break;
             }
         }
-        for (f, &r) in self.flows.values_mut().zip(rates.iter()) {
+        for (f, &r) in self.flows.iter_mut().zip(rates.iter()) {
             f.rate = r;
         }
     }
@@ -377,7 +382,7 @@ impl PsServer {
     /// Earliest completion among active flows, in seconds from now.
     fn next_completion_secs(&self) -> Option<f64> {
         self.flows
-            .values()
+            .iter()
             .filter(|f| f.rate > 0.0 || f.remaining <= finish_eps(f.initial))
             .map(|f| {
                 if f.remaining <= finish_eps(f.initial) {
@@ -417,7 +422,7 @@ impl PsServer {
             // drain every flow that finished this tick in one pass (ascending
             // FlowId order, matching callback FIFO expectations)
             let mut removed_nondefault = 0usize;
-            s.flows.retain(|_, f| {
+            s.flows.retain_mut(|f| {
                 if f.remaining <= finish_eps(f.initial) {
                     if !share_is_default(&f.share) {
                         removed_nondefault += 1;
@@ -576,11 +581,12 @@ impl FifoServer {
                 let ids = self
                     .metric_ids
                     .get_or_insert_with(|| intern_cfg(&self.cfg, sim.recorder()));
+                let span = sim.recorder().split(t0, t_busy_end);
                 for &id in &ids.busy {
-                    sim.recorder().add_span_id(id, t0, t_busy_end, busy_dt);
+                    sim.recorder().add_split(id, &span, busy_dt);
                 }
                 for &id in &ids.throughput {
-                    sim.recorder().add_span_id(id, t0, t_busy_end, served);
+                    sim.recorder().add_split(id, &span, served);
                 }
             }
         }
@@ -621,6 +627,507 @@ impl FifoServer {
         Self::reschedule(this, sim);
         if let Some(cb) = done_cb {
             cb(sim);
+        }
+    }
+}
+
+/// The processor-sharing server as it was before its flows moved into a
+/// `Vec` — the same code over a `BTreeMap<FlowId, PsFlow>` — kept as an
+/// executable reference so the equivalence property below can hold the
+/// `Vec` server to the map's visiting order, `f64` for `f64`.
+#[cfg(test)]
+mod btree_model {
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+    use std::rc::Rc;
+
+    use super::{
+        ceil_ticks, finish_eps, intern_cfg, share_is_default, DoneFn, FlowId, MetricIdCache,
+        ServerConfig, Share,
+    };
+    use crate::engine::Sim;
+    use crate::time::SimTime;
+
+    struct PsFlow {
+        remaining: f64,
+        initial: f64,
+        share: Share,
+        rate: f64,
+        done: Option<DoneFn>,
+    }
+
+    /// [`super::PsServer`] as it was: flows keyed by id in a `BTreeMap`.
+    pub struct PsServer {
+        cfg: ServerConfig,
+        flows: BTreeMap<FlowId, PsFlow>,
+        next_id: u64,
+        last_update: SimTime,
+        epoch: u64,
+        metric_ids: Option<MetricIdCache>,
+        /// Active flows whose share differs from `Share::default()`. While this
+        /// is zero `recompute_rates` takes the closed-form equal-split path.
+        nondefault_shares: usize,
+        scratch_fixed: Vec<bool>,
+        scratch_rates: Vec<f64>,
+        scratch_shares: Vec<Share>,
+    }
+
+    impl PsServer {
+        /// Create a server; returns the shared handle used by all operations.
+        pub fn new(cfg: ServerConfig) -> Rc<RefCell<PsServer>> {
+            assert!(cfg.capacity > 0.0, "server capacity must be positive");
+            Rc::new(RefCell::new(PsServer {
+                cfg,
+                flows: BTreeMap::new(),
+                next_id: 0,
+                last_update: SimTime::ZERO,
+                epoch: 0,
+                metric_ids: None,
+                nondefault_shares: 0,
+                scratch_fixed: Vec::new(),
+                scratch_rates: Vec::new(),
+                scratch_shares: Vec::new(),
+            }))
+        }
+
+        /// Number of active flows.
+        pub fn active(&self) -> usize {
+            self.flows.len()
+        }
+
+        /// Submit `work` units with explicit weight/cap.
+        pub fn submit_with<F>(
+            this: &Rc<RefCell<Self>>,
+            sim: &mut Sim,
+            work: f64,
+            share: Share,
+            done: F,
+        ) -> FlowId
+        where
+            F: FnOnce(&mut Sim) + 'static,
+        {
+            assert!(work >= 0.0, "negative work");
+            assert!(share.weight > 0.0, "non-positive weight");
+            let id;
+            {
+                let mut s = this.borrow_mut();
+                s.advance(sim);
+                id = FlowId(s.next_id);
+                s.next_id += 1;
+                if !share_is_default(&share) {
+                    s.nondefault_shares += 1;
+                }
+                s.flows.insert(
+                    id,
+                    PsFlow {
+                        remaining: work,
+                        initial: work,
+                        share,
+                        rate: 0.0,
+                        done: Some(Box::new(done)),
+                    },
+                );
+                s.recompute_rates();
+            }
+            Self::reschedule(this, sim);
+            // Zero-work flows complete via the normal event path (dt ceil = 0 is
+            // clamped to "now"), preserving FIFO callback ordering.
+            id
+        }
+
+        /// Cancel a flow. Returns `true` if it was still active; its callback is
+        /// dropped unfired.
+        pub fn cancel(this: &Rc<RefCell<Self>>, sim: &mut Sim, id: FlowId) -> bool {
+            let removed;
+            {
+                let mut s = this.borrow_mut();
+                s.advance(sim);
+                removed = match s.flows.remove(&id) {
+                    Some(f) => {
+                        if !share_is_default(&f.share) {
+                            s.nondefault_shares -= 1;
+                        }
+                        true
+                    }
+                    None => false,
+                };
+                s.recompute_rates();
+            }
+            if removed {
+                Self::reschedule(this, sim);
+            }
+            removed
+        }
+
+        /// Change capacity at runtime (e.g. a degraded link); in-flight flows
+        /// keep their remaining work and re-share the new capacity.
+        pub fn set_capacity(this: &Rc<RefCell<Self>>, sim: &mut Sim, capacity: f64) {
+            assert!(capacity > 0.0, "server capacity must be positive");
+            {
+                let mut s = this.borrow_mut();
+                s.advance(sim);
+                s.cfg.capacity = capacity;
+                s.recompute_rates();
+            }
+            Self::reschedule(this, sim);
+        }
+
+        /// Integrate elapsed progress into flows and metrics up to `sim.now()`.
+        fn advance(&mut self, sim: &mut Sim) {
+            let now = sim.now();
+            if now <= self.last_update {
+                self.last_update = now;
+                return;
+            }
+            let dt = (now - self.last_update).as_secs_f64();
+            // Record *served* work, not rate×dt: completion events are rounded
+            // up to the next tick, so rate×dt can overshoot the work that
+            // actually existed.
+            let mut served_total = 0.0;
+            for f in self.flows.values_mut() {
+                let served = (f.rate * dt).min(f.remaining);
+                f.remaining -= served;
+                served_total += served;
+            }
+            if served_total > 0.0 {
+                let t0 = self.last_update;
+                let busy = (served_total / self.cfg.capacity).min(dt);
+                let ids = self
+                    .metric_ids
+                    .get_or_insert_with(|| intern_cfg(&self.cfg, sim.recorder()));
+                for &id in &ids.busy {
+                    sim.recorder().add_span_id(id, t0, now, busy);
+                }
+                for &id in &ids.throughput {
+                    sim.recorder().add_span_id(id, t0, now, served_total);
+                }
+            }
+            self.last_update = now;
+        }
+
+        /// Water-filling: flows whose cap is below their weighted fair share are
+        /// pinned at the cap; the freed capacity is redistributed among the rest.
+        ///
+        /// With only default shares active the filled point has a closed form —
+        /// `capacity / n`, exactly the value one loop round computes when every
+        /// weight is 1.0 and no cap binds (the weight sum over n ones is exactly
+        /// `n as f64`) — so the common case assigns rates directly, touching no
+        /// scratch storage. The general case reuses buffers kept on the server.
+        fn recompute_rates(&mut self) {
+            let n = self.flows.len();
+            if n == 0 {
+                return;
+            }
+            if self.nondefault_shares == 0 {
+                let rate = self.cfg.capacity / n as f64;
+                for f in self.flows.values_mut() {
+                    f.rate = rate;
+                }
+                return;
+            }
+            let fixed = &mut self.scratch_fixed;
+            let rates = &mut self.scratch_rates;
+            let shares = &mut self.scratch_shares;
+            fixed.clear();
+            fixed.resize(n, false);
+            rates.clear();
+            rates.resize(n, 0.0);
+            shares.clear();
+            shares.extend(self.flows.values().map(|f| f.share));
+            let mut cap_left = self.cfg.capacity;
+            loop {
+                let free_weight: f64 = shares
+                    .iter()
+                    .zip(fixed.iter())
+                    .filter(|(_, fx)| !**fx)
+                    .map(|(s, _)| s.weight)
+                    .sum();
+                if free_weight <= 0.0 {
+                    break;
+                }
+                let per_weight = cap_left / free_weight;
+                let mut changed = false;
+                for i in 0..n {
+                    if fixed[i] {
+                        continue;
+                    }
+                    let fair = shares[i].weight * per_weight;
+                    if shares[i].rate_cap < fair {
+                        rates[i] = shares[i].rate_cap;
+                        cap_left -= rates[i];
+                        fixed[i] = true;
+                        changed = true;
+                    }
+                }
+                if !changed {
+                    for i in 0..n {
+                        if !fixed[i] {
+                            rates[i] = shares[i].weight * per_weight;
+                        }
+                    }
+                    break;
+                }
+            }
+            for (f, &r) in self.flows.values_mut().zip(rates.iter()) {
+                f.rate = r;
+            }
+        }
+
+        /// Earliest completion among active flows, in seconds from now.
+        fn next_completion_secs(&self) -> Option<f64> {
+            self.flows
+                .values()
+                .filter(|f| f.rate > 0.0 || f.remaining <= finish_eps(f.initial))
+                .map(|f| {
+                    if f.remaining <= finish_eps(f.initial) {
+                        0.0
+                    } else {
+                        f.remaining / f.rate
+                    }
+                })
+                .fold(None, |acc: Option<f64>, x| {
+                    Some(acc.map_or(x, |a| a.min(x)))
+                })
+        }
+
+        fn reschedule(this: &Rc<RefCell<Self>>, sim: &mut Sim) {
+            let (epoch, delay) = {
+                let mut s = this.borrow_mut();
+                s.epoch += 1;
+                match s.next_completion_secs() {
+                    Some(secs) => (s.epoch, ceil_ticks(secs)),
+                    None => return,
+                }
+            };
+            let this = Rc::clone(this);
+            sim.schedule(delay, move |sim| {
+                Self::on_tick(&this, sim, epoch);
+            });
+        }
+
+        fn on_tick(this: &Rc<RefCell<Self>>, sim: &mut Sim, epoch: u64) {
+            let mut completed: Vec<DoneFn> = Vec::new();
+            {
+                let mut s = this.borrow_mut();
+                if s.epoch != epoch {
+                    return; // superseded by a later submit/cancel
+                }
+                s.advance(sim);
+                // drain every flow that finished this tick in one pass (ascending
+                // FlowId order, matching callback FIFO expectations)
+                let mut removed_nondefault = 0usize;
+                s.flows.retain(|_, f| {
+                    if f.remaining <= finish_eps(f.initial) {
+                        if !share_is_default(&f.share) {
+                            removed_nondefault += 1;
+                        }
+                        if let Some(cb) = f.done.take() {
+                            completed.push(cb);
+                        }
+                        false
+                    } else {
+                        true
+                    }
+                });
+                s.nondefault_shares -= removed_nondefault;
+                s.recompute_rates();
+            }
+            Self::reschedule(this, sim);
+            for cb in completed {
+                cb(sim);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod equivalence {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// What the property drives on both servers.
+    trait Ps: Sized {
+        fn create(cfg: ServerConfig) -> Rc<RefCell<Self>>;
+        fn submit_with(
+            this: &Rc<RefCell<Self>>,
+            sim: &mut Sim,
+            work: f64,
+            share: Share,
+            done: DoneFn,
+        ) -> FlowId;
+        fn cancel(this: &Rc<RefCell<Self>>, sim: &mut Sim, id: FlowId) -> bool;
+        fn set_capacity(this: &Rc<RefCell<Self>>, sim: &mut Sim, capacity: f64);
+        fn active(&self) -> usize;
+    }
+
+    macro_rules! impl_ps {
+        ($t:ty) => {
+            impl Ps for $t {
+                fn create(cfg: ServerConfig) -> Rc<RefCell<Self>> {
+                    <$t>::new(cfg)
+                }
+                fn submit_with(
+                    this: &Rc<RefCell<Self>>,
+                    sim: &mut Sim,
+                    work: f64,
+                    share: Share,
+                    done: DoneFn,
+                ) -> FlowId {
+                    <$t>::submit_with(this, sim, work, share, done)
+                }
+                fn cancel(this: &Rc<RefCell<Self>>, sim: &mut Sim, id: FlowId) -> bool {
+                    <$t>::cancel(this, sim, id)
+                }
+                fn set_capacity(this: &Rc<RefCell<Self>>, sim: &mut Sim, capacity: f64) {
+                    <$t>::set_capacity(this, sim, capacity)
+                }
+                fn active(&self) -> usize {
+                    <$t>::active(self)
+                }
+            }
+        };
+    }
+    impl_ps!(PsServer);
+    impl_ps!(btree_model::PsServer);
+
+    /// One step of a program against a server.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Submit `work` under `share`; when `then` is set, the completion
+        /// callback submits that much more work (the appliance's shape:
+        /// each stage's completion starts the next on the same resource).
+        Submit {
+            work: f64,
+            share: Share,
+            then: Option<f64>,
+        },
+        /// Cancel the `nth % submitted` flow, finished or not.
+        Cancel(usize),
+        SetCapacity(f64),
+        /// `run_until(now + ticks)`.
+        Run(u64),
+    }
+
+    fn arb_share() -> impl Strategy<Value = Share> {
+        prop_oneof![
+            Just(Share::default()),
+            Just(Share::default()),
+            (0.25f64..4.0).prop_map(|weight| Share {
+                weight,
+                rate_cap: f64::INFINITY
+            }),
+            (1.0f64..150.0).prop_map(Share::capped),
+            (0.25f64..4.0, 1.0f64..150.0).prop_map(|(weight, rate_cap)| Share { weight, rate_cap }),
+        ]
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let arb_work = || prop_oneof![Just(0.0), 0.0f64..50.0, 0.0f64..2_000.0];
+        prop_oneof![
+            (arb_work(), arb_share(), proptest::option::of(arb_work()))
+                .prop_map(|(work, share, then)| Op::Submit { work, share, then }),
+            (arb_work(), arb_share()).prop_map(|(work, share)| Op::Submit {
+                work,
+                share,
+                then: None
+            }),
+            (0usize..1 << 16).prop_map(Op::Cancel),
+            (10.0f64..500.0).prop_map(Op::SetCapacity),
+            Just(Op::Run(0)),
+            (0u64..500_000).prop_map(Op::Run),
+            (0u64..20_000_000).prop_map(Op::Run),
+        ]
+    }
+
+    /// Everything observable about a run, floats as bit patterns.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// `(flow number, completion tick)` in callback order.
+        completions: Vec<(usize, u64)>,
+        cancels: Vec<bool>,
+        active_after_program: usize,
+        busy_buckets: Vec<u64>,
+        bytes_buckets: Vec<u64>,
+        end_tick: u64,
+        events: u64,
+    }
+
+    fn run_program<S: Ps + 'static>(ops: &[Op]) -> Observed {
+        let mut sim = Sim::new(0);
+        let srv = S::create(ServerConfig::named("srv", 100.0));
+        let completions = Rc::new(RefCell::new(Vec::new()));
+        let mut ids = Vec::new();
+        let mut cancels = Vec::new();
+        for op in ops {
+            match *op {
+                Op::Submit { work, share, then } => {
+                    let flow = ids.len();
+                    let log = Rc::clone(&completions);
+                    let srv2 = Rc::clone(&srv);
+                    let done: DoneFn = Box::new(move |sim| {
+                        log.borrow_mut().push((flow, sim.now().ticks()));
+                        if let Some(more) = then {
+                            let log = Rc::clone(&log);
+                            S::submit_with(
+                                &srv2,
+                                sim,
+                                more,
+                                share,
+                                Box::new(move |sim| {
+                                    log.borrow_mut().push((flow + (1 << 20), sim.now().ticks()));
+                                }),
+                            );
+                        }
+                    });
+                    ids.push(S::submit_with(&srv, &mut sim, work, share, done));
+                }
+                Op::Cancel(nth) => {
+                    if !ids.is_empty() {
+                        cancels.push(S::cancel(&srv, &mut sim, ids[nth % ids.len()]));
+                    }
+                }
+                Op::SetCapacity(c) => S::set_capacity(&srv, &mut sim, c),
+                Op::Run(ticks) => {
+                    let deadline = sim.now() + Duration::from_micros(ticks);
+                    sim.run_until(deadline);
+                }
+            }
+        }
+        let active_after_program = srv.borrow().active();
+        sim.run();
+        let bits = |key: &str| {
+            sim.recorder_ref()
+                .series(key)
+                .map(|s| s.buckets().iter().map(|v| v.to_bits()).collect())
+                .unwrap_or_default()
+        };
+        let completions = completions.borrow().clone();
+        Observed {
+            completions,
+            cancels,
+            active_after_program,
+            busy_buckets: bits("srv.busy"),
+            bytes_buckets: bits("srv.bytes"),
+            end_tick: sim.now().ticks(),
+            events: sim.events_executed(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The `Vec` server and the retired `BTreeMap` server agree on
+        /// everything a run can observe — completion order and instants,
+        /// cancel verdicts, and every recorder bucket bit for bit — over
+        /// arbitrary submit / cancel / set_capacity / run_until programs
+        /// with default, weighted and capped shares mixed.
+        #[test]
+        fn vec_server_matches_the_btree_server(
+            ops in proptest::collection::vec(arb_op(), 1..60),
+        ) {
+            let vec = run_program::<PsServer>(&ops);
+            let map = run_program::<btree_model::PsServer>(&ops);
+            prop_assert_eq!(vec, map);
         }
     }
 }

@@ -481,6 +481,59 @@ pub struct KernelProfile {
     /// Per-server busy rollups from the metric recorder, one entry per
     /// `*.busy` series, sorted by key.
     pub server_busy: Vec<ServerBusy>,
+    /// Host (wall-clock) time per scheduled closure type, most expensive
+    /// first; empty unless `Sim::enable_host_profile` was called.
+    pub host_time_by_closure: Vec<ClosureCost>,
+}
+
+/// Host time charged to one closure type inside a [`KernelProfile`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ClosureCost {
+    /// `std::any::type_name` of the closure: the path of the function that
+    /// defined it, then `::{{closure}}`.
+    pub closure: String,
+    /// Times a closure of this type fired.
+    pub count: u64,
+    /// Wall-clock nanoseconds those executions took, synchronous callees
+    /// included.
+    pub host_ns: u64,
+}
+
+/// A closure type name cut down to what tells call sites apart: generic
+/// arguments collapsed to `<…>` and the leading module path dropped
+/// (`simkit::server::PsServer::reschedule::{{closure}}` →
+/// `PsServer::reschedule::{{closure}}`). Anything that is not a closure
+/// keeps its full name.
+fn short_closure_name(full: &str) -> String {
+    if !full.ends_with("{{closure}}") {
+        return full.to_owned(); // a fn item, fn pointer or boxed callable
+    }
+    let mut flat = String::with_capacity(full.len());
+    let mut depth = 0usize;
+    for c in full.chars() {
+        match c {
+            '<' => {
+                if depth == 0 {
+                    flat.push_str("<…>");
+                }
+                depth += 1;
+            }
+            '>' => depth = depth.saturating_sub(1),
+            _ if depth == 0 => flat.push(c),
+            _ => {}
+        }
+    }
+    // modules are lower-case and never directly own a closure: keep from
+    // the first segment that is a type, or the function before `{{closure}}`
+    let segments: Vec<&str> = flat.split("::").collect();
+    let keep_from = (0..segments.len())
+        .find(|&i| {
+            let is_module = segments[i].starts_with(|c: char| c.is_ascii_lowercase());
+            let owns_the_closure = segments.get(i + 1).is_some_and(|next| next.starts_with('{'));
+            !is_module || owns_the_closure
+        })
+        .unwrap_or(0);
+    segments[keep_from..].join("::")
 }
 
 /// One server's busy/utilization rollup inside a [`KernelProfile`].
@@ -511,6 +564,17 @@ impl std::fmt::Display for KernelProfile {
                 s.key,
                 s.busy_secs,
                 s.utilization * 100.0
+            )?;
+        }
+        let host_total: u64 = self.host_time_by_closure.iter().map(|c| c.host_ns).sum();
+        for c in &self.host_time_by_closure {
+            writeln!(
+                f,
+                "  host  {:<56} {:>9} x {:>7} ns  ({:.1}%)",
+                short_closure_name(&c.closure),
+                c.count,
+                c.host_ns / c.count.max(1),
+                100.0 * c.host_ns as f64 / host_total.max(1) as f64
             )?;
         }
         Ok(())
@@ -769,14 +833,14 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
         let ph = ev
             .get("ph")
             .and_then(Json::as_str)
-            .ok_or(format!("event {i}: missing ph"))?;
+            .ok_or_else(|| format!("event {i}: missing ph"))?;
         let ts = ev
             .get("ts")
             .and_then(Json::as_num)
-            .ok_or(format!("event {i}: missing ts"))?;
+            .ok_or_else(|| format!("event {i}: missing ts"))?;
         ev.get("name")
             .and_then(Json::as_str)
-            .ok_or(format!("event {i}: missing name"))?;
+            .ok_or_else(|| format!("event {i}: missing name"))?;
         if ts < last_ts {
             return Err(format!("event {i}: ts {ts} < previous {last_ts}"));
         }
@@ -786,7 +850,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
         match ph {
             "B" => {
                 check.begins += 1;
-                let span = span_of(ev).ok_or(format!("event {i}: B without args.span"))? as u64;
+                let span =
+                    span_of(ev).ok_or_else(|| format!("event {i}: B without args.span"))? as u64;
                 let name = ev.get("name").and_then(Json::as_str).unwrap().to_owned();
                 if open.insert(span, name).is_some() {
                     return Err(format!("event {i}: span {span} opened twice"));
@@ -801,7 +866,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
             }
             "E" => {
                 check.ends += 1;
-                let span = span_of(ev).ok_or(format!("event {i}: E without args.span"))? as u64;
+                let span =
+                    span_of(ev).ok_or_else(|| format!("event {i}: E without args.span"))? as u64;
                 if open.remove(&span).is_none() {
                     return Err(format!("event {i}: E for span {span} that is not open"));
                 }
@@ -812,7 +878,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
                 check.counters += 1;
                 let args = ev
                     .get("args")
-                    .ok_or(format!("event {i}: C without args"))?;
+                    .ok_or_else(|| format!("event {i}: C without args"))?;
                 let fields = match args {
                     Json::Obj(fields) if !fields.is_empty() => fields,
                     _ => {
@@ -847,6 +913,31 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn closure_names_are_cut_to_type_function_and_closure() {
+        for (full, short) in [
+            (
+                "onserve_simkit::server::PsServer::reschedule::{{closure}}",
+                "PsServer::reschedule::{{closure}}",
+            ),
+            (
+                "onserve_benchmark::workloads::paper_client::{{closure}}",
+                "paper_client::{{closure}}",
+            ),
+            (
+                "cyberaide::agent::CyberaideAgent::submit_job<onserve::onserve::Invocation::submit::{{closure}}>::{{closure}}::{{closure}}",
+                "CyberaideAgent::submit_job<…>::{{closure}}::{{closure}}",
+            ),
+            (
+                "<wsstack::transport::HttpChannel as core::ops::Drop>::drop::{{closure}}",
+                "<…>::drop::{{closure}}",
+            ),
+            ("fn(&mut onserve_simkit::engine::Sim)", "fn(&mut onserve_simkit::engine::Sim)"),
+        ] {
+            assert_eq!(short_closure_name(full), short);
+        }
+    }
 
     fn store_with(spans: &[(&'static str, u32, u64, Option<u64>)]) -> Telemetry {
         // (name, parent, start_us, end_us)

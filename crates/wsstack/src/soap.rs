@@ -10,10 +10,45 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::xml::XmlNode;
+use crate::xml::{attr_len, element_len, escaped_len, XmlNode};
 
 /// SOAP envelope namespace (1.1, as in the paper's toolchain).
 pub const SOAP_ENV_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
+
+// The envelope's fixed names, shared by `Envelope::to_xml` (which writes
+// them) and `Envelope::wire_size` (which only counts them).
+const ENVELOPE: &str = "soap:Envelope";
+const ENVELOPE_ATTRS: [(&str, &str); 3] = [
+    ("xmlns:soap", SOAP_ENV_NS),
+    ("xmlns:xsd", "http://www.w3.org/2001/XMLSchema"),
+    ("xmlns:xsi", "http://www.w3.org/2001/XMLSchema-instance"),
+];
+/// Bytes the envelope's three namespace attributes serialize to.
+const ENVELOPE_ATTRS_LEN: usize = {
+    let (mut len, mut i) = (0, 0);
+    while i < ENVELOPE_ATTRS.len() {
+        let (key, value) = ENVELOPE_ATTRS[i];
+        len += attr_len(key.len(), escaped_len(value, true));
+        i += 1;
+    }
+    len
+};
+const BODY: &str = "soap:Body";
+const OP_PREFIX: &str = "ns:";
+const OP_NS_ATTR: &str = "xmlns:ns";
+const OP_NS_PREFIX: &str = "urn:onserve:";
+const XSI_TYPE: &str = "xsi:type";
+
+/// A `fmt::Write` sink that keeps only how long its input is once
+/// escaped as element text.
+struct EscapedLen(usize);
+
+impl fmt::Write for EscapedLen {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += escaped_len(s, false);
+        Ok(())
+    }
+}
 
 /// A typed argument/result value.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,23 +95,30 @@ impl SoapValue {
         }
     }
 
+    /// The element text of this value, before XML escaping. Written once so
+    /// the document ([`SoapValue::to_xml`]) and its size
+    /// ([`Envelope::wire_size`]) come from the same formatter.
+    fn write_text(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            SoapValue::Str(s) => out.write_str(s),
+            SoapValue::Int(i) => write!(out, "{i}"),
+            SoapValue::Double(d) => write!(out, "{d:e}"),
+            SoapValue::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            // stand-in marker: size + digest instead of megabytes of
+            // base64 in the in-memory document
+            SoapValue::Binary { bytes, digest } => write!(out, "base64:{bytes}:{digest:016x}"),
+        }
+    }
+
     fn to_xml(&self, name: &str) -> XmlNode {
-        let node = match self {
-            SoapValue::Str(s) => XmlNode::text_node(name, s),
-            SoapValue::Int(i) => XmlNode::text_node(name, &i.to_string()),
-            SoapValue::Double(d) => XmlNode::text_node(name, &format!("{d:e}")),
-            SoapValue::Bool(b) => XmlNode::text_node(name, if *b { "true" } else { "false" }),
-            SoapValue::Binary { bytes, digest } => {
-                // stand-in marker: size + digest instead of megabytes of
-                // base64 in the in-memory document
-                XmlNode::text_node(name, &format!("base64:{bytes}:{digest:016x}"))
-            }
-        };
-        node.attr("xsi:type", self.type_name())
+        let mut node = XmlNode::new(name);
+        self.write_text(&mut node.text)
+            .expect("writing to a String cannot fail");
+        node.attr(XSI_TYPE, self.type_name())
     }
 
     fn from_xml(node: &XmlNode) -> Result<SoapValue, SoapFault> {
-        let ty = node.get_attr("xsi:type").unwrap_or("xsd:string");
+        let ty = node.get_attr(XSI_TYPE).unwrap_or("xsd:string");
         let text = node.text.as_str();
         let bad = |what: &str| SoapFault::client(&format!("bad {what} value: {text}"));
         match ty {
@@ -177,21 +219,40 @@ impl Envelope {
 
     /// Serialize to the full SOAP document.
     pub fn to_xml(&self) -> XmlNode {
-        let mut op = XmlNode::new(&format!("ns:{}", self.operation))
-            .attr("xmlns:ns", &format!("urn:onserve:{}", self.service));
+        let mut op = XmlNode::new(&format!("{OP_PREFIX}{}", self.operation))
+            .attr(OP_NS_ATTR, &format!("{OP_NS_PREFIX}{}", self.service));
         for (name, value) in &self.args {
             op.children.push(value.to_xml(name));
         }
-        XmlNode::new("soap:Envelope")
-            .attr("xmlns:soap", SOAP_ENV_NS)
-            .attr("xmlns:xsd", "http://www.w3.org/2001/XMLSchema")
-            .attr("xmlns:xsi", "http://www.w3.org/2001/XMLSchema-instance")
-            .child(XmlNode::new("soap:Body").child(op))
+        let mut envelope = XmlNode::new(ENVELOPE);
+        for (key, value) in ENVELOPE_ATTRS {
+            envelope = envelope.attr(key, value);
+        }
+        envelope.child(XmlNode::new(BODY).child(op))
     }
 
-    /// Total request size on the wire.
+    /// Total request size on the wire: the length of
+    /// `self.to_xml().to_xml()` plus the real size of binary payloads.
+    ///
+    /// Called once per transfer and once per dispatch, so the document is
+    /// counted, not built: element by element, inside out, with each
+    /// argument's text measured by the formatter that would print it.
     pub fn wire_size(&self) -> f64 {
-        self.to_xml().wire_size()
+        let mut args_len = 0;
+        for (name, value) in &self.args {
+            let mut text = EscapedLen(0);
+            value.write_text(&mut text).expect("counting cannot fail");
+            let attrs = attr_len(XSI_TYPE.len(), escaped_len(value.type_name(), true));
+            args_len += element_len(name.len(), attrs, text.0);
+        }
+        let op_ns = OP_NS_PREFIX.len() + escaped_len(&self.service, true);
+        let op = element_len(
+            OP_PREFIX.len() + self.operation.len(),
+            attr_len(OP_NS_ATTR.len(), op_ns),
+            args_len,
+        );
+        let body = element_len(BODY.len(), 0, op);
+        element_len(ENVELOPE.len(), ENVELOPE_ATTRS_LEN, body) as f64
             + self
                 .args
                 .values()
@@ -205,11 +266,11 @@ impl Envelope {
 
     /// Parse an envelope back out of a document.
     pub fn parse(doc: &XmlNode) -> Result<Envelope, SoapFault> {
-        if doc.name != "soap:Envelope" {
+        if doc.name != ENVELOPE {
             return Err(SoapFault::client("not a SOAP envelope"));
         }
         let body = doc
-            .find("soap:Body")
+            .find(BODY)
             .ok_or_else(|| SoapFault::client("missing soap:Body"))?;
         let op_node = body
             .children
@@ -217,12 +278,12 @@ impl Envelope {
             .ok_or_else(|| SoapFault::client("empty soap:Body"))?;
         let operation = op_node
             .name
-            .strip_prefix("ns:")
+            .strip_prefix(OP_PREFIX)
             .unwrap_or(&op_node.name)
             .to_owned();
         let service = op_node
-            .get_attr("xmlns:ns")
-            .and_then(|ns| ns.strip_prefix("urn:onserve:"))
+            .get_attr(OP_NS_ATTR)
+            .and_then(|ns| ns.strip_prefix(OP_NS_PREFIX))
             .unwrap_or("")
             .to_owned();
         let mut args = BTreeMap::new();
@@ -238,10 +299,10 @@ impl Envelope {
 
     /// Wrap a fault in a response document.
     pub fn fault_to_xml(fault: &SoapFault) -> XmlNode {
-        XmlNode::new("soap:Envelope")
+        XmlNode::new(ENVELOPE)
             .attr("xmlns:soap", SOAP_ENV_NS)
             .child(
-                XmlNode::new("soap:Body").child(
+                XmlNode::new(BODY).child(
                     XmlNode::new("soap:Fault")
                         .child(XmlNode::text_node("faultcode", &fault.code))
                         .child(XmlNode::text_node("faultstring", &fault.message)),
@@ -251,7 +312,7 @@ impl Envelope {
 
     /// Extract a fault from a response document, if it is one.
     pub fn parse_fault(doc: &XmlNode) -> Option<SoapFault> {
-        let fault = doc.path(&["soap:Body", "soap:Fault"])?;
+        let fault = doc.path(&[BODY, "soap:Fault"])?;
         Some(SoapFault {
             code: fault.find("faultcode").map(|n| n.text.clone())?,
             message: fault.find("faultstring").map(|n| n.text.clone())?,

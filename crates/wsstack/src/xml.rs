@@ -119,8 +119,23 @@ impl XmlNode {
     }
 
     /// Serialized size in bytes — the transport model's payload size.
+    /// Exactly `to_xml().len()`, counted without writing the document.
     pub fn wire_size(&self) -> f64 {
-        self.to_xml().len() as f64
+        self.wire_len() as f64
+    }
+
+    fn wire_len(&self) -> usize {
+        let attrs = self
+            .attrs
+            .iter()
+            .map(|(k, v)| attr_len(k.len(), escaped_len(v, true)))
+            .sum();
+        let content = if self.children.is_empty() {
+            escaped_len(&self.text, false)
+        } else {
+            self.children.iter().map(Self::wire_len).sum()
+        };
+        element_len(self.name.len(), attrs, content)
     }
 
     /// Parse a document (exactly one root element; leading declaration,
@@ -172,16 +187,60 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// The escaping table, read by the writer and by the sizer: the entity
+/// `c` is written as, if it is not written as itself.
+const fn entity(c: char, in_attr: bool) -> Option<&'static str> {
+    match c {
+        '&' => Some("&amp;"),
+        '<' => Some("&lt;"),
+        '>' => Some("&gt;"),
+        '"' if in_attr => Some("&quot;"),
+        '\'' if in_attr => Some("&apos;"),
+        _ => None,
+    }
+}
+
 fn escape_into(s: &str, in_attr: bool, out: &mut String) {
     for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if in_attr => out.push_str("&quot;"),
-            '\'' if in_attr => out.push_str("&apos;"),
-            _ => out.push(c),
+        match entity(c, in_attr) {
+            Some(e) => out.push_str(e),
+            None => out.push(c),
         }
+    }
+}
+
+/// Bytes `escape_into` would append for `s`. Every escaped character is
+/// one ASCII byte, so the count runs over bytes, not chars. `const`, so
+/// the length of a fixed piece of scaffolding is a compile-time number.
+pub(crate) const fn escaped_len(s: &str, in_attr: bool) -> usize {
+    let bytes = s.as_bytes();
+    let mut len = bytes.len();
+    let mut i = 0;
+    while i < bytes.len() {
+        if let Some(e) = entity(bytes[i] as char, in_attr) {
+            len += e.len() - 1;
+        }
+        i += 1;
+    }
+    len
+}
+
+/// Bytes [`XmlNode::write`] emits for one attribute (` key="value"`) whose
+/// escaped value is `value_len` long.
+pub(crate) const fn attr_len(key_len: usize, value_len: usize) -> usize {
+    " ".len() + key_len + "=\"".len() + value_len + "\"".len()
+}
+
+/// Bytes [`XmlNode::write`] emits for one element whose attributes take
+/// `attrs_len` and whose escaped text or serialized children take
+/// `content_len`: `<name attrs/>` when there is no content (a child is
+/// never zero bytes), `<name attrs>content</name>` otherwise.
+pub(crate) const fn element_len(name_len: usize, attrs_len: usize, content_len: usize) -> usize {
+    let open = "<".len() + name_len + attrs_len;
+    if content_len == 0 {
+        open + "/>".len()
+    } else {
+        open + ">".len() + content_len + "</".len() + name_len + ">".len()
     }
 }
 

@@ -50,6 +50,62 @@ fn arb_soap_value() -> impl Strategy<Value = SoapValue> {
     ]
 }
 
+/// Text the sizer must count the way the writer escapes it: every
+/// character of the escaping table, multi-byte characters, spaces, empty.
+fn arb_hostile_text() -> impl Strategy<Value = String> {
+    proptest::string::string_regex("[a-zA-Z0-9 &<>\"'é日✓:/-]{0,12}").expect("regex")
+}
+
+/// Values of all five kinds, over each kind's whole domain: any bit
+/// pattern for doubles and payload sizes (subnormal, huge, NaN, ±∞, -0).
+fn arb_hostile_soap_value() -> impl Strategy<Value = SoapValue> {
+    let arb_f64 = || {
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            any::<f64>(),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::MIN_POSITIVE / 4.0),
+            Just(f64::MAX),
+            Just(1024.0),
+        ]
+    };
+    prop_oneof![
+        arb_hostile_text().prop_map(SoapValue::Str),
+        any::<i64>().prop_map(SoapValue::Int),
+        (-5i64..5).prop_map(SoapValue::Int),
+        arb_f64().prop_map(SoapValue::Double),
+        any::<bool>().prop_map(SoapValue::Bool),
+        (arb_f64(), any::<u64>()).prop_map(|(bytes, digest)| SoapValue::Binary { bytes, digest }),
+    ]
+}
+
+/// Trees with attributes and text drawn from the hostile alphabet (not
+/// required to re-parse: element names are written unescaped).
+fn arb_hostile_xml() -> impl Strategy<Value = XmlNode> {
+    let attrs = || proptest::collection::vec((arb_hostile_text(), arb_hostile_text()), 0..3);
+    let leaf = (arb_hostile_text(), arb_hostile_text(), attrs()).prop_map(|(name, text, attrs)| {
+        let mut n = XmlNode::text_node(&name, &text);
+        n.attrs = attrs;
+        n
+    });
+    leaf.prop_recursive(3, 24, 4, move |inner| {
+        (
+            arb_hostile_text(),
+            arb_hostile_text(),
+            attrs(),
+            proptest::collection::vec(inner, 0..4),
+        )
+            .prop_map(|(name, text, attrs, children)| {
+                // text beside children is carried but never written
+                let mut n = XmlNode::text_node(&name, &text);
+                n.attrs = attrs;
+                n.children = children;
+                n
+            })
+    })
+}
+
 fn arb_param_type() -> impl Strategy<Value = ParamType> {
     prop_oneof![
         Just(ParamType::Str),
@@ -272,5 +328,44 @@ proptest! {
         };
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(mk(lo) <= mk(hi));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The counted size of a tree is the length of the document the writer
+    /// produces — `wire_size` feeds link transfer time, so one byte off
+    /// moves every golden.
+    #[test]
+    fn xml_wire_size_is_the_written_length(doc in arb_hostile_xml()) {
+        prop_assert_eq!(doc.wire_size(), doc.to_xml().len() as f64, "{}", doc.to_xml());
+    }
+
+    /// The counted size of an envelope is the length of its serialized
+    /// document plus the real bytes of its binary payloads, for every value
+    /// kind, with the escaping table's characters in service, operation,
+    /// argument names and values, and with no arguments at all.
+    #[test]
+    fn envelope_wire_size_is_the_written_length_plus_payloads(
+        service in arb_hostile_text(),
+        op in arb_hostile_text(),
+        args in proptest::collection::btree_map(arb_hostile_text(), arb_hostile_soap_value(), 0..7),
+    ) {
+        let mut env = Envelope::request(&service, &op);
+        env.args = args;
+        let text = env.to_xml().to_xml();
+        let payloads: f64 = env
+            .args
+            .values()
+            .filter(|v| matches!(v, SoapValue::Binary { .. }))
+            .map(SoapValue::wire_bytes)
+            .sum();
+        let expect = text.len() as f64 + payloads;
+        let got = env.wire_size();
+        prop_assert!(
+            got.to_bits() == expect.to_bits() || (got.is_nan() && expect.is_nan()),
+            "{} vs {} on {}", got, expect, text
+        );
     }
 }

@@ -20,8 +20,22 @@ echo "==> cargo test -q (with test-count floor)"
 cargo test -q --workspace 2>&1 | tee target/test-output.log
 total_passed=$(grep -Eo '[0-9]+ passed' target/test-output.log | awk '{s+=$1} END {print s}')
 echo "    total tests passed: ${total_passed}"
-if [ "${total_passed}" -lt 640 ]; then
-  echo "test-count floor: expected >= 640 passing tests, got ${total_passed}" >&2
+if [ "${total_passed}" -lt 651 ]; then
+  echo "test-count floor: expected >= 651 passing tests, got ${total_passed}" >&2
+  exit 1
+fi
+
+# Off means off: an error or span text built with format! at the call is
+# built on every call, taken or not, telemetry on or not. Production code
+# only — each file up to its first top-level #[cfg(test)], as scripts/loc.sh
+# counts it.
+echo "==> no eager format! in ok_or / span_attr / span_fail"
+eager=$(find crates/*/src -name '*.rs' | sort | while IFS= read -r f; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} /ok_or\(.*format!|span_(attr|fail)\(.*format!/{print f ":" FNR ": " $0}' "$f"
+done)
+if [ -n "${eager}" ]; then
+  echo "${eager}" >&2
+  echo "use ok_or_else, or a &'static str name, so the String is only built when it is used" >&2
   exit 1
 fi
 
