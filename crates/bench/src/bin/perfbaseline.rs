@@ -166,6 +166,23 @@ fn bench_same_tick_batch() -> Entry {
     })
 }
 
+/// The onServe watchdog's traffic: arm a 48 h timeout, let a short live
+/// event run, disarm. One op = one arm + disarm.
+fn bench_cancel_rearm() -> Entry {
+    const ROUNDS: u64 = 1024;
+    measure("engine.cancel_rearm", 20, || {
+        let mut sim = Sim::new(5);
+        for _ in 0..ROUNDS {
+            let timeout = sim.schedule(Duration::from_secs(48 * 3600), |_| {});
+            sim.schedule(Duration::from_millis(1), |_| {});
+            sim.step();
+            sim.cancel_event(timeout);
+        }
+        sim.run();
+        ROUNDS
+    })
+}
+
 /// Metric-recording PS server under churn: submit `n` staggered flows,
 /// run to completion. One op = one completed flow (each completion
 /// triggers an advance + rate recompute + reschedule).
@@ -181,22 +198,39 @@ fn bench_ps_flows(name: &'static str, n: u64) -> Entry {
     })
 }
 
+/// Submit a 50-unit flow whose completion submits the next, `left` times.
+fn chain_flows(srv: &Rc<RefCell<PsServer>>, sim: &mut Sim, left: u64) {
+    if left > 0 {
+        let srv2 = Rc::clone(srv);
+        PsServer::submit(srv, sim, 50.0, move |sim| chain_flows(&srv2, sim, left - 1));
+    }
+}
+
 /// The appliance's shape on each of its resources: one flow at a time on
 /// an otherwise idle server, the next submitted from the completion of
 /// the last (`ps_flows_2/16/64` submit everything up front and never see
 /// a server go from empty to one flow and back). One op = one flow.
 fn bench_ps_flows_1() -> Entry {
     const FLOWS: u64 = 256;
-    fn next(srv: &Rc<RefCell<PsServer>>, sim: &mut Sim, left: u64) {
-        if left > 0 {
-            let srv2 = Rc::clone(srv);
-            PsServer::submit(srv, sim, 50.0, move |sim| next(&srv2, sim, left - 1));
-        }
-    }
     measure("server.ps_flows_1", 20, || {
         let mut sim = Sim::new(2);
         let srv = PsServer::new(ServerConfig::named("srv", 100.0));
-        next(&srv, &mut sim, FLOWS);
+        chain_flows(&srv, &mut sim, FLOWS);
+        sim.run();
+        FLOWS
+    })
+}
+
+/// The same chain on a server a long flow keeps busy throughout: every
+/// completion re-arms the tick for the long flow and the submit that
+/// follows supersedes it at once. One op = one flow = one retracted tick.
+fn bench_ps_resubmit() -> Entry {
+    const FLOWS: u64 = 256;
+    measure("server.ps_resubmit", 20, || {
+        let mut sim = Sim::new(2);
+        let srv = PsServer::new(ServerConfig::named("srv", 100.0));
+        PsServer::submit(&srv, &mut sim, 20_000.0, |_| {});
+        chain_flows(&srv, &mut sim, FLOWS);
         sim.run();
         FLOWS
     })
@@ -419,7 +453,9 @@ fn main() {
         bench_wheel_push_pop,
         bench_wheel_cascade,
         bench_same_tick_batch,
+        bench_cancel_rearm,
         bench_ps_flows_1,
+        bench_ps_resubmit,
         || bench_ps_flows("server.ps_flows_2", 2),
         || bench_ps_flows("server.ps_flows_16", 16),
         || bench_ps_flows("server.ps_flows_64", 64),

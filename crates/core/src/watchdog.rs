@@ -13,17 +13,12 @@ use std::rc::Rc;
 use simkit::engine::EventId;
 use simkit::{Duration, Sim};
 
-/// Guard handle for one watched operation.
+/// Guard handle for one watched operation. The pending timeout event is
+/// the armed state: it leaves the queue by firing or by `disarm`, never
+/// both.
 pub struct Watchdog {
-    fired: Rc<Cell<WatchState>>,
+    timed_out: Rc<Cell<bool>>,
     timeout_event: EventId,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum WatchState {
-    Armed,
-    Completed,
-    TimedOut,
 }
 
 impl Watchdog {
@@ -33,16 +28,14 @@ impl Watchdog {
     where
         F: FnOnce(&mut Sim) + 'static,
     {
-        let fired = Rc::new(Cell::new(WatchState::Armed));
-        let f2 = Rc::clone(&fired);
-        let timeout_event = sim.schedule_labeled(timeout, "watchdog.timeout", move |sim| {
-            if f2.get() == WatchState::Armed {
-                f2.set(WatchState::TimedOut);
-                on_timeout(sim);
-            }
+        let timed_out = Rc::new(Cell::new(false));
+        let fired = Rc::clone(&timed_out);
+        let timeout_event = sim.schedule(timeout, move |sim| {
+            fired.set(true);
+            on_timeout(sim);
         });
         Watchdog {
-            fired,
+            timed_out,
             timeout_event,
         }
     }
@@ -51,20 +44,15 @@ impl Watchdog {
     /// from the queue so a drained simulation ends at the real completion
     /// instant. Returns `true` if the watchdog was still armed (the caller
     /// won the race and should proceed); `false` if the timeout already
-    /// fired and the completion must be dropped.
+    /// fired, or somebody disarmed first, and the completion must be
+    /// dropped.
     pub fn disarm(&self, sim: &mut Sim) -> bool {
-        if self.fired.get() == WatchState::Armed {
-            self.fired.set(WatchState::Completed);
-            sim.cancel_event(self.timeout_event);
-            true
-        } else {
-            false
-        }
+        sim.cancel_event(self.timeout_event)
     }
 
     /// Whether the timeout has fired.
     pub fn timed_out(&self) -> bool {
-        self.fired.get() == WatchState::TimedOut
+        self.timed_out.get()
     }
 }
 

@@ -182,7 +182,7 @@ impl OutputPoller {
                         );
                         return;
                     }
-                    sim.schedule_labeled(interval, "poller.tick", move |sim| {
+                    sim.schedule(interval, move |sim| {
                         Self::tick(
                             sim, agent2, session, site2, handle2, interval, deadline, state,
                         );

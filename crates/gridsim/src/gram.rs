@@ -432,31 +432,29 @@ impl Gatekeeper {
     /// Cancel a job; the state becomes `Done(Cancelled)` once the scheduler
     /// confirms.
     pub fn cancel(this: &Rc<RefCell<Self>>, sim: &mut Sim, job_no: u64) -> Result<(), GridError> {
-        let sched_id = {
-            let gk = this.borrow();
-            gk.jobs
-                .get(&job_no)
-                .ok_or(GridError::NoSuchJob(job_no))?
-                .sched_id
-        };
-        let sched = Rc::clone(&this.borrow().scheduler);
-        ClusterScheduler::cancel(&sched, sim, sched_id);
-        Ok(())
+        Self::end_job(this, sim, job_no, ClusterScheduler::cancel)
     }
 
     /// Crash-kill a job (a VM hosting it died): the state becomes
     /// `Done(NodeFailure)` once the scheduler confirms, and the charge is
     /// refunded like any other failure.
     pub fn kill(this: &Rc<RefCell<Self>>, sim: &mut Sim, job_no: u64) -> Result<(), GridError> {
-        let sched_id = {
+        Self::end_job(this, sim, job_no, ClusterScheduler::kill)
+    }
+
+    /// Hand job `job_no` to one of the scheduler's two early exits.
+    fn end_job(
+        this: &Rc<RefCell<Self>>,
+        sim: &mut Sim,
+        job_no: u64,
+        exit: fn(&Rc<RefCell<ClusterScheduler>>, &mut Sim, SchedJobId) -> bool,
+    ) -> Result<(), GridError> {
+        let (sched, sched_id) = {
             let gk = this.borrow();
-            gk.jobs
-                .get(&job_no)
-                .ok_or(GridError::NoSuchJob(job_no))?
-                .sched_id
+            let job = gk.jobs.get(&job_no).ok_or(GridError::NoSuchJob(job_no))?;
+            (Rc::clone(&gk.scheduler), job.sched_id)
         };
-        let sched = Rc::clone(&this.borrow().scheduler);
-        ClusterScheduler::kill(&sched, sim, sched_id);
+        exit(&sched, sim, sched_id);
         Ok(())
     }
 }

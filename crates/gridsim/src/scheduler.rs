@@ -12,7 +12,8 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use simkit::{Duration, Sim, SimTime};
+use simkit::engine::EventId;
+use simkit::{Duration, MetricId, Sim, SimTime};
 
 /// Scheduling policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,14 +72,17 @@ type DoneFn = Box<dyn FnOnce(&mut Sim, JobOutcome)>;
 struct PendingJob {
     id: SchedJobId,
     req: SchedRequest,
-    done: Option<DoneFn>,
+    done: DoneFn,
 }
 
 struct RunningJob {
     alloc: Vec<(usize, u32)>, // (node index, cores taken)
     req: SchedRequest,
     start: SimTime,
-    done: Option<DoneFn>,
+    /// The event that ends the job at its runtime or walltime limit; a job
+    /// that leaves `running` any other way takes it along.
+    finish: EventId,
+    done: DoneFn,
 }
 
 struct Node {
@@ -97,6 +101,8 @@ pub struct ClusterScheduler {
     next_id: u64,
     used_cores: u32,
     last_metric_update: SimTime,
+    /// `<name>.core_seconds`, interned the first time it is recorded.
+    core_seconds: Option<MetricId>,
 }
 
 impl ClusterScheduler {
@@ -124,6 +130,7 @@ impl ClusterScheduler {
             next_id: 1,
             used_cores: 0,
             last_metric_update: SimTime::ZERO,
+            core_seconds: None,
         }))
     }
 
@@ -185,7 +192,7 @@ impl ClusterScheduler {
             s.pending.push_back(PendingJob {
                 id,
                 req,
-                done: Some(Box::new(done)),
+                done: Box::new(done),
             });
         }
         Self::try_schedule(this, sim);
@@ -195,23 +202,7 @@ impl ClusterScheduler {
     /// Cancel a pending or running job; its callback fires with
     /// [`JobOutcome::Cancelled`]. Returns `false` for unknown/finished ids.
     pub fn cancel(this: &Rc<RefCell<Self>>, sim: &mut Sim, id: SchedJobId) -> bool {
-        let mut cb: Option<DoneFn> = None;
-        {
-            let mut s = this.borrow_mut();
-            if let Some(pos) = s.pending.iter().position(|p| p.id == id) {
-                let mut p = s.pending.remove(pos).expect("present");
-                cb = p.done.take();
-            } else if let Some(mut r) = s.running.remove(&id) {
-                s.release(sim, &r.alloc);
-                cb = r.done.take();
-            }
-        }
-        let found = cb.is_some();
-        if let Some(cb) = cb {
-            cb(sim, JobOutcome::Cancelled);
-        }
-        Self::try_schedule(this, sim);
-        found
+        Self::remove(this, sim, id, JobOutcome::Cancelled)
     }
 
     /// Kill a pending or running job as a crash: its callback fires with
@@ -220,20 +211,32 @@ impl ClusterScheduler {
     /// dies; the cores it held are released to the queue. Returns `false`
     /// for unknown/finished ids.
     pub fn kill(this: &Rc<RefCell<Self>>, sim: &mut Sim, id: SchedJobId) -> bool {
-        let mut cb: Option<DoneFn> = None;
-        {
+        Self::remove(this, sim, id, JobOutcome::NodeFailure)
+    }
+
+    /// Take a pending or running job out of the system ahead of its
+    /// finish event and fire its callback with `outcome`.
+    fn remove(
+        this: &Rc<RefCell<Self>>,
+        sim: &mut Sim,
+        id: SchedJobId,
+        outcome: JobOutcome,
+    ) -> bool {
+        let cb = {
             let mut s = this.borrow_mut();
             if let Some(pos) = s.pending.iter().position(|p| p.id == id) {
-                let mut p = s.pending.remove(pos).expect("present");
-                cb = p.done.take();
-            } else if let Some(mut r) = s.running.remove(&id) {
-                s.release(sim, &r.alloc);
-                cb = r.done.take();
+                s.pending.remove(pos).map(|p| p.done)
+            } else {
+                s.running.remove(&id).map(|r| {
+                    sim.cancel_event(r.finish);
+                    s.release(sim, &r.alloc);
+                    r.done
+                })
             }
-        }
+        };
         let found = cb.is_some();
         if let Some(cb) = cb {
-            cb(sim, JobOutcome::NodeFailure);
+            cb(sim, outcome);
         }
         Self::try_schedule(this, sim);
         found
@@ -255,7 +258,8 @@ impl ClusterScheduler {
                 .map(|(&id, _)| id)
                 .collect();
             for id in ids {
-                let mut r = s.running.remove(&id).expect("present");
+                let r = s.running.remove(&id).expect("present");
+                sim.cancel_event(r.finish);
                 // free cores on surviving nodes; the failed node's cores
                 // vanish with it
                 for &(n, c) in &r.alloc {
@@ -264,9 +268,7 @@ impl ClusterScheduler {
                     }
                     s.used_cores -= c;
                 }
-                if let Some(cb) = r.done.take() {
-                    victims.push(cb);
-                }
+                victims.push(r.done);
             }
             s.nodes[node].up = false;
             s.nodes[node].free = 0;
@@ -307,14 +309,13 @@ impl ClusterScheduler {
             .collect();
         events.sort();
         let mut free = self.free_cores();
-        let mut needed: u32 = self.pending.iter().map(|p| p.req.cores).sum::<u32>() + cores;
+        let needed: u32 = self.pending.iter().map(|p| p.req.cores).sum::<u32>() + cores;
         for (t, c) in events {
             free += c;
             if free >= needed.min(self.total_cores()) {
                 return t.since(now);
             }
         }
-        let _ = &mut needed;
         // Even draining everything wouldn't fit (request larger than the
         // machine): report an effectively infinite wait.
         Duration::MAX
@@ -324,9 +325,12 @@ impl ClusterScheduler {
         let now = sim.now();
         if now > self.last_metric_update && self.used_cores > 0 {
             let dt = (now - self.last_metric_update).as_secs_f64();
-            let key = format!("{}.core_seconds", self.name);
+            let name = &self.name;
+            let id = *self
+                .core_seconds
+                .get_or_insert_with(|| sim.recorder().intern(&format!("{name}.core_seconds")));
             sim.recorder()
-                .add_span(&key, self.last_metric_update, now, self.used_cores as f64 * dt);
+                .add_span_id(id, self.last_metric_update, now, self.used_cores as f64 * dt);
         }
         self.last_metric_update = now;
     }
@@ -366,63 +370,54 @@ impl ClusterScheduler {
         Some(alloc)
     }
 
-    fn start_job(this: &Rc<RefCell<Self>>, sim: &mut Sim, mut job: PendingJob) {
+    fn start_job(this: &Rc<RefCell<Self>>, sim: &mut Sim, job: PendingJob) {
         let id = job.id;
-        let run_for;
-        let outcome;
-        {
-            let mut s = this.borrow_mut();
-            let alloc = s
-                .allocate(sim, job.req.cores)
-                .expect("start_job called without capacity");
-            if job.req.actual_runtime <= job.req.walltime_limit {
-                run_for = job.req.actual_runtime;
-                outcome = JobOutcome::Completed;
-            } else {
-                run_for = job.req.walltime_limit;
-                outcome = JobOutcome::WalltimeExceeded;
-            }
-            s.running.insert(
-                id,
-                RunningJob {
-                    alloc,
-                    req: job.req.clone(),
-                    start: sim.now(),
-                    done: job.done.take(),
-                },
-            );
-        }
+        let (run_for, outcome) = if job.req.actual_runtime <= job.req.walltime_limit {
+            (job.req.actual_runtime, JobOutcome::Completed)
+        } else {
+            (job.req.walltime_limit, JobOutcome::WalltimeExceeded)
+        };
+        let mut s = this.borrow_mut();
+        let alloc = s
+            .allocate(sim, job.req.cores)
+            .expect("start_job called without capacity");
         let this2 = Rc::clone(this);
-        sim.schedule(run_for, move |sim| {
+        let finish = sim.schedule(run_for, move |sim| {
             Self::finish_job(&this2, sim, id, outcome);
         });
+        s.running.insert(
+            id,
+            RunningJob {
+                alloc,
+                req: job.req,
+                start: sim.now(),
+                finish,
+                done: job.done,
+            },
+        );
     }
 
     fn finish_job(this: &Rc<RefCell<Self>>, sim: &mut Sim, id: SchedJobId, outcome: JobOutcome) {
-        let mut cb: Option<DoneFn> = None;
-        {
+        let done = {
             let mut s = this.borrow_mut();
-            // Cancelled or failed jobs were already removed; their stale
-            // finish event must be a no-op.
-            if let Some(mut r) = s.running.remove(&id) {
-                s.release(sim, &r.alloc);
-                cb = r.done.take();
-            }
-        }
-        if let Some(cb) = cb {
-            cb(sim, outcome);
-        }
+            let r = s
+                .running
+                .remove(&id)
+                .expect("a job that leaves `running` early cancels its finish event");
+            s.release(sim, &r.alloc);
+            r.done
+        };
+        done(sim, outcome);
         Self::try_schedule(this, sim);
     }
 
     fn try_schedule(this: &Rc<RefCell<Self>>, sim: &mut Sim) {
-        // Sync the metric clock so pick_next's `now_plus` sees the current
-        // instant.
+        // bring the core-seconds series up to now before the queue moves
         this.borrow_mut().update_metric(sim);
         loop {
             let next: Option<PendingJob> = {
                 let mut s = this.borrow_mut();
-                match s.pick_next() {
+                match s.pick_next(sim.now()) {
                     Some(idx) => s.pending.remove(idx),
                     None => None,
                 }
@@ -434,8 +429,8 @@ impl ClusterScheduler {
         }
     }
 
-    /// Index into `pending` of the next job to start now, or `None`.
-    fn pick_next(&self) -> Option<usize> {
+    /// Index into `pending` of the next job to start at `now`, or `None`.
+    fn pick_next(&self, now: SimTime) -> Option<usize> {
         let head = self.pending.front()?;
         let free = self.free_cores();
         if head.req.cores <= free {
@@ -452,21 +447,13 @@ impl ClusterScheduler {
                 continue;
             }
             let ends_before_shadow = shadow_time
-                .map(|st| self.now_plus(job.req.walltime_limit) <= st)
+                .map(|st| now + job.req.walltime_limit <= st)
                 .unwrap_or(true);
             if ends_before_shadow || job.req.cores <= extra {
                 return Some(idx);
             }
         }
         None
-    }
-
-    // `pick_next` runs inside try_schedule with sim.now() unavailable (we
-    // only have &self). We keep our own notion of "now" from the metric
-    // clock, which try_schedule's callers always update first; walltime
-    // comparisons only need relative ordering so the base cancels out.
-    fn now_plus(&self, d: Duration) -> SimTime {
-        self.last_metric_update + d
     }
 
     /// EASY reservation for the queue head: `(shadow_time, extra_cores)`.
@@ -692,6 +679,42 @@ mod tests {
         assert_eq!(l[0], (5.0, JobOutcome::NodeFailure));
         assert_eq!(l[1], (15.0, JobOutcome::Completed));
         assert_eq!(sched.borrow().total_cores(), 2, "no capacity was lost");
+    }
+
+    #[test]
+    fn a_job_that_leaves_running_early_takes_its_finish_event_along() {
+        // regression: the finish event of a job cancelled, killed or lost
+        // with its node used to stay queued, fire at t = 3600 and return,
+        // so a drained simulation ended an hour after its last job
+        type Exit = fn(&Rc<RefCell<ClusterScheduler>>, &mut Sim, SchedJobId);
+        let exits: [(Exit, JobOutcome); 3] = [
+            (
+                |s, sim, id| assert!(ClusterScheduler::cancel(s, sim, id)),
+                JobOutcome::Cancelled,
+            ),
+            (
+                |s, sim, id| assert!(ClusterScheduler::kill(s, sim, id)),
+                JobOutcome::NodeFailure,
+            ),
+            (
+                |s, sim, _| ClusterScheduler::fail_node(s, sim, 0),
+                JobOutcome::NodeFailure,
+            ),
+        ];
+        for (exit, outcome) in exits {
+            let mut sim = Sim::new(0);
+            let sched = ClusterScheduler::new("c", 1, 2, SchedPolicy::Fcfs);
+            let (log, mk) = finish_recorder();
+            let id = ClusterScheduler::submit(&sched, &mut sim, req(2, 7200, 3600), mk(&log));
+            assert_eq!(sim.pending(), 1, "the running job's finish event");
+            let s2 = sched.clone();
+            sim.schedule(Duration::from_secs(10), move |sim| exit(&s2, sim, id));
+            assert_eq!(sim.run(), 1, "{outcome:?}: only the exit itself runs");
+            assert_eq!(*log.borrow(), vec![(10.0, outcome)]);
+            assert_eq!(sim.now(), SimTime::from_secs(10), "{outcome:?}");
+            assert_eq!(sim.pending(), 0, "{outcome:?}");
+            assert_eq!(sched.borrow().running_count(), 0);
+        }
     }
 
     #[test]

@@ -13,8 +13,13 @@
 //! [`Sim::run`] exploits to execute same-tick batches under a single clock
 //! update. Pop order is exactly the old heap's `(time, seq)` total order —
 //! the golden CSVs of every bench tier are byte-identical either way.
+//!
+//! The closures wait beside the wheel, in a slab; a wheel entry names its
+//! closure's slot. Taking an event back ([`Sim::cancel_event`]) empties
+//! the slot at once, and an entry whose slot no longer holds its closure
+//! is skipped — see [`EventId`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::metrics::Recorder;
@@ -26,58 +31,60 @@ use crate::wheel::{Entry, TimerWheel};
 /// A pending event: a one-shot closure over the simulator.
 pub type Event = Box<dyn FnOnce(&mut Sim)>;
 
-/// Hasher for the pending-id set. Seqs are unique counters, so a single
-/// multiplicative mix replaces SipHash on the per-event hot path.
-#[derive(Default, Clone)]
-struct SeqHasher(u64);
-
-impl std::hash::Hasher for SeqHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
-type SeqSet = HashSet<u64, std::hash::BuildHasherDefault<SeqHasher>>;
-
 /// Handle to a scheduled event, usable with [`Sim::cancel_event`].
 ///
-/// ## Live-id-set semantics
+/// ## Slot + sequence semantics
 ///
-/// An `EventId` wraps the event's scheduling sequence number, and the
-/// simulator keeps a *live-id set* of sequence numbers that have neither
-/// fired nor been cancelled. That set is the single source of truth for
-/// liveness:
+/// A scheduled closure waits in a slot of the simulator's slab; an
+/// `EventId` names that slot and the event's scheduling sequence number.
+/// The slot is the single source of truth for liveness: an event is live
+/// iff its slot still holds the closure scheduled under its `seq`.
 ///
-/// * `cancel_event` removes the id from the set and returns whether it was
-///   still a member — so cancelling an id whose event already **fired**
-///   returns `false` (the pop removed it), as does cancelling twice.
-/// * Cancelled entries stay physically parked in the timer wheel until
-///   their instant comes up, at which point they are skipped without
-///   advancing the clock; no tombstone state survives a run.
-/// * Sequence numbers are never reused, so a stale `EventId` can never
-///   alias a newer event.
+/// * `cancel_event` takes the closure out of the slot and drops it there
+///   and then — whatever it captured is released at cancel time, not at
+///   the event's instant — and returns whether there was one to take. So
+///   cancelling an id whose event already **fired** returns `false`
+///   (firing emptied the slot), as does cancelling twice.
+/// * What still waits in the timer wheel is the event's `(at, seq, slot)`
+///   entry, three words and no closure: when its instant comes up it is
+///   skipped without advancing the clock, so a retracted event never
+///   fires and never moves the clock.
+/// * Slots are reused, sequence numbers never are, so a stale `EventId` —
+///   or a stale wheel entry — can never alias the later event that now
+///   sits in its slot.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
+pub struct EventId {
+    slot: usize,
+    seq: u64,
+}
+
+/// One cell of the closure slab. A vacated slot keeps its last `seq`
+/// until the free list hands it to a later event.
+struct Slot {
+    seq: u64,
+    event: Option<Event>,
+}
+
+/// The wheel's liveness predicate: does the entry's slot still hold the
+/// closure scheduled under the entry's `seq`?
+fn is_live(slots: &[Slot], e: &Entry<usize>) -> bool {
+    let slot = &slots[e.item];
+    slot.seq == e.seq && slot.event.is_some()
+}
 
 /// The discrete-event simulator.
 pub struct Sim {
     now: SimTime,
     seq: u64,
     executed: u64,
-    queue: TimerWheel<Event>,
-    /// Seqs of queued events that have neither fired nor been cancelled.
-    /// Membership is the single source of truth for liveness: ids leave the
-    /// set on cancel *or* on pop, so a cancel after firing is a clean `false`
-    /// and nothing accumulates across a run.
-    pending_ids: SeqSet,
+    /// `(at, seq, slot)` per scheduled event, cancelled ones included
+    /// until the wheel sweeps them.
+    queue: TimerWheel<usize>,
+    /// The closures of the events that have neither fired nor been
+    /// cancelled, each in the slot its `EventId` names.
+    slots: Vec<Slot>,
+    /// Vacant slots, reused last-vacated first.
+    free: Vec<usize>,
     recorder: Recorder,
     rng: Rng,
     /// Structured telemetry store; `None` until `enable_telemetry`. Kept
@@ -103,7 +110,8 @@ impl Sim {
             seq: 0,
             executed: 0,
             queue: TimerWheel::new(),
-            pending_ids: SeqSet::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
             recorder: Recorder::new(Duration::from_secs(3)),
             rng: Rng::new(seed),
             telemetry: None,
@@ -145,11 +153,11 @@ impl Sim {
         self.executed
     }
 
-    /// Number of events still pending — *live* events only. Cancelled
-    /// events lazily parked in the queue until their instant comes up do
-    /// not count (they used to, which overcounted after any cancel).
+    /// Number of events still pending — *live* events only: the occupied
+    /// slots. Cancelled events whose wheel entries wait to be swept do not
+    /// count (they used to, which overcounted after any cancel).
     pub fn pending(&self) -> usize {
-        self.pending_ids.len()
+        self.slots.len() - self.free.len()
     }
 
     /// Schedule `f` to run after `delay`.
@@ -191,61 +199,64 @@ impl Sim {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.pending_ids.insert(seq);
-        self.queue.push(at.ticks(), seq, event);
+        let filled = Slot {
+            seq,
+            event: Some(event),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = filled;
+                slot
+            }
+            None => {
+                self.slots.push(filled);
+                self.slots.len() - 1
+            }
+        };
+        self.queue.push(at.ticks(), seq, slot);
         if self.queue.len() > self.queue_high_water {
             self.queue_high_water = self.queue.len();
         }
-        EventId(seq)
+        EventId { slot, seq }
     }
 
-    /// Schedule `f` to run after `delay`, counting its execution under
-    /// `label` in [`Sim::profile`]'s events-by-label table.
-    ///
-    /// With telemetry disabled this is exactly [`Sim::schedule`] — same
-    /// sequence allocation, same closure — so enabling telemetry cannot
-    /// perturb event ordering. Cancelled events are never counted: the
-    /// label is bumped at fire time, not at scheduling time.
-    pub fn schedule_labeled<F>(&mut self, delay: Duration, label: &'static str, f: F) -> EventId
-    where
-        F: FnOnce(&mut Sim) + 'static,
-    {
-        if self.telemetry.is_none() {
-            return self.schedule(delay, f);
-        }
-        self.schedule(delay, move |sim| {
-            if let Some(t) = sim.telemetry.as_mut() {
-                *t.labels.entry(label).or_insert(0) += 1;
-            }
-            f(sim)
-        })
+    /// Take the closure scheduled under `(slot, seq)` out of the slab and
+    /// vacate the slot. `None` when that event fired or was cancelled —
+    /// whether the slot is empty or holds a later event by now.
+    fn take(&mut self, slot: usize, seq: u64) -> Option<Event> {
+        let event = self
+            .slots
+            .get_mut(slot)
+            .filter(|s| s.seq == seq)?
+            .event
+            .take()?;
+        self.free.push(slot);
+        Some(event)
     }
 
-    /// Drop a pending event before it fires. Returns `false` if it already
-    /// ran, was already cancelled, or never existed.
+    /// Drop a pending event before it fires — the closure and everything
+    /// it captured go now, not at the event's instant. Returns `false` if
+    /// it already ran, was already cancelled, or never existed.
     pub fn cancel_event(&mut self, id: EventId) -> bool {
-        self.pending_ids.remove(&id.0)
+        self.take(id.slot, id.seq).is_some()
     }
 
     /// Execute the next pending event, advancing the clock to it. Returns
     /// `false` when the queue is empty. Cancelled events are dropped
     /// silently without advancing time.
     pub fn step(&mut self) -> bool {
-        let next = {
-            let ids = &self.pending_ids;
-            self.queue.pop_next(u64::MAX, |seq| ids.contains(&seq))
+        let slots = &self.slots;
+        let Some(ev) = self.queue.pop_next(u64::MAX, |e| is_live(slots, e)) else {
+            return false;
         };
-        match next {
-            Some(ev) => {
-                self.pending_ids.remove(&ev.seq);
-                debug_assert!(ev.at >= self.now.ticks(), "event queue went backwards");
-                self.now = SimTime::from_ticks(ev.at);
-                self.executed += 1;
-                (ev.item)(self);
-                true
-            }
-            None => false,
-        }
+        let event = self
+            .take(ev.item, ev.seq)
+            .expect("the wheel pops live entries only");
+        debug_assert!(ev.at >= self.now.ticks(), "event queue went backwards");
+        self.now = SimTime::from_ticks(ev.at);
+        self.executed += 1;
+        event(self);
+        true
     }
 
     /// Run until the queue drains. Returns the number of events executed by
@@ -275,21 +286,22 @@ impl Sim {
     /// `limit` (in `(time, seq)` order), returning how many ran.
     fn drain_batched(&mut self, limit: u64) -> u64 {
         let before = self.executed;
-        let mut batch: Vec<Entry<Event>> = Vec::new();
+        let mut batch: Vec<Entry<usize>> = Vec::new();
         loop {
-            let tick = {
-                let ids = &self.pending_ids;
-                self.queue.pop_tick_batch(limit, |seq| ids.contains(&seq), &mut batch)
-            };
+            let slots = &self.slots;
+            let tick = self
+                .queue
+                .pop_tick_batch(limit, |e| is_live(slots, e), &mut batch);
             let Some(tick) = tick else { break };
             debug_assert!(tick >= self.now.ticks(), "event queue went backwards");
             self.now = SimTime::from_ticks(tick);
             for ev in batch.drain(..) {
-                // settle against the live-id set per event: an earlier
-                // batch member may have cancelled a later one
-                if self.pending_ids.remove(&ev.seq) {
+                // settle against the slab per event: an earlier batch
+                // member may have cancelled a later one, and another may
+                // have re-used the slot that freed
+                if let Some(event) = self.take(ev.item, ev.seq) {
                     self.executed += 1;
-                    (ev.item)(self);
+                    event(self);
                 }
             }
         }
@@ -298,8 +310,8 @@ impl Sim {
 
     // -- telemetry ----------------------------------------------------------
 
-    /// Turn on structured telemetry (spans, counters, histograms, labelled
-    /// events). Idempotent. Until this is called every span/counter entry
+    /// Turn on structured telemetry (spans, counters, histograms).
+    /// Idempotent. Until this is called every span/counter entry
     /// point is a single null check returning immediately.
     pub fn enable_telemetry(&mut self) {
         if self.telemetry.is_none() {
@@ -416,10 +428,9 @@ impl Sim {
     }
 
     /// Kernel self-profiling snapshot: events executed/pending, queue depth
-    /// high-water, executed counts per `schedule_labeled` label,
-    /// per-server busy/utilization rollups derived from the recorder's
-    /// `*.busy` series, and host time per closure when
-    /// [`Sim::enable_host_profile`] is on.
+    /// high-water, per-server busy/utilization rollups derived from the
+    /// recorder's `*.busy` series, and executions and host time per
+    /// closure when [`Sim::enable_host_profile`] is on.
     pub fn profile(&self) -> KernelProfile {
         let now_secs = self.now.as_secs_f64();
         let server_busy = self
@@ -452,18 +463,8 @@ impl Sim {
         });
         KernelProfile {
             events_executed: self.executed,
-            pending_events: self.pending_ids.len(),
+            pending_events: self.pending(),
             queue_depth_high_water: self.queue_high_water,
-            events_by_label: self
-                .telemetry
-                .as_ref()
-                .map(|t| {
-                    t.labels
-                        .iter()
-                        .map(|(k, v)| ((*k).to_owned(), *v))
-                        .collect()
-                })
-                .unwrap_or_default(),
             server_busy,
             host_time_by_closure,
         }
@@ -486,10 +487,375 @@ impl Sim {
             None => String::from("telemetry disabled\n"),
         }
     }
+}
 
-    #[cfg(test)]
-    fn live_ids(&self) -> usize {
-        self.pending_ids.len()
+/// The kernel as it was before closures moved into the slab — boxed
+/// closures parked in the wheel beside a set of live sequence numbers,
+/// a cancelled closure kept until its instant — cut down to the clock and
+/// the queue and kept as an executable reference, so the equivalence
+/// property below can hold the slab kernel to the set's verdicts op for op.
+#[cfg(test)]
+mod set_model {
+    use std::collections::HashSet;
+
+    use crate::wheel::{Entry, TimerWheel};
+
+    pub type Event = Box<dyn FnOnce(&mut SetSim)>;
+
+    /// [`super::Sim`] as it was: times in ticks, ids bare sequence numbers.
+    #[derive(Default)]
+    pub struct SetSim {
+        now: u64,
+        seq: u64,
+        executed: u64,
+        queue: TimerWheel<Event>,
+        pending_ids: HashSet<u64>,
+    }
+
+    impl SetSim {
+        pub fn now(&self) -> u64 {
+            self.now
+        }
+
+        pub fn events_executed(&self) -> u64 {
+            self.executed
+        }
+
+        pub fn pending(&self) -> usize {
+            self.pending_ids.len()
+        }
+
+        pub fn schedule(&mut self, delay: u64, event: Event) -> u64 {
+            let seq = self.seq;
+            self.seq += 1;
+            self.pending_ids.insert(seq);
+            self.queue.push(self.now + delay, seq, event);
+            seq
+        }
+
+        pub fn cancel_event(&mut self, id: u64) -> bool {
+            self.pending_ids.remove(&id)
+        }
+
+        pub fn step(&mut self) -> bool {
+            let ids = &self.pending_ids;
+            match self.queue.pop_next(u64::MAX, |e| ids.contains(&e.seq)) {
+                Some(ev) => {
+                    self.pending_ids.remove(&ev.seq);
+                    self.now = ev.at;
+                    self.executed += 1;
+                    (ev.item)(self);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        pub fn run(&mut self) -> u64 {
+            self.drain_batched(u64::MAX)
+        }
+
+        pub fn run_until(&mut self, deadline: u64) -> u64 {
+            let n = self.drain_batched(deadline);
+            self.now = self.now.max(deadline);
+            n
+        }
+
+        fn drain_batched(&mut self, limit: u64) -> u64 {
+            let before = self.executed;
+            let mut batch: Vec<Entry<Event>> = Vec::new();
+            loop {
+                let ids = &self.pending_ids;
+                let tick = self
+                    .queue
+                    .pop_tick_batch(limit, |e| ids.contains(&e.seq), &mut batch);
+                let Some(tick) = tick else { break };
+                self.now = tick;
+                for ev in batch.drain(..) {
+                    if self.pending_ids.remove(&ev.seq) {
+                        self.executed += 1;
+                        (ev.item)(self);
+                    }
+                }
+            }
+            self.executed - before
+        }
+    }
+}
+
+#[cfg(test)]
+mod equivalence {
+    use super::set_model::SetSim;
+    use super::*;
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// What the property drives on both kernels, times in ticks.
+    trait Kernel: Sized + 'static {
+        type Id: Copy;
+        fn create() -> Self;
+        fn schedule(&mut self, delay: u64, event: Box<dyn FnOnce(&mut Self)>) -> Self::Id;
+        fn cancel(&mut self, id: Self::Id) -> bool;
+        /// The `n`th of a family of ids no `schedule` ever returned.
+        fn never_issued(n: usize) -> Self::Id;
+        /// The sequence number an id was issued under.
+        fn seq_of(id: Self::Id) -> u64;
+        fn step(&mut self) -> bool;
+        fn run_for(&mut self, horizon: u64) -> u64;
+        fn run(&mut self) -> u64;
+        /// `(now, pending, executed)`.
+        fn clock(&self) -> (u64, usize, u64);
+    }
+
+    impl Kernel for Sim {
+        type Id = EventId;
+        fn create() -> Self {
+            Sim::new(0)
+        }
+        fn schedule(&mut self, delay: u64, event: Event) -> EventId {
+            Sim::schedule(self, Duration::from_micros(delay), event)
+        }
+        fn cancel(&mut self, id: EventId) -> bool {
+            self.cancel_event(id)
+        }
+        fn never_issued(n: usize) -> EventId {
+            // low slots exist and are in use; the seq is what was never issued
+            EventId {
+                slot: n % 4,
+                seq: u64::MAX - n as u64,
+            }
+        }
+        fn seq_of(id: EventId) -> u64 {
+            id.seq
+        }
+        fn step(&mut self) -> bool {
+            Sim::step(self)
+        }
+        fn run_for(&mut self, horizon: u64) -> u64 {
+            let deadline = self.now() + Duration::from_micros(horizon);
+            self.run_until(deadline)
+        }
+        fn run(&mut self) -> u64 {
+            Sim::run(self)
+        }
+        fn clock(&self) -> (u64, usize, u64) {
+            (self.now().ticks(), self.pending(), self.events_executed())
+        }
+    }
+
+    impl Kernel for SetSim {
+        type Id = u64;
+        fn create() -> Self {
+            SetSim::default()
+        }
+        fn schedule(&mut self, delay: u64, event: set_model::Event) -> u64 {
+            SetSim::schedule(self, delay, event)
+        }
+        fn cancel(&mut self, id: u64) -> bool {
+            self.cancel_event(id)
+        }
+        fn never_issued(n: usize) -> u64 {
+            u64::MAX - n as u64
+        }
+        fn seq_of(id: u64) -> u64 {
+            id
+        }
+        fn step(&mut self) -> bool {
+            SetSim::step(self)
+        }
+        fn run_for(&mut self, horizon: u64) -> u64 {
+            let deadline = self.now() + horizon;
+            self.run_until(deadline)
+        }
+        fn run(&mut self) -> u64 {
+            SetSim::run(self)
+        }
+        fn clock(&self) -> (u64, usize, u64) {
+            (self.now(), self.pending(), self.events_executed())
+        }
+    }
+
+    /// What an event does when it fires, after logging itself.
+    #[derive(Debug, Clone, Copy)]
+    enum Then {
+        Nothing,
+        /// Schedule a follow-up this far ahead (0 extends the running batch
+        /// and, after a cancel in the same batch, re-uses the freed slot).
+        Schedule(u64),
+        /// Cancel the `nth % issued` id — a later member of the running
+        /// batch, an event long fired, itself.
+        Cancel(usize),
+    }
+
+    /// One step of a program against a kernel.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Schedule {
+            delay: u64,
+            then: Then,
+        },
+        /// Cancel the `nth % issued` id: live, fired or already cancelled.
+        Cancel(usize),
+        CancelNeverIssued(usize),
+        Step,
+        RunFor(u64),
+        Run,
+    }
+
+    fn arb_delay() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64), // same-tick burst pressure
+            0u64..8,
+            0u64..1_000_000,            // spans several wheel levels
+            (1u64 << 48)..(1u64 << 52), // the wheel's overflow map
+        ]
+    }
+
+    fn arb_then() -> impl Strategy<Value = Then> {
+        prop_oneof![
+            Just(Then::Nothing),
+            arb_delay().prop_map(Then::Schedule),
+            Just(Then::Schedule(0)),
+            (0usize..1 << 16).prop_map(Then::Cancel),
+        ]
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let arb_schedule =
+            || (arb_delay(), arb_then()).prop_map(|(delay, then)| Op::Schedule { delay, then });
+        prop_oneof![
+            arb_schedule(),
+            arb_schedule(),
+            arb_schedule(),
+            (0usize..1 << 16).prop_map(Op::Cancel),
+            (0usize..1 << 16).prop_map(Op::Cancel),
+            (0usize..64).prop_map(Op::CancelNeverIssued),
+            Just(Op::Step),
+            Just(Op::Step),
+            (0u64..200_000).prop_map(Op::RunFor),
+            Just(Op::Run),
+        ]
+    }
+
+    /// Everything a program can observe of the kernel under it.
+    #[derive(Debug, Default, PartialEq)]
+    struct Observed {
+        /// Event numbers in firing order (follow-ups offset by 2²⁰).
+        fired: Vec<usize>,
+        /// Sequence number of every id handed out, in issue order.
+        seqs: Vec<u64>,
+        /// Every `cancel_event` verdict, from the program or from an event.
+        verdicts: Vec<bool>,
+        /// What `step` / `run_until` / `run` returned.
+        returns: Vec<u64>,
+        /// `(now, pending, executed)` after every op, and after the final drain.
+        clocks: Vec<(u64, usize, u64)>,
+    }
+
+    struct Run<K: Kernel> {
+        ids: Vec<K::Id>,
+        seen: Observed,
+    }
+
+    fn event<K: Kernel>(
+        run: &Rc<RefCell<Run<K>>>,
+        n: usize,
+        then: Then,
+    ) -> Box<dyn FnOnce(&mut K)> {
+        let run = Rc::clone(run);
+        Box::new(move |k: &mut K| {
+            run.borrow_mut().seen.fired.push(n);
+            match then {
+                Then::Nothing => {}
+                Then::Schedule(delay) => {
+                    let id = k.schedule(delay, event(&run, n + (1 << 20), Then::Nothing));
+                    let mut run = run.borrow_mut();
+                    run.ids.push(id);
+                    run.seen.seqs.push(K::seq_of(id));
+                }
+                Then::Cancel(nth) => {
+                    let id = {
+                        let run = run.borrow();
+                        run.ids[nth % run.ids.len()]
+                    };
+                    // the cancelled closure is dropped here on the slab
+                    // kernel: `run` must not be borrowed across it
+                    let verdict = k.cancel(id);
+                    run.borrow_mut().seen.verdicts.push(verdict);
+                }
+            }
+        })
+    }
+
+    fn run_program<K: Kernel>(ops: &[Op]) -> Observed {
+        let mut k = K::create();
+        let run = Rc::new(RefCell::new(Run::<K> {
+            ids: Vec::new(),
+            seen: Observed::default(),
+        }));
+        for (n, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Schedule { delay, then } => {
+                    let id = k.schedule(delay, event(&run, n, then));
+                    let mut run = run.borrow_mut();
+                    run.ids.push(id);
+                    run.seen.seqs.push(K::seq_of(id));
+                }
+                Op::Cancel(nth) => {
+                    let id = {
+                        let run = run.borrow();
+                        run.ids.get(nth % run.ids.len().max(1)).copied()
+                    };
+                    if let Some(id) = id {
+                        let verdict = k.cancel(id);
+                        run.borrow_mut().seen.verdicts.push(verdict);
+                    }
+                }
+                Op::CancelNeverIssued(n) => {
+                    let verdict = k.cancel(K::never_issued(n));
+                    run.borrow_mut().seen.verdicts.push(verdict);
+                }
+                Op::Step => {
+                    let ran = k.step();
+                    run.borrow_mut().seen.returns.push(ran as u64);
+                }
+                Op::RunFor(horizon) => {
+                    let ran = k.run_for(horizon);
+                    run.borrow_mut().seen.returns.push(ran);
+                }
+                Op::Run => {
+                    let ran = k.run();
+                    run.borrow_mut().seen.returns.push(ran);
+                }
+            }
+            run.borrow_mut().seen.clocks.push(k.clock());
+        }
+        k.run();
+        run.borrow_mut().seen.clocks.push(k.clock());
+        let seen = std::mem::take(&mut run.borrow_mut().seen);
+        seen
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The slab kernel and the retired set-based kernel agree on
+        /// everything a program can observe — firing order, the sequence
+        /// number behind every id, every `cancel_event` verdict (live,
+        /// fired, repeated and never-issued ids; from outside and from
+        /// inside a running batch), what each drain returned, and `now`,
+        /// `pending` and `events_executed` after every op — over arbitrary
+        /// schedule / cancel / step / run_until / run programs with
+        /// same-tick bursts, nested scheduling and far-future delays.
+        #[test]
+        fn slab_kernel_matches_the_set_kernel(
+            ops in proptest::collection::vec(arb_op(), 1..120),
+        ) {
+            let slab = run_program::<Sim>(&ops);
+            let set = run_program::<SetSim>(&ops);
+            prop_assert_eq!(slab, set);
+        }
     }
 }
 
@@ -675,14 +1041,12 @@ mod tests {
         let id = sim.schedule(Duration::from_secs(1), |_| {});
         assert!(sim.cancel_event(id));
         assert!(!sim.cancel_event(id), "second cancel is a no-op");
-        // ids never handed out are rejected outright
-        let fake = {
-            let probe = sim.schedule(Duration::from_secs(2), |_| {});
-            sim.cancel_event(probe);
-            probe
-        };
-        let _ = fake;
-        sim.run();
+        // ids never handed out are rejected outright: a slot that does
+        // not exist, and a live slot under a seq it was never given
+        let live = sim.schedule(Duration::from_secs(2), |_| {});
+        assert!(!sim.cancel_event(EventId { slot: 99, seq: 0 }));
+        assert!(!sim.cancel_event(EventId { seq: 99, ..live }));
+        assert_eq!(sim.run(), 1);
     }
 
     #[test]
@@ -709,7 +1073,7 @@ mod tests {
         // without bound
         assert!(!sim.cancel_event(id), "event already ran");
         assert!(!sim.cancel_event(id), "still false on repeat");
-        assert_eq!(sim.live_ids(), 0, "no tracking state left behind");
+        assert_eq!(sim.pending(), 0, "no tracking state left behind");
     }
 
     #[test]
@@ -718,9 +1082,105 @@ mod tests {
         let real = sim.schedule(Duration::from_secs(1), |_| {});
         assert!(sim.cancel_event(real));
         assert!(!sim.cancel_event(real));
-        assert_eq!(sim.live_ids(), 0);
+        assert_eq!(sim.pending(), 0);
         sim.run();
         assert_eq!(sim.events_executed(), 0);
+    }
+
+    #[test]
+    fn cancel_drops_the_closure_at_cancel_time() {
+        // regression: a cancelled closure used to stay parked in the wheel
+        // until its instant — 48 h for every disarmed watchdog
+        let mut sim = Sim::new(0);
+        let handle = Rc::new(());
+        let captured = Rc::clone(&handle);
+        let id = sim.schedule(Duration::from_secs(48 * 3600), move |_| drop(captured));
+        sim.schedule(Duration::from_secs(1), |_| {});
+        assert_eq!(Rc::strong_count(&handle), 2);
+        assert!(sim.cancel_event(id));
+        assert_eq!(Rc::strong_count(&handle), 1, "freed now, not at t = 48 h");
+        assert_eq!(sim.pending(), 1);
+        sim.run();
+        assert_eq!(sim.now(), SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn an_id_whose_slot_was_reused_cancels_nothing() {
+        let mut sim = Sim::new(0);
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let log = |tag: &'static str| {
+            let fired = fired.clone();
+            move |_: &mut Sim| fired.borrow_mut().push(tag)
+        };
+        // vacated by cancel, then re-used
+        let a = sim.schedule(Duration::from_secs(5), log("a"));
+        assert!(sim.cancel_event(a));
+        let b = sim.schedule(Duration::from_secs(2), log("b"));
+        assert_eq!(a.slot, b.slot, "the freed slot is handed out again");
+        assert!(!sim.cancel_event(a), "stale id must not hit the new tenant");
+        assert_eq!(sim.pending(), 1);
+        // vacated by firing, then re-used
+        sim.run();
+        let c = sim.schedule(Duration::from_secs(1), log("c"));
+        assert_eq!(b.slot, c.slot);
+        assert!(!sim.cancel_event(b), "fired id must not hit the new tenant");
+        sim.run();
+        assert_eq!(*fired.borrow(), vec!["b", "c"]);
+        // the dead wheel entry for `a` (t = 5) never moved the clock
+        assert_eq!(sim.now(), SimTime::from_secs(3));
+    }
+
+    #[test]
+    fn in_batch_cancel_then_slot_reuse_suppresses_exactly_the_cancelled_member() {
+        // three members of one tick: the first cancels the third, the second
+        // schedules same-tick follow-ups into every slot vacated so far.
+        // The third's wheel entry is already in the running batch and now
+        // points at a slot holding a live closure — it must still be dead.
+        let build = |sim: &mut Sim, log: &Rc<RefCell<Vec<&'static str>>>| {
+            let victim: Rc<RefCell<Option<EventId>>> = Rc::new(RefCell::new(None));
+            let (l, v) = (log.clone(), victim.clone());
+            sim.schedule(Duration::from_secs(1), move |sim| {
+                l.borrow_mut().push("first");
+                let id = v.borrow().expect("victim scheduled");
+                assert!(sim.cancel_event(id));
+            });
+            let (l, v) = (log.clone(), victim.clone());
+            sim.schedule(Duration::from_secs(1), move |sim| {
+                l.borrow_mut().push("second");
+                let victim = v.borrow().expect("victim scheduled");
+                let tenants: Vec<EventId> = (0..3)
+                    .map(|_| {
+                        let l = l.clone();
+                        sim.schedule(Duration::ZERO, move |_| l.borrow_mut().push("tenant"))
+                    })
+                    .collect();
+                assert!(
+                    tenants.iter().any(|t| t.slot == victim.slot),
+                    "the freed slot is re-used in-batch: {tenants:?}"
+                );
+            });
+            let l = log.clone();
+            let id = sim.schedule(Duration::from_secs(1), move |_| {
+                l.borrow_mut().push("third")
+            });
+            *victim.borrow_mut() = Some(id);
+        };
+        for stepwise in [false, true] {
+            let mut sim = Sim::new(0);
+            let log = Rc::new(RefCell::new(Vec::new()));
+            build(&mut sim, &log);
+            if stepwise {
+                while sim.step() {}
+            } else {
+                sim.run();
+            }
+            assert_eq!(
+                *log.borrow(),
+                vec!["first", "second", "tenant", "tenant", "tenant"]
+            );
+            assert_eq!(sim.events_executed(), 5);
+            assert_eq!(sim.pending(), 0);
+        }
     }
 
     #[test]
@@ -785,32 +1245,6 @@ mod tests {
         let s = sim.telemetry().unwrap().span(id).unwrap();
         assert!(s.failed);
         assert_eq!(s.attr("error").map(|v| v.to_string()), Some("boom".into()));
-    }
-
-    #[test]
-    fn labeled_events_count_executions_not_schedules() {
-        let mut sim = Sim::new(0);
-        sim.enable_telemetry();
-        for _ in 0..3 {
-            sim.schedule_labeled(Duration::from_secs(1), "tick", |_| {});
-        }
-        let cancelled = sim.schedule_labeled(Duration::from_secs(1), "tick", |_| {});
-        sim.cancel_event(cancelled);
-        sim.run();
-        let labels: Vec<_> = sim.telemetry().unwrap().labels().collect();
-        assert_eq!(labels, vec![("tick", 3)]);
-        let profile = sim.profile();
-        assert_eq!(profile.events_by_label, vec![("tick".to_string(), 3)]);
-    }
-
-    #[test]
-    fn labeled_schedule_allocates_same_seq_when_disabled() {
-        // determinism guard: schedule_labeled must not change event ids
-        let mut plain = Sim::new(0);
-        let a = plain.schedule(Duration::from_secs(1), |_| {});
-        let mut labeled = Sim::new(0);
-        let b = labeled.schedule_labeled(Duration::from_secs(1), "x", |_| {});
-        assert_eq!(a, b);
     }
 
     #[test]

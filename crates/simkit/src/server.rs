@@ -17,7 +17,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::engine::Sim;
+use crate::engine::{EventId, Sim};
 use crate::metrics::{MetricId, Recorder};
 use crate::time::{Duration, SimTime, TICKS_PER_SEC};
 
@@ -141,7 +141,8 @@ pub struct PsServer {
     flows: Vec<PsFlow>,
     next_id: u64,
     last_update: SimTime,
-    epoch: u64,
+    /// The pending completion tick, if any flow can still finish.
+    tick: Option<EventId>,
     metric_ids: Option<MetricIdCache>,
     /// Active flows whose share differs from `Share::default()`. While this
     /// is zero `recompute_rates` takes the closed-form equal-split path.
@@ -173,7 +174,7 @@ impl PsServer {
             flows: Vec::new(),
             next_id: 0,
             last_update: SimTime::ZERO,
-            epoch: 0,
+            tick: None,
             metric_ids: None,
             nondefault_shares: 0,
             scratch_fixed: Vec::new(),
@@ -396,28 +397,24 @@ impl PsServer {
             })
     }
 
+    /// Replace the pending completion tick: the one a submit, cancel or
+    /// capacity change just superseded is retracted, never left to fire.
     fn reschedule(this: &Rc<RefCell<Self>>, sim: &mut Sim) {
-        let (epoch, delay) = {
-            let mut s = this.borrow_mut();
-            s.epoch += 1;
-            match s.next_completion_secs() {
-                Some(secs) => (s.epoch, ceil_ticks(secs)),
-                None => return,
-            }
-        };
-        let this = Rc::clone(this);
-        sim.schedule(delay, move |sim| {
-            Self::on_tick(&this, sim, epoch);
-        });
+        let mut s = this.borrow_mut();
+        if let Some(superseded) = s.tick.take() {
+            sim.cancel_event(superseded);
+        }
+        if let Some(secs) = s.next_completion_secs() {
+            let this = Rc::clone(this);
+            s.tick = Some(sim.schedule(ceil_ticks(secs), move |sim| Self::on_tick(&this, sim)));
+        }
     }
 
-    fn on_tick(this: &Rc<RefCell<Self>>, sim: &mut Sim, epoch: u64) {
+    fn on_tick(this: &Rc<RefCell<Self>>, sim: &mut Sim) {
         let mut completed: Vec<DoneFn> = Vec::new();
         {
             let mut s = this.borrow_mut();
-            if s.epoch != epoch {
-                return; // superseded by a later submit/cancel
-            }
+            s.tick = None;
             s.advance(sim);
             // drain every flow that finished this tick in one pass (ascending
             // FlowId order, matching callback FIFO expectations)
@@ -460,7 +457,8 @@ pub struct FifoServer {
     active_remaining: f64,
     active_initial: f64,
     last_update: SimTime,
-    epoch: u64,
+    /// The in-service job's pending completion tick.
+    tick: Option<EventId>,
     metric_ids: Option<MetricIdCache>,
 }
 
@@ -475,7 +473,7 @@ impl FifoServer {
             active_remaining: 0.0,
             active_initial: 0.0,
             last_update: SimTime::ZERO,
-            epoch: 0,
+            tick: None,
             metric_ids: None,
         }))
     }
@@ -593,29 +591,24 @@ impl FifoServer {
         self.last_update = now;
     }
 
+    /// Replace the pending completion tick, retracting the superseded one.
     fn reschedule(this: &Rc<RefCell<Self>>, sim: &mut Sim) {
-        let (epoch, delay) = {
-            let mut s = this.borrow_mut();
-            s.epoch += 1;
-            if s.queue.is_empty() {
-                return;
-            }
+        let mut s = this.borrow_mut();
+        if let Some(superseded) = s.tick.take() {
+            sim.cancel_event(superseded);
+        }
+        if !s.queue.is_empty() {
             let secs = s.active_remaining / s.cfg.capacity;
-            (s.epoch, ceil_ticks(secs))
-        };
-        let this = Rc::clone(this);
-        sim.schedule(delay, move |sim| {
-            Self::on_tick(&this, sim, epoch);
-        });
+            let this = Rc::clone(this);
+            s.tick = Some(sim.schedule(ceil_ticks(secs), move |sim| Self::on_tick(&this, sim)));
+        }
     }
 
-    fn on_tick(this: &Rc<RefCell<Self>>, sim: &mut Sim, epoch: u64) {
+    fn on_tick(this: &Rc<RefCell<Self>>, sim: &mut Sim) {
         let mut done_cb: Option<DoneFn> = None;
         {
             let mut s = this.borrow_mut();
-            if s.epoch != epoch {
-                return;
-            }
+            s.tick = None;
             s.advance(sim);
             if s.active_remaining <= finish_eps(s.active_initial) {
                 if let Some(mut job) = s.queue.pop_front() {
@@ -645,7 +638,7 @@ mod btree_model {
         ceil_ticks, finish_eps, intern_cfg, share_is_default, DoneFn, FlowId, MetricIdCache,
         ServerConfig, Share,
     };
-    use crate::engine::Sim;
+    use crate::engine::{EventId, Sim};
     use crate::time::SimTime;
 
     struct PsFlow {
@@ -662,7 +655,7 @@ mod btree_model {
         flows: BTreeMap<FlowId, PsFlow>,
         next_id: u64,
         last_update: SimTime,
-        epoch: u64,
+        tick: Option<EventId>,
         metric_ids: Option<MetricIdCache>,
         /// Active flows whose share differs from `Share::default()`. While this
         /// is zero `recompute_rates` takes the closed-form equal-split path.
@@ -681,7 +674,7 @@ mod btree_model {
                 flows: BTreeMap::new(),
                 next_id: 0,
                 last_update: SimTime::ZERO,
-                epoch: 0,
+                tick: None,
                 metric_ids: None,
                 nondefault_shares: 0,
                 scratch_fixed: Vec::new(),
@@ -891,27 +884,21 @@ mod btree_model {
         }
 
         fn reschedule(this: &Rc<RefCell<Self>>, sim: &mut Sim) {
-            let (epoch, delay) = {
-                let mut s = this.borrow_mut();
-                s.epoch += 1;
-                match s.next_completion_secs() {
-                    Some(secs) => (s.epoch, ceil_ticks(secs)),
-                    None => return,
-                }
-            };
-            let this = Rc::clone(this);
-            sim.schedule(delay, move |sim| {
-                Self::on_tick(&this, sim, epoch);
-            });
+            let mut s = this.borrow_mut();
+            if let Some(superseded) = s.tick.take() {
+                sim.cancel_event(superseded);
+            }
+            if let Some(secs) = s.next_completion_secs() {
+                let this = Rc::clone(this);
+                s.tick = Some(sim.schedule(ceil_ticks(secs), move |sim| Self::on_tick(&this, sim)));
+            }
         }
 
-        fn on_tick(this: &Rc<RefCell<Self>>, sim: &mut Sim, epoch: u64) {
+        fn on_tick(this: &Rc<RefCell<Self>>, sim: &mut Sim) {
             let mut completed: Vec<DoneFn> = Vec::new();
             {
                 let mut s = this.borrow_mut();
-                if s.epoch != epoch {
-                    return; // superseded by a later submit/cancel
-                }
+                s.tick = None;
                 s.advance(sim);
                 // drain every flow that finished this tick in one pass (ascending
                 // FlowId order, matching callback FIFO expectations)
@@ -1342,6 +1329,81 @@ mod tests {
         sim.run();
         // 500 units in the first 5 s, remaining 500 at 50/s → t=15
         assert!((at.get() - 15.0).abs() < 1e-3, "at {}", at.get());
+    }
+
+    #[test]
+    fn cancelled_flow_takes_the_tick_it_was_holding_along() {
+        // regression: the ticks superseded by the second submit (t = 2) and
+        // by the cancel (t = 100) used to fire and return, so this drained
+        // at t = 100 after 4 events, 2 of them no-ops
+        let mut sim = Sim::new(0);
+        let link = PsServer::new(ServerConfig::silent(1.0));
+        let long = PsServer::submit(&link, &mut sim, 100.0, |_| panic!("cancelled"));
+        let short = flag();
+        let s2 = short.clone();
+        PsServer::submit(&link, &mut sim, 1.0, move |sim| {
+            s2.set(sim.now().as_secs_f64())
+        });
+        assert_eq!(sim.pending(), 1, "one server, one pending tick");
+        let l2 = link.clone();
+        sim.schedule(Duration::from_secs(1), move |sim| {
+            assert!(PsServer::cancel(&l2, sim, long));
+        });
+        // half done at t = 1 sharing 0.5/s each, the rest alone at 1/s
+        assert_eq!(sim.run(), 2, "the cancel and the one live tick");
+        assert_eq!(short.get(), 1.5);
+        assert_eq!(sim.now(), SimTime::from_secs_f64(1.5));
+        assert_eq!(sim.pending(), 0);
+    }
+
+    #[test]
+    fn fifo_cancel_of_the_job_in_service_takes_its_tick_along() {
+        // regression: the cancelled head's completion tick (t = 100) used
+        // to fire and return, dragging the drain clock there
+        let mut sim = Sim::new(0);
+        let disk = FifoServer::new(ServerConfig::silent(1.0));
+        let head = FifoServer::submit(&disk, &mut sim, 100.0, |_| panic!("cancelled"));
+        let next = flag();
+        let n2 = next.clone();
+        FifoServer::submit(&disk, &mut sim, 1.0, move |sim| {
+            n2.set(sim.now().as_secs_f64())
+        });
+        let d2 = disk.clone();
+        sim.schedule(Duration::from_secs(1), move |sim| {
+            assert!(FifoServer::cancel(&d2, sim, head));
+        });
+        assert_eq!(sim.run(), 2, "the cancel and the successor's tick");
+        assert_eq!(next.get(), 2.0);
+        assert_eq!(sim.now(), SimTime::from_secs(2));
+        assert_eq!(sim.pending(), 0);
+    }
+
+    #[test]
+    fn raising_capacity_mid_flow_retracts_the_slower_tick() {
+        // regression: the tick computed at the old capacity (t = 100) used
+        // to fire and return after the flow had long finished at t = 2
+        let mut sim = Sim::new(0);
+        let link = PsServer::new(ServerConfig::silent(1.0));
+        let disk = FifoServer::new(ServerConfig::silent(1.0));
+        let (flow, job) = (flag(), flag());
+        let (f2, j2) = (flow.clone(), job.clone());
+        PsServer::submit(&link, &mut sim, 100.0, move |sim| {
+            f2.set(sim.now().as_secs_f64())
+        });
+        FifoServer::submit(&disk, &mut sim, 100.0, move |sim| {
+            j2.set(sim.now().as_secs_f64())
+        });
+        let (l2, d2) = (link.clone(), disk.clone());
+        sim.schedule(Duration::from_secs(1), move |sim| {
+            PsServer::set_capacity(&l2, sim, 99.0);
+            FifoServer::set_capacity(&d2, sim, 99.0);
+            assert_eq!(sim.pending(), 2, "one pending tick per server");
+        });
+        // 1 unit in the first second, the other 99 at 99/s
+        assert_eq!(sim.run(), 3, "the capacity change and one tick each");
+        assert_eq!((flow.get(), job.get()), (2.0, 2.0));
+        assert_eq!(sim.now(), SimTime::from_secs(2));
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]

@@ -149,8 +149,6 @@ pub struct Telemetry {
     pub(crate) counters: BTreeMap<&'static str, u64>,
     /// Closed-span durations in ticks, one log₂ histogram per span name.
     pub(crate) histos: BTreeMap<&'static str, WindowAgg>,
-    /// Labelled-event execution counts (see `Sim::schedule_labeled`).
-    pub(crate) labels: BTreeMap<&'static str, u64>,
     /// Per-bump counter history `(at, name, cumulative value)` — exported
     /// as Chrome-trace `"C"` counter tracks so Perfetto shows load curves
     /// alongside the spans.
@@ -238,11 +236,6 @@ impl Telemetry {
     /// The histogram of closed-span durations, in ticks, for a span name.
     pub fn histogram(&self, name: &str) -> Option<&WindowAgg> {
         self.histos.get(name)
-    }
-
-    /// Labelled-event execution counts (`Sim::schedule_labeled`).
-    pub fn labels(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.labels.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Whether `id` is `root` or transitively below it.
@@ -410,12 +403,6 @@ impl Telemetry {
                 out.push_str(&format!("  {name:<32} {v}\n"));
             }
         }
-        if !self.labels.is_empty() {
-            out.push_str("\nevents executed by label:\n");
-            for (name, v) in &self.labels {
-                out.push_str(&format!("  {name:<32} {v}\n"));
-            }
-        }
         out
     }
 }
@@ -472,12 +459,9 @@ pub struct KernelProfile {
     pub events_executed: u64,
     /// Events still queued.
     pub pending_events: usize,
-    /// Deepest the event queue ever got (includes cancelled entries still
-    /// physically in the heap).
+    /// Deepest the event queue ever got (includes cancelled entries the
+    /// wheel has not swept yet).
     pub queue_depth_high_water: usize,
-    /// Executed-event counts per `schedule_labeled` label (empty while
-    /// telemetry is disabled), sorted by label.
-    pub events_by_label: Vec<(String, u64)>,
     /// Per-server busy rollups from the metric recorder, one entry per
     /// `*.busy` series, sorted by key.
     pub server_busy: Vec<ServerBusy>,
@@ -554,9 +538,6 @@ impl std::fmt::Display for KernelProfile {
             "kernel: {} events executed, {} pending, queue high-water {}",
             self.events_executed, self.pending_events, self.queue_depth_high_water
         )?;
-        for (label, n) in &self.events_by_label {
-            writeln!(f, "  label {label:<28} {n}")?;
-        }
         for s in &self.server_busy {
             writeln!(
                 f,

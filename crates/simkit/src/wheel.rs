@@ -69,7 +69,8 @@ pub struct Entry<T> {
     pub at: u64,
     /// Scheduling sequence number (unique, monotonically increasing).
     pub seq: u64,
-    /// The payload (the kernel parks boxed event closures here).
+    /// The payload (the kernel parks the slab slot of the event's closure
+    /// here).
     pub item: T,
 }
 
@@ -201,7 +202,12 @@ impl<T> TimerWheel<T> {
     /// returned one stay parked. Returns `None` when nothing live is due
     /// by `limit` — the wheel (and its cursor) then sits at or before
     /// `limit`, ready for the clock to advance there.
-    pub fn pop_next(&mut self, limit: u64, is_live: impl Fn(u64) -> bool) -> Option<Entry<T>> {
+    #[inline]
+    pub fn pop_next(
+        &mut self,
+        limit: u64,
+        is_live: impl Fn(&Entry<T>) -> bool,
+    ) -> Option<Entry<T>> {
         loop {
             if let Some(e) = self.staged.pop_front() {
                 if e.at > limit {
@@ -209,7 +215,7 @@ impl<T> TimerWheel<T> {
                     return None;
                 }
                 self.len -= 1;
-                if is_live(e.seq) {
+                if is_live(&e) {
                     return Some(e);
                 }
                 continue;
@@ -223,13 +229,13 @@ impl<T> TimerWheel<T> {
     /// Drain *every* entry sharing the earliest live tick at or before
     /// `limit` into `out` (in `(tick, seq)` order), returning that tick.
     /// Entries are **not** liveness-filtered on the way out — the caller
-    /// settles each against its live-id set before executing, because an
-    /// entry earlier in the batch may cancel a later one. At least one
-    /// entry in the batch is guaranteed live at drain time.
+    /// settles each again just before executing it, because an entry
+    /// earlier in the batch may cancel a later one. At least one entry in
+    /// the batch is guaranteed live at drain time.
     pub fn pop_tick_batch(
         &mut self,
         limit: u64,
-        is_live: impl Fn(u64) -> bool,
+        is_live: impl Fn(&Entry<T>) -> bool,
         out: &mut Vec<Entry<T>>,
     ) -> Option<u64> {
         if self.staged.is_empty() && !self.stage_next_tick(limit, &is_live) {
@@ -248,7 +254,7 @@ impl<T> TimerWheel<T> {
     /// `limit`) and stage that tick's slot. Cascades higher-level slots
     /// and sweeps all-cancelled slots in place as it goes. Returns `false`
     /// without staging when nothing live is due by `limit`.
-    fn stage_next_tick(&mut self, limit: u64, is_live: &impl Fn(u64) -> bool) -> bool {
+    fn stage_next_tick(&mut self, limit: u64, is_live: &impl Fn(&Entry<T>) -> bool) -> bool {
         debug_assert!(self.staged.is_empty());
         loop {
             let Some((level, slot, start)) = self.find_earliest() else {
@@ -261,7 +267,7 @@ impl<T> TimerWheel<T> {
                 return false;
             }
             let idx = level * SLOTS + slot;
-            if !self.slots[idx].iter().any(|e| is_live(e.seq)) {
+            if !self.slots[idx].iter().any(is_live) {
                 // Only cancelled entries: discard without moving the
                 // cursor, so an all-cancelled far slot can never strand
                 // the cursor ahead of a future (earlier) push.
@@ -282,7 +288,7 @@ impl<T> TimerWheel<T> {
             // keeps its allocation).
             let mut bucket = std::mem::take(&mut self.slots[idx]);
             for e in bucket.drain(..) {
-                if is_live(e.seq) {
+                if is_live(&e) {
                     self.repark(e);
                 } else {
                     self.len -= 1;
@@ -295,7 +301,7 @@ impl<T> TimerWheel<T> {
     /// Move the earliest overflow epoch into the wheel, if it is due by
     /// `limit` and holds anything live. Returns `true` if the wheel rings
     /// gained entries.
-    fn cascade_overflow(&mut self, limit: u64, is_live: &impl Fn(u64) -> bool) -> bool {
+    fn cascade_overflow(&mut self, limit: u64, is_live: &impl Fn(&Entry<T>) -> bool) -> bool {
         loop {
             let Some((&first, bucket)) = self.overflow.iter().next() else {
                 return false;
@@ -303,7 +309,7 @@ impl<T> TimerWheel<T> {
             if first > limit {
                 return false;
             }
-            if !bucket.iter().any(|e| is_live(e.seq)) {
+            if !bucket.iter().any(is_live) {
                 let dead = self.overflow.remove(&first).expect("first key present");
                 self.len -= dead.len();
                 continue;
@@ -324,7 +330,7 @@ impl<T> TimerWheel<T> {
             };
             for (_, bucket) in fits {
                 for e in bucket {
-                    if is_live(e.seq) {
+                    if is_live(&e) {
                         self.repark(e);
                     } else {
                         self.len -= 1;
@@ -461,7 +467,7 @@ mod equivalence {
                     }
                     Op::Pop => {
                         let w = wheel
-                            .pop_next(u64::MAX, |s| live.contains(&s))
+                            .pop_next(u64::MAX, |e| live.contains(&e.seq))
                             .map(|e| (e.at, e.seq));
                         let h = heap.pop_next(u64::MAX, |s| live.contains(&s));
                         prop_assert_eq!(w, h);
@@ -471,7 +477,7 @@ mod equivalence {
                         let limit = now.saturating_add(horizon);
                         loop {
                             let w = wheel
-                                .pop_next(limit, |s| live.contains(&s))
+                                .pop_next(limit, |e| live.contains(&e.seq))
                                 .map(|e| (e.at, e.seq));
                             let h = heap.pop_next(limit, |s| live.contains(&s));
                             prop_assert_eq!(w, h);
@@ -487,7 +493,7 @@ mod equivalence {
             // final drain: agreement to the last entry, then both empty
             loop {
                 let w = wheel
-                    .pop_next(u64::MAX, |s| live.contains(&s))
+                    .pop_next(u64::MAX, |e| live.contains(&e.seq))
                     .map(|e| (e.at, e.seq));
                 let h = heap.pop_next(u64::MAX, |s| live.contains(&s));
                 prop_assert_eq!(w, h);
@@ -518,13 +524,13 @@ mod equivalence {
                 }
             }
             let mut singles = Vec::new();
-            while let Some(e) = singles_wheel.pop_next(u64::MAX, |s| live.contains(&s)) {
+            while let Some(e) = singles_wheel.pop_next(u64::MAX, |e| live.contains(&e.seq)) {
                 singles.push((e.at, e.seq));
             }
             let mut batched = Vec::new();
             let mut batch = Vec::new();
             while let Some(tick) =
-                batch_wheel.pop_tick_batch(u64::MAX, |s| live.contains(&s), &mut batch)
+                batch_wheel.pop_tick_batch(u64::MAX, |e| live.contains(&e.seq), &mut batch)
             {
                 for e in batch.drain(..) {
                     prop_assert_eq!(e.at, tick);
@@ -641,7 +647,7 @@ mod tests {
         w.push(20, 1, 0);
         assert_eq!(w.len(), 2);
         // "cancel" seq 0: the entry stays parked until its tick comes up
-        let e = w.pop_next(u64::MAX, |seq| seq != 0).expect("live entry");
+        let e = w.pop_next(u64::MAX, |e| e.seq != 0).expect("live entry");
         assert_eq!(e.seq, 1);
         assert!(w.is_empty(), "the dead entry was swept on the way");
     }

@@ -184,12 +184,7 @@ impl World {
         for key in keys {
             writeln!(out, "{key} {:.6}", recorder.total(key)).unwrap();
         }
-        let spans = sim.span_summary();
-        let spans = spans
-            .split("\nevents executed by label:")
-            .next()
-            .expect("split yields a head");
-        out.push_str(spans);
+        out.push_str(&sim.span_summary());
         out.push('\n');
         out
     }
