@@ -3,10 +3,12 @@
 //! Measures the simkit hot paths (event queue, processor-sharing server,
 //! metric recorder, span-tree export), the end-to-end Figure-6 pipeline,
 //! the two host-time sinks of the upload path (payload synthesis,
-//! exact-name UDDI inquiry) and the two of the invocation path (sizing a
-//! SOAP request, delegating and validating a proxy chain), and writes the
-//! results as machine-readable JSON to `BENCH_kernel.json` at the repo root. CI and future
-//! optimisation PRs diff this file to catch regressions.
+//! exact-name UDDI inquiry), the two of the invocation path (sizing a
+//! SOAP request, delegating and validating a proxy chain) and the two
+//! byte-work floors (reloading a stored row, fanning one upload out to
+//! four replicas), and writes the results as machine-readable JSON to
+//! `BENCH_kernel.json` at the repo root. CI and future optimisation PRs
+//! diff this file to catch regressions.
 //!
 //! Run with: `cargo run --release -p onserve-bench --bin perfbaseline`
 //!
@@ -32,13 +34,16 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::{Duration as WallDuration, Instant};
 
+use blobstore::{BlobDb, TimedDb, WriteStrategy};
+use fleet::{Fleet, FleetSpec, Request};
 use gridsim::{CertAuthority, MyProxyServer};
-use onserve::deployment::{synth_payload, DeploymentSpec};
+use onserve::deployment::{synth_executable, synth_payload, DeploymentSpec};
 use onserve::profile::ExecutionProfile;
+use onserve_bench::fleetscale::fleet_image;
 use onserve_bench::{Runner, KB};
 use simkit::telemetry::{parse_json, Json};
 use simkit::wheel::TimerWheel;
-use simkit::{Duration, PsServer, Recorder, ServerConfig, Sim, SimTime};
+use simkit::{Duration, Host, HostSpec, PsServer, Recorder, ServerConfig, Sim, SimTime};
 use wsstack::soap::Envelope;
 use wsstack::{BindingTemplate, SoapValue, UddiRegistry};
 
@@ -321,9 +326,8 @@ fn bench_fig6_pipeline() -> Entry {
     })
 }
 
-/// The 64 KB synthetic executable every fleet upload builds once per
-/// replica, under the seed `Deployment::upload_request` derives. One op =
-/// one payload.
+/// The 64 KB synthetic executable every fleet upload builds once, under
+/// the seed `synth_executable` derives. One op = one payload.
 fn bench_synth_payload() -> Entry {
     const LEN: usize = 64 * 1024;
     measure("deployment.synth_payload_64k", 20, || {
@@ -331,6 +335,63 @@ fn bench_synth_payload() -> Entry {
             std::hint::black_box(LEN),
             0x5eed ^ LEN as u64,
         ));
+        1
+    })
+}
+
+/// What `fleet_day` does 20 881 times to 8 rows: `load_for_use` of a
+/// stored 64 KB executable, drained. Every load is charged its disk and
+/// CPU time; the host decodes and verifies the row on the first only. One
+/// op = one load.
+fn bench_load_for_use() -> Entry {
+    const LOADS: u64 = 32;
+    let mut sim = Sim::new(6);
+    let db = TimedDb::new(
+        Rc::new(RefCell::new(BlobDb::new())),
+        Host::new(&HostSpec::commodity("appliance")),
+        WriteStrategy::Direct,
+    );
+    db.store(&mut sim, "app.exe", "d", Vec::new(), synth_executable(64 * 1024), |_, res, _| {
+        res.expect("store");
+    });
+    sim.run();
+    measure("blobstore.load_for_use_64k", 20, move || {
+        for _ in 0..LOADS {
+            db.load_for_use(&mut sim, "app.exe", |_, res, _| {
+                res.expect("load");
+            });
+            sim.run();
+        }
+        LOADS
+    })
+}
+
+/// What `publish_storm` does 1 997 times: one 64 KB upload through the
+/// front door of a 4-replica fleet, drained — synthesised by the client,
+/// compressed by the first replica to store it, the rest of the portal
+/// and provisioning pipeline four times over. One op = one upload.
+fn bench_upload_fanout() -> Entry {
+    let mut sim = Sim::new(7);
+    let mut spec = FleetSpec::with_image(fleet_image());
+    spec.initial_replicas = 4;
+    let fleet = Fleet::new(&mut sim, spec);
+    sim.run();
+    let mut seq = 0u64;
+    measure("fleet.upload_fanout_4", 10, move || {
+        seq += 1;
+        let upload = Request::Upload {
+            file_name: format!("wl{seq}.exe"),
+            payload: synth_executable(64 * 1024),
+            profile: ExecutionProfile::quick(),
+        };
+        fleet.dispatcher().clone().submit(
+            &mut sim,
+            upload,
+            Box::new(|_, res| {
+                res.expect("upload");
+            }),
+        );
+        sim.run();
         1
     })
 }
@@ -465,6 +526,8 @@ fn main() {
         bench_span_tree,
         bench_fig6_pipeline,
         bench_synth_payload,
+        bench_load_for_use,
+        bench_upload_fanout,
         bench_uddi_find_exact,
         bench_wire_size_paper,
         bench_retrieve_validate,

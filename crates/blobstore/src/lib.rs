@@ -12,7 +12,10 @@
 //! * [`codec`] — an LZ77-family compression codec (blobs are stored
 //!   compressed; decompression is the Figure 6 CPU peak).
 //! * [`store`] — the table layer: executable records (name, description,
-//!   parameter specs) plus compressed blob pages, with checksums.
+//!   parameter specs) plus compressed blob pages, with checksums. An
+//!   upload travels as a [`Blob`], compressed once however many
+//!   databases a fan-out stores it into; a row is decoded and verified
+//!   on its first load and again whenever its bytes change.
 //! * [`strategy`] — the *timed* storage paths on a [`simkit::Host`],
 //!   including the paper's documented flaw: "the file is first stored
 //!   temporarily and then in the database. ... at least two write
@@ -27,5 +30,5 @@ pub mod store;
 pub mod strategy;
 
 pub use codec::{compress, decompress, CodecError};
-pub use store::{BlobDb, DbError, ExecutableRecord, ParamSpec};
+pub use store::{Blob, BlobDb, DbError, ExecutableRecord, ParamSpec};
 pub use strategy::{StoreTiming, TimedDb, WriteStrategy};

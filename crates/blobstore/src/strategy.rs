@@ -13,10 +13,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use simkit::{FaultInjector, Host, Sim};
 
-use crate::store::{BlobDb, DbError, ParamSpec};
+use crate::store::{Blob, BlobDb, DbError, ParamSpec};
 
 /// CPU seconds to compress `bytes` (hash-chain LZ, ~40 MB/s on 2010 iron).
 pub fn compress_cpu_secs(bytes: f64) -> f64 {
@@ -48,9 +47,9 @@ pub struct StoreTiming {
     pub cpu_seconds: f64,
 }
 
-/// What a timed write does to the table: [`BlobDb::insert`] or
+/// What a timed write does to the table: [`BlobDb::insert_blob`] or
 /// [`BlobDb::replace`].
-type PutRow = fn(&mut BlobDb, &str, &str, Vec<ParamSpec>, &[u8]) -> Result<u64, DbError>;
+type PutRow = fn(&mut BlobDb, &str, &str, Vec<ParamSpec>, &Blob) -> Result<u64, DbError>;
 
 /// A [`BlobDb`] bound to a host, with timed operations.
 pub struct TimedDb {
@@ -90,19 +89,22 @@ impl TimedDb {
     }
 
     /// Store an uploaded executable with full timing: disk passes per the
-    /// strategy, compression CPU, then the database insert.
+    /// strategy, compression CPU, then the database insert. Every store is
+    /// charged the compression; the host compresses a [`Blob`] once,
+    /// however many databases it is stored into.
     pub fn store<F>(
         self: &Rc<Self>,
         sim: &mut Sim,
         name: &str,
         description: &str,
         params: Vec<ParamSpec>,
-        data: Bytes,
+        data: impl Into<Blob>,
         done: F,
     ) where
         F: FnOnce(&mut Sim, Result<u64, DbError>, StoreTiming) + 'static,
     {
-        self.write(sim, name, description, params, data, BlobDb::insert, done);
+        let put = BlobDb::insert_blob;
+        self.write(sim, name, description, params, data.into(), put, done);
     }
 
     /// [`TimedDb::store`] over an existing executable, at the same cost.
@@ -115,12 +117,13 @@ impl TimedDb {
         name: &str,
         description: &str,
         params: Vec<ParamSpec>,
-        data: Bytes,
+        data: impl Into<Blob>,
         done: F,
     ) where
         F: FnOnce(&mut Sim, Result<u64, DbError>, StoreTiming) + 'static,
     {
-        self.write(sim, name, description, params, data, BlobDb::replace, done);
+        let put = BlobDb::replace;
+        self.write(sim, name, description, params, data.into(), put, done);
     }
 
     /// The timed write path; `put` is what the DB-write step does to the
@@ -132,7 +135,7 @@ impl TimedDb {
         name: &str,
         description: &str,
         params: Vec<ParamSpec>,
-        data: Bytes,
+        data: Blob,
         put: PutRow,
         done: F,
     ) where
@@ -169,12 +172,7 @@ impl TimedDb {
                 };
                 match res {
                     Ok(id) => {
-                        let stored = this2
-                            .db
-                            .borrow()
-                            .record_by_id(id)
-                            .map(|r| r.stored_len as f64)
-                            .unwrap_or(bytes);
+                        let stored = data.stored_len() as f64;
                         timing.disk_write_bytes += stored;
                         let host = Rc::clone(&this2.host);
                         host.write_disk(sim, stored, move |sim| {
@@ -220,25 +218,29 @@ impl TimedDb {
     /// Load an executable for use: DB read (compressed), decompress on
     /// CPU, write to a temporary location, read it back for the upload —
     /// the §VII-B "file retrieval" step ("loaded from the database and then
-    /// stored in a temporary location").
+    /// stored in a temporary location"). Every load is charged all four
+    /// from the row's sizes; the host decodes and verifies the row on its
+    /// first load ([`BlobDb::verified_record`]). `done` receives the
+    /// executable's length — the bytes themselves never leave the
+    /// simulated temp file.
     pub fn load_for_use<F>(self: &Rc<Self>, sim: &mut Sim, name: &str, done: F)
     where
-        F: FnOnce(&mut Sim, Result<Bytes, DbError>, StoreTiming) + 'static,
+        F: FnOnce(&mut Sim, Result<usize, DbError>, StoreTiming) + 'static,
     {
         let span = sim.span_begin("db.load");
         sim.span_attr(span, "file", name);
         let loaded = self
             .db
             .borrow()
-            .load_with_record(name)
-            .map(|(rec, data)| (rec.stored_len as f64, Bytes::from(data)));
+            .verified_record(name)
+            .map(|rec| (rec.stored_len as f64, rec.original_len));
         match loaded {
             Err(e) => {
                 sim.span_fail(span, &e.to_string());
                 done(sim, Err(e), StoreTiming::default());
             }
-            Ok((stored_len, data)) => {
-                let bytes = data.len() as f64;
+            Ok((stored_len, len)) => {
+                let bytes = len as f64;
                 sim.span_attr(span, "bytes", bytes);
                 let cpu = decompress_cpu_secs(bytes);
                 let timing = StoreTiming {
@@ -259,7 +261,7 @@ impl TimedDb {
                             // read back when handing it onward
                             host4.read_disk(sim, bytes, move |sim| {
                                 sim.span_end(span);
-                                done(sim, Ok(data), timing);
+                                done(sim, Ok(len), timing);
                             });
                         });
                     });
@@ -272,6 +274,7 @@ impl TimedDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use simkit::{HostSpec, MB};
     use std::cell::Cell;
 
@@ -357,7 +360,7 @@ mod tests {
         let hit = Rc::new(Cell::new(false));
         let h2 = hit.clone();
         db2.load_for_use(&mut sim, "exe", move |_, r, t| {
-            assert_eq!(r.unwrap(), expect);
+            assert_eq!(r.unwrap(), 1024 * 1024);
             // two reads (DB + temp) and one write (temp): §VIII-D3
             assert!(t.disk_read_bytes > t.disk_write_bytes);
             assert!(t.cpu_seconds > 0.0);
@@ -365,6 +368,31 @@ mod tests {
         });
         sim.run();
         assert!(hit.get());
+        assert_eq!(db.db().borrow().load("exe").unwrap(), expect);
+    }
+
+    /// Loads after the first skip the decode; one after the row's bytes
+    /// changed must not.
+    #[test]
+    fn load_for_use_catches_corruption_that_follows_a_good_load() {
+        let (mut sim, db) = setup(WriteStrategy::Direct);
+        db.store(&mut sim, "exe", "", vec![], payload(64 * 1024), |_, r, _| {
+            r.unwrap();
+        });
+        sim.run();
+        let verdicts = Rc::new(RefCell::new(Vec::new()));
+        let load = |sim: &mut Sim| {
+            let v = Rc::clone(&verdicts);
+            db.load_for_use(sim, "exe", move |_, r, _| v.borrow_mut().push(r));
+            sim.run();
+        };
+        load(&mut sim);
+        load(&mut sim);
+        db.db().borrow_mut().corrupt_blob("exe").unwrap();
+        load(&mut sim);
+        let verdicts = verdicts.borrow();
+        assert_eq!(verdicts[..2], [Ok(64 * 1024), Ok(64 * 1024)]);
+        assert!(matches!(verdicts[2], Err(DbError::Corrupt(_))), "{verdicts:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based invariants of the blob database and its codec.
 
 use blobstore::store::checksum64;
-use blobstore::{compress, decompress, BlobDb, ParamSpec, TimedDb, WriteStrategy};
+use blobstore::{compress, decompress, Blob, BlobDb, ParamSpec, TimedDb, WriteStrategy};
 use bytes::Bytes;
 use proptest::prelude::*;
 use simkit::{Host, HostSpec, Rng, Sim};
@@ -218,6 +218,63 @@ proptest! {
         prop_assert_eq!(db.stored_bytes(), 0);
     }
 
+    /// The slice insert and the `Blob` insert write the same row.
+    #[test]
+    fn blob_insert_equals_slice_insert(
+        data in proptest::collection::vec(any::<u8>(), 0..10_000),
+    ) {
+        let (mut by_slice, mut by_blob) = (BlobDb::new(), BlobDb::new());
+        by_slice.insert("x", "d", vec![], &data).unwrap();
+        by_blob.insert_blob("x", "d", vec![], &Blob::from(Bytes::from(data.clone()))).unwrap();
+        prop_assert_eq!(by_slice.record("x").unwrap(), by_blob.record("x").unwrap());
+        prop_assert_eq!(by_slice.record("x").unwrap().original_len, data.len());
+        prop_assert_eq!(by_slice.stored_bytes(), by_blob.stored_bytes());
+        prop_assert_eq!(by_slice.stored_row("x").unwrap(), by_blob.stored_row("x").unwrap());
+        prop_assert_eq!(by_blob.load("x").unwrap(), data);
+    }
+
+    /// One `Blob` fanned into any number of databases is packed once —
+    /// every row is the same buffer — and every database round-trips.
+    #[test]
+    fn fanned_out_blob_packs_once(
+        data in proptest::collection::vec(any::<u8>(), 0..10_000),
+        fanout in 1usize..7,
+    ) {
+        let blob = Blob::from(Bytes::from(data.clone()));
+        let mut dbs: Vec<BlobDb> = (0..fanout).map(|_| BlobDb::new()).collect();
+        for db in &mut dbs {
+            db.insert_blob("x", "", vec![], &blob).unwrap();
+        }
+        let first = dbs[0].stored_row("x").unwrap().as_ptr();
+        for db in &dbs {
+            prop_assert_eq!(db.stored_row("x").unwrap().as_ptr(), first);
+            prop_assert_eq!(db.verified_record("x").unwrap().original_len, data.len());
+            prop_assert_eq!(&db.load("x").unwrap(), &data);
+        }
+    }
+
+    /// However a stored row is damaged, and whether or not it had been
+    /// verified before, the verified lookup and `load` reach one verdict.
+    #[test]
+    fn verified_lookup_agrees_with_load_on_mutated_rows(
+        seed in any::<u64>(),
+        len in 1usize..3_000,
+        rounds in 1usize..4,
+        verified_before in any::<bool>(),
+    ) {
+        let mut rng = Rng::new(seed);
+        let mut db = BlobDb::new();
+        db.insert("x", "", vec![], &synth_like(len, seed)).unwrap();
+        if verified_before {
+            db.verified_record("x").unwrap();
+        }
+        db.rewrite_blob("x", |row| mutate(row, &mut rng, rounds)).unwrap();
+        let verdict = db.verified_record("x").map(|rec| rec.original_len);
+        prop_assert_eq!(&verdict, &db.load("x").map(|data| data.len()));
+        // and keeps to it once `load` has had its say
+        prop_assert_eq!(verdict, db.verified_record("x").map(|rec| rec.original_len));
+    }
+
     /// Timed store → timed load is the identity under both write
     /// strategies, and the double-write path always touches at least as
     /// much disk.
@@ -232,7 +289,7 @@ proptest! {
             let db = TimedDb::new(Rc::new(RefCell::new(BlobDb::new())), host, strategy);
             let payload = Bytes::from(data.clone());
             let expect = payload.clone();
-            let loaded: Rc<RefCell<Option<Bytes>>> = Rc::new(RefCell::new(None));
+            let loaded: Rc<RefCell<Option<usize>>> = Rc::new(RefCell::new(None));
             let l2 = loaded.clone();
             let db2 = Rc::clone(&db);
             db.store(&mut sim, "x", "", vec![], payload, move |sim, r, _| {
@@ -242,7 +299,8 @@ proptest! {
                 });
             });
             sim.run();
-            prop_assert_eq!(loaded.borrow().clone().unwrap(), expect);
+            prop_assert_eq!(loaded.borrow().unwrap(), expect.len());
+            prop_assert_eq!(db.db().borrow().load("x").unwrap(), expect);
             writes.push(sim.recorder_ref().total("h.disk.write.bytes"));
         }
         prop_assert!(writes[0] >= writes[1],

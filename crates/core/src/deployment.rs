@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use blobstore::{BlobDb, ParamSpec, TimedDb};
+use blobstore::{Blob, BlobDb, ParamSpec, TimedDb};
 use bytes::Bytes;
 use cyberaide::agent::AgentConfig;
 use cyberaide::CyberaideAgent;
@@ -119,6 +119,14 @@ pub fn synth_payload(len: usize, seed: u64) -> Bytes {
     }
     data.truncate(len);
     Bytes::from(data)
+}
+
+/// The synthetic executable of `len` bytes a client uploads: what
+/// [`Deployment::upload_request`], the fleet's workload generators and its
+/// catalogue replay all ship. One call is one upload — callers fanning a
+/// file out to several replicas clone the result.
+pub fn synth_executable(len: usize) -> Blob {
+    synth_payload(len, 0x5eed ^ len as u64).into()
 }
 
 impl Deployment {
@@ -286,9 +294,21 @@ impl Deployment {
         profile: ExecutionProfile,
         params: &[(&str, &str)],
     ) -> UploadRequest {
+        self.upload_request_of(file_name, synth_executable(len), profile, params)
+    }
+
+    /// [`Deployment::upload_request`] around a payload the caller already
+    /// holds.
+    pub fn upload_request_of(
+        &self,
+        file_name: &str,
+        data: Blob,
+        profile: ExecutionProfile,
+        params: &[(&str, &str)],
+    ) -> UploadRequest {
         UploadRequest {
             file_name: file_name.to_owned(),
-            data: synth_payload(len, 0x5eed ^ len as u64),
+            data,
             description: format!("synthetic executable {file_name}"),
             params: params
                 .iter()

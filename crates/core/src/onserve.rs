@@ -16,8 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-use blobstore::{DbError, ParamSpec, StoreTiming, TimedDb, WriteStrategy};
-use bytes::Bytes;
+use blobstore::{Blob, DbError, ParamSpec, StoreTiming, TimedDb, WriteStrategy};
 use cyberaide::{CyberaideAgent, OutputPoller, PollError, PollStats, SessionId};
 use gridsim::gram::ExecutionModel;
 use gridsim::{
@@ -307,7 +306,7 @@ impl OnServe {
         file_name: &str,
         description: &str,
         params: Vec<ParamSpec>,
-        data: Bytes,
+        data: impl Into<Blob>,
         owner: (&str, &str),
         profile: ExecutionProfile,
         done: F,
@@ -332,7 +331,7 @@ impl OnServe {
             file_name,
             description,
             params,
-            data,
+            data.into(),
             false,
             publish,
             done,
@@ -350,7 +349,7 @@ impl OnServe {
         self: &Rc<Self>,
         sim: &mut Sim,
         service_name: &str,
-        data: Bytes,
+        data: impl Into<Blob>,
         new_params: Option<Vec<ParamSpec>>,
         new_description: Option<String>,
         new_profile: Option<ExecutionProfile>,
@@ -390,6 +389,7 @@ impl OnServe {
             services.insert(service_name, Rc::new(new));
             Ok(())
         };
+        let data = data.into();
         self.provision(sim, &exe_name, &description, params, data, true, swap, done);
     }
 
@@ -406,7 +406,7 @@ impl OnServe {
         file_name: &str,
         description: &str,
         params: Vec<ParamSpec>,
-        data: Bytes,
+        data: Blob,
         replacing: bool,
         epilogue: E,
         done: F,
@@ -754,8 +754,8 @@ impl Invocation {
         under_span(sim, self.reply.span, |sim| {
             let db = &self.onserve().db;
             db.load_for_use(sim, &self.meta.exe_name, move |sim, res, _| match res {
-                Ok(data) => {
-                    inv.data_len.set(data.len() as f64);
+                Ok(len) => {
+                    inv.data_len.set(len as f64);
                     inv.with_session(sim)
                 }
                 Err(e) => inv.exit(sim, Err(InvokeError::Db(e))),

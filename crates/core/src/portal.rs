@@ -12,8 +12,7 @@
 
 use std::rc::Rc;
 
-use blobstore::ParamSpec;
-use bytes::Bytes;
+use blobstore::{Blob, ParamSpec};
 use simkit::{Duplex, Sim};
 use wsstack::container::parse_cpu_cost;
 
@@ -28,8 +27,9 @@ pub const FORM_OVERHEAD_BYTES: f64 = 1536.0;
 pub struct UploadRequest {
     /// File chosen in the dialog.
     pub file_name: String,
-    /// The executable payload.
-    pub data: Bytes,
+    /// The executable payload. Cloning the request shares it: a fleet
+    /// fan-out hands every replica the same [`Blob`].
+    pub data: Blob,
     /// The optional description field.
     pub description: String,
     /// Declared parameters (name/type rows).

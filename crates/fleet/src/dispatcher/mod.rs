@@ -52,6 +52,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use blobstore::Blob;
 use onserve::profile::ExecutionProfile;
 use simkit::engine::EventId;
 use simkit::{Duration, Sim, SimTime, SpanId};
@@ -75,8 +76,10 @@ pub enum Request {
         /// Executable file name (must be fleet-unique; replica databases
         /// reject duplicates).
         file_name: String,
-        /// Synthetic payload size in bytes.
-        len: usize,
+        /// The executable. The broadcast clones the request per replica,
+        /// which shares these bytes and whatever has been derived from
+        /// them: one file fanned out.
+        payload: Blob,
         /// What the executable does when invoked.
         profile: ExecutionProfile,
     },
@@ -1157,7 +1160,7 @@ mod tests {
             &mut sim,
             Request::Upload {
                 file_name: "f.exe".into(),
-                len: 64,
+                payload: onserve::deployment::synth_executable(64),
                 profile: ExecutionProfile::quick(),
             },
             Box::new(move |_, r| {
@@ -1473,7 +1476,7 @@ mod tests {
             &mut sim,
             Request::Upload {
                 file_name: "f.exe".into(),
-                len: 64,
+                payload: onserve::deployment::synth_executable(64),
                 profile: ExecutionProfile::quick(),
             },
             Box::new(move |_, r| {
@@ -1943,7 +1946,7 @@ mod tests {
             &mut sim,
             Request::Upload {
                 file_name: "f.exe".into(),
-                len: 64,
+                payload: onserve::deployment::synth_executable(64),
                 profile: ExecutionProfile::quick(),
             },
             Box::new(move |_, r| s.set(r.is_err())),
@@ -2115,7 +2118,7 @@ mod tests {
             &mut sim,
             Request::Upload {
                 file_name: "f.exe".into(),
-                len: 64,
+                payload: onserve::deployment::synth_executable(64),
                 profile: ExecutionProfile::quick(),
             },
             Box::new(|_, r| assert!(r.is_ok())),

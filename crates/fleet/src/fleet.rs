@@ -18,8 +18,8 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use blobstore::{BlobDb, TimedDb};
-use onserve::deployment::{Deployment, DeploymentSpec};
+use blobstore::{Blob, BlobDb, TimedDb};
+use onserve::deployment::{synth_executable, Deployment, DeploymentSpec};
 use onserve::profile::ExecutionProfile;
 use simkit::{Host, HostSpec, Link, Sim, GBIT_PER_S};
 use simkit::{Duration, SpanId};
@@ -237,11 +237,11 @@ impl Fleet {
                 let _ = sim;
                 if let Request::Upload {
                     file_name,
-                    len,
+                    payload,
                     profile,
                 } = req
                 {
-                    fleet.catalog_service(file_name, *len, *profile, None);
+                    fleet.catalog_service(file_name, payload.len(), *profile, None);
                 }
             }
         });
@@ -643,8 +643,17 @@ impl Fleet {
         }
         let remaining = Rc::new(std::cell::Cell::new(targets.len()));
         let done = Rc::new(RefCell::new(Some(done)));
+        // one file, shipped to every target
+        let payload = synth_executable(len);
         for d in targets {
-            let req = owned_upload_request(sim, &d, file_name, len, profile, owner.as_ref());
+            let req = owned_upload_request(
+                sim,
+                &d,
+                file_name,
+                payload.clone(),
+                profile,
+                owner.as_ref(),
+            );
             let remaining = Rc::clone(&remaining);
             let done = Rc::clone(&done);
             d.portal.upload(sim, req, move |sim, res| {
@@ -785,7 +794,7 @@ impl Fleet {
                     sim,
                     &d,
                     &entry.file_name,
-                    entry.len,
+                    synth_executable(entry.len),
                     entry.profile,
                     entry.owner.as_ref(),
                 );
@@ -876,11 +885,11 @@ fn owned_upload_request(
     sim: &Sim,
     d: &Rc<Deployment>,
     file_name: &str,
-    len: usize,
+    payload: Blob,
     profile: ExecutionProfile,
     owner: Option<&(String, String)>,
 ) -> onserve::portal::UploadRequest {
-    let mut req = d.upload_request(file_name, len, profile, &[]);
+    let mut req = d.upload_request_of(file_name, payload, profile, &[]);
     if let Some((user, pass)) = owner {
         d.enroll_tenant(sim, user, pass, None);
         req.grid_user = user.clone();
@@ -1041,10 +1050,12 @@ impl Backend for ReplicaBackend {
             }
             Request::Upload {
                 file_name,
-                len,
+                payload,
                 profile,
             } => {
-                let req = self.deployment.upload_request(&file_name, len, profile, &[]);
+                let req = self
+                    .deployment
+                    .upload_request_of(&file_name, payload, profile, &[]);
                 self.deployment.portal.upload(sim, req, move |sim, res| {
                     done(
                         sim,
@@ -1142,7 +1153,7 @@ mod tests {
             &mut sim,
             Request::Upload {
                 file_name: "tool.exe".into(),
-                len: 2 * 1024 * 1024,
+                payload: synth_executable(2 * 1024 * 1024),
                 profile: ExecutionProfile::quick(),
             },
             Box::new(|_, res| assert!(res.is_ok())),
@@ -1159,6 +1170,62 @@ mod tests {
         assert_eq!(services[0].bindings.len(), 2);
     }
 
+    /// Where the stored row of `file` sits in memory on every active
+    /// replica, in boot order.
+    fn replica_rows(fleet: &Fleet, file: &str) -> Vec<Option<*const u8>> {
+        let inner = fleet.inner.borrow();
+        let rows = inner.actives().map(|replica| {
+            let d = replica.deployment.as_ref().unwrap();
+            let db = d.onserve.db().db().borrow();
+            db.stored_row(file).ok().map(|row| row.as_ptr())
+        });
+        rows.collect()
+    }
+
+    #[test]
+    fn a_front_door_upload_is_one_file_on_every_replica() {
+        let mut sim = Sim::new(14);
+        let fleet = Fleet::new(&mut sim, spec(StorageTopology::Replicated, 4));
+        sim.run();
+        let upload = |sim: &mut Sim, file: &str| {
+            let answer = Rc::new(RefCell::new(None));
+            let a = Rc::clone(&answer);
+            fleet.dispatcher().clone().submit(
+                sim,
+                Request::Upload {
+                    file_name: file.into(),
+                    payload: synth_executable(64 * 1024),
+                    profile: ExecutionProfile::quick(),
+                },
+                Box::new(move |_, res| *a.borrow_mut() = Some(res)),
+            );
+            sim.run();
+            let answer = answer.borrow_mut().take();
+            answer.expect("the join settles")
+        };
+        upload(&mut sim, "tool.exe").expect("stored everywhere");
+        // the same buffer four times, not four equal ones
+        let rows = replica_rows(&fleet, "tool.exe");
+        assert!(rows[0].is_some());
+        assert_eq!(rows, [rows[0]; 4]);
+        // `publish` fans out the same way
+        fleet.publish(&mut sim, "app.exe", 64 * 1024, ExecutionProfile::quick(), |_| {});
+        sim.run();
+        let rows = replica_rows(&fleet, "app.exe");
+        assert!(rows[0].is_some());
+        assert_eq!(rows, [rows[0]; 4]);
+
+        // one replica's write fails: the join faults, the others keep the row
+        let victim = fleet.active_replica_names()[1].clone();
+        let injector = simkit::FaultPlan::new(5).write_fail(1.0).injector();
+        assert!(fleet.inject_write_faults(&victim, Some(injector)));
+        let fault = upload(&mut sim, "late.exe").expect_err("one store failed");
+        assert!(fault.to_string().contains("write failed"), "{fault}");
+        let rows = replica_rows(&fleet, "late.exe");
+        assert!(rows[0].is_some());
+        assert_eq!(rows, [rows[0], None, rows[0], rows[0]]);
+    }
+
     #[test]
     fn a_file_name_through_the_door_twice_is_catalogued_and_replayed_once() {
         let mut sim = Sim::new(13);
@@ -1171,7 +1238,7 @@ mod tests {
                 &mut sim,
                 Request::Upload {
                     file_name: "tool.exe".into(),
-                    len: 64 * 1024,
+                    payload: synth_executable(64 * 1024),
                     profile: ExecutionProfile::quick(),
                 },
                 Box::new(move |_, res| faults.borrow_mut().extend(res.err())),

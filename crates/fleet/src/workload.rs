@@ -12,6 +12,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use onserve::deployment::synth_executable;
 use onserve::profile::ExecutionProfile;
 use simkit::{Duration, Rng, Sim, SimTime};
 use wsstack::{SoapFault, SoapValue};
@@ -228,7 +229,7 @@ impl Mix {
         if self.services.is_empty() || rng.chance(self.upload_fraction) {
             Request::Upload {
                 file_name: format!("wl{seq}.exe"),
-                len: self.upload_len,
+                payload: synth_executable(self.upload_len),
                 profile: self.upload_profile,
             }
         } else {

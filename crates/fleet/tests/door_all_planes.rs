@@ -123,7 +123,7 @@ fn invoke(principal: Option<&str>) -> Request {
 fn upload(file: &str) -> Request {
     Request::Upload {
         file_name: file.into(),
-        len: 4096,
+        payload: onserve::deployment::synth_executable(4096),
         profile: ExecutionProfile::quick(),
     }
 }

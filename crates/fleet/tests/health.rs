@@ -227,7 +227,7 @@ fn write_faults_surface_as_soap_faults_and_draw_probation() {
             sim,
             fleet::Request::Upload {
                 file_name: format!("w{n}.exe"),
-                len: 16 * 1024,
+                payload: onserve::deployment::synth_executable(16 * 1024),
                 profile: onserve::profile::ExecutionProfile::quick(),
             },
             Box::new(move |_, res| {

@@ -84,7 +84,7 @@ proptest! {
                     let req = if is_upload {
                         Request::Upload {
                             file_name: "f.exe".into(),
-                            len: 64,
+                            payload: onserve::deployment::synth_executable(64),
                             profile: ExecutionProfile::quick(),
                         }
                     } else {

@@ -266,7 +266,7 @@ fn rolling_run() -> (Fingerprint, BTreeMap<String, Vec<u32>>, bool, u64, String)
             sim,
             Request::Upload {
                 file_name: "extra.exe".into(),
-                len: 32 * 1024,
+                payload: onserve::deployment::synth_executable(32 * 1024),
                 profile: ExecutionProfile::quick()
                     .lasting(Duration::from_millis(100))
                     .producing(8.0 * KB),

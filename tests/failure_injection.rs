@@ -114,6 +114,83 @@ fn corrupt_database_blob_faults_before_grid_traffic() {
     assert!(fault.message.contains("corrupt"), "{fault}");
 }
 
+/// The row is decoded and verified once, not once per invocation — so a
+/// row damaged *after* it served an invocation must be checked again.
+#[test]
+fn blob_corrupted_after_a_good_invocation_faults_before_grid_traffic() {
+    let mut sim = Sim::new(24);
+    let d = Deployment::build(&mut sim, &DeploymentSpec::default());
+    publish(&mut sim, &d, "app.exe", ExecutionProfile::quick());
+    let ok = Rc::new(Cell::new(false));
+    let o2 = ok.clone();
+    d.invoke(&mut sim, "app", &[], move |_, r| o2.set(r.is_ok()));
+    sim.run();
+    assert!(ok.get());
+    let auths_before = d.onserve.session_counters().0;
+    assert_eq!(auths_before, 1);
+    d.onserve
+        .db()
+        .db()
+        .borrow_mut()
+        .corrupt_blob("app.exe")
+        .unwrap();
+    let fault = invoke_expect_fault(&mut sim, &d, "app");
+    assert!(fault.message.contains("corrupt"), "{fault}");
+    // retrieval is step 1: the second invocation never reached MyProxy
+    assert_eq!(d.onserve.session_counters().0, auths_before);
+    assert_eq!(d.onserve.counters(), (2, 1));
+}
+
+/// An update swaps in a new row, and a new row has not been checked: the
+/// first invocation after it decodes the replacement, whatever the old
+/// row's standing.
+#[test]
+fn updated_executable_is_verified_afresh() {
+    let mut sim = Sim::new(24);
+    let d = Deployment::build(&mut sim, &DeploymentSpec::default());
+    publish(&mut sim, &d, "app.exe", ExecutionProfile::quick());
+    let ok = Rc::new(Cell::new(0u32));
+    let invoke_ok = |sim: &mut Sim| {
+        let o2 = ok.clone();
+        d.invoke(sim, "app", &[], move |_, r| {
+            r.expect("invoke");
+            o2.set(o2.get() + 1);
+        });
+        sim.run();
+    };
+    invoke_ok(&mut sim);
+    let payload = onserve::deployment::synth_payload(32 * 1024, 99);
+    d.onserve
+        .clone()
+        .update_executable(&mut sim, "app", payload, None, None, None, |_, r| {
+            r.expect("update");
+        });
+    sim.run();
+    invoke_ok(&mut sim);
+    assert_eq!(ok.get(), 2);
+    assert_eq!(
+        d.onserve.db().db().borrow().record("app.exe").unwrap().original_len,
+        32 * 1024
+    );
+    // the same again, with the replacement damaged on disk before its
+    // first use
+    let payload = onserve::deployment::synth_payload(32 * 1024, 100);
+    d.onserve
+        .clone()
+        .update_executable(&mut sim, "app", payload, None, None, None, |_, r| {
+            r.expect("update");
+        });
+    sim.run();
+    d.onserve
+        .db()
+        .db()
+        .borrow_mut()
+        .corrupt_blob("app.exe")
+        .unwrap();
+    let fault = invoke_expect_fault(&mut sim, &d, "app");
+    assert!(fault.message.contains("corrupt"), "{fault}");
+}
+
 #[test]
 fn watchdog_kills_runaway_invocation() {
     let mut sim = Sim::new(25);
