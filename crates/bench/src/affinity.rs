@@ -20,16 +20,11 @@
 //! Shared by the `affinity` binary and the golden determinism test so both
 //! always describe the same experiment.
 
-use std::rc::Rc;
-
-use fleet::{
-    start_open_loop, AffinityConfig, ArrivalProcess, Fleet, FleetSpec, Mix, Policy,
-    StorageTopology, SubmitFn,
-};
+use fleet::{AffinityConfig, ArrivalProcess, FleetSpec, Mix};
 use onserve::profile::ExecutionProfile;
-use simkit::{Duration, Sim, KB};
+use simkit::{Duration, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::fleetrun::{replicated_spec, FleetRun};
 
 /// Seed shared by both rows — arrivals and think times must be identical
 /// so sticky routing is the only variable.
@@ -76,11 +71,7 @@ pub struct AffinityPoint {
 }
 
 fn fleet_spec(affinity: bool) -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = REPLICAS;
-    spec.dispatcher.policy = Policy::RoundRobin;
-    spec.dispatcher.max_in_flight = 256;
+    let mut spec = replicated_spec(REPLICAS, 256);
     spec.dispatcher.affinity = affinity.then(AffinityConfig::default);
     // both rows cache sessions and staged executables — affinity decides
     // how often a request lands where the session and the staging already
@@ -94,16 +85,14 @@ fn fleet_spec(affinity: bool) -> FleetSpec {
 /// Poisson arrival schedule with the owning tenant as each request's
 /// principal.
 pub fn run_point(affinity: bool) -> AffinityPoint {
-    let mut sim = Sim::new(SEED);
-    sim.enable_telemetry();
-    let fleet = Fleet::new(&mut sim, fleet_spec(affinity));
-    sim.run(); // cold-start the replicas
+    let mut run = FleetRun::new(SEED, fleet_spec(affinity), true);
+    run.sim.run(); // cold-start the replicas
     let names: Vec<(String, String)> = (0..TENANTS)
         .map(|i| (format!("app{i}"), format!("user{i}")))
         .collect();
     for (app, user) in &names {
-        fleet.publish_as(
-            &mut sim,
+        run.fleet.publish_as(
+            &mut run.sim,
             &format!("{app}.exe"),
             64 * 1024,
             ExecutionProfile::quick()
@@ -113,29 +102,19 @@ pub fn run_point(affinity: bool) -> AffinityPoint {
             |_| {},
         );
     }
-    sim.run();
-    let until = sim.now() + horizon();
+    run.sim.run();
+    let until = run.sim.now() + horizon();
     let targets: Vec<(&str, &str)> = names
         .iter()
         .map(|(app, user)| (app.as_str(), user.as_str()))
         .collect();
-    let dispatcher = Rc::clone(fleet.dispatcher());
-    let sink: Rc<SubmitFn> = Rc::new(move |sim, req, done| dispatcher.submit(sim, req, done));
-    let stats = start_open_loop(
-        &mut sim,
+    let stats = run.offer(
         ArrivalProcess::Poisson { rate: OFFERED_RPS },
         Mix::invoke_as(&targets),
-        sink,
         until,
     );
-    sim.run(); // drain every outstanding request
-    let c = fleet.dispatcher().counters();
-    assert_eq!(
-        c.accepted,
-        c.completed + c.faulted,
-        "request conservation violated"
-    );
-    let t = sim.telemetry().expect("telemetry on");
+    let c = run.drain();
+    let t = run.sim.telemetry().expect("telemetry on");
     AffinityPoint {
         affinity,
         issued: stats.issued(),

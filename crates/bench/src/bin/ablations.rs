@@ -20,27 +20,10 @@ use std::rc::Rc;
 use blobstore::WriteStrategy;
 use gridsim::BackgroundLoad;
 use gridsim::scheduler::SchedPolicy;
-use onserve::deployment::DeploymentSpec;
 use onserve::profile::ExecutionProfile;
-use onserve::OnServeConfig;
 use onserve_bench::{par_sweep, Runner, KB};
 use simkit::report::TextTable;
 use simkit::{Duration, Sim, SimTime, MB};
-
-fn invoke_n(r: &mut Runner, service: &str, n: u32) -> f64 {
-    let t0 = r.sim.now();
-    let done = Rc::new(Cell::new(0u32));
-    for _ in 0..n {
-        let c = done.clone();
-        r.d.invoke(&mut r.sim, service, &[], move |_, res| {
-            res.expect("invoke");
-            c.set(c.get() + 1);
-        });
-    }
-    r.sim.run();
-    assert_eq!(done.get(), n);
-    (r.sim.now() - t0).as_secs_f64()
-}
 
 fn main() {
     // ---- 1. storage strategy --------------------------------------------
@@ -51,33 +34,11 @@ fn main() {
         ("direct", WriteStrategy::Direct),
     ];
     for row in par_sweep(&strategies, |_, &(label, strategy)| {
-        let spec = DeploymentSpec {
-            config: OnServeConfig {
-                write_strategy: strategy,
-                ..OnServeConfig::default()
-            },
-            ..DeploymentSpec::default()
-        };
-        let mut r = Runner::new(700, &spec);
-        let t0 = r.sim.now();
-        let done = Rc::new(Cell::new(0u32));
-        for i in 0..10 {
-            let req = r.d.upload_request(
-                &format!("a{i}.exe"),
-                5 * 1024 * 1024,
-                ExecutionProfile::quick(),
-                &[],
-            );
-            let c = done.clone();
-            r.d.portal.upload(&mut r.sim, req, move |_, res| {
-                res.expect("publish");
-                c.set(c.get() + 1);
-            });
-        }
-        r.sim.run();
+        let mut r = Runner::with_config(700, |c| c.write_strategy = strategy);
+        let makespan = r.upload_burst("a", 10, 5 * 1024 * 1024, ExecutionProfile::quick());
         vec![
             label.to_string(),
-            format!("{:.1} s", (r.sim.now() - t0).as_secs_f64()),
+            format!("{makespan:.1} s"),
             format!(
                 "{:.0} MB",
                 r.sim.recorder_ref().total("appliance.disk.write.bytes") / MB
@@ -93,15 +54,10 @@ fn main() {
     let mut t = TextTable::new(vec!["staging", "makespan", "bytes to grid"]);
     let staging_modes = [("re-upload every run (paper)", false), ("reuse staged file", true)];
     for row in par_sweep(&staging_modes, |_, &(label, reuse)| {
-        let spec = DeploymentSpec {
-            config: OnServeConfig {
-                reuse_staged_files: reuse,
-                broker: gridsim::BrokerPolicy::Fixed("ncsa".into()),
-                ..OnServeConfig::default()
-            },
-            ..DeploymentSpec::default()
-        };
-        let mut r = Runner::new(701, &spec);
+        let mut r = Runner::with_config(701, |c| {
+            c.reuse_staged_files = reuse;
+            c.broker = gridsim::BrokerPolicy::Fixed("ncsa".into());
+        });
         r.publish(
             "tool.exe",
             2 * 1024 * 1024,
@@ -113,7 +69,7 @@ fn main() {
         let grid_in_before = r.sim.recorder_ref().total("ncsa.net.in.bytes");
         let mut makespan = 0.0;
         for _ in 0..5 {
-            makespan += invoke_n(&mut r, "tool", 1);
+            makespan += r.invoke_burst("tool", 1);
         }
         let grid_in = r.sim.recorder_ref().total("ncsa.net.in.bytes") - grid_in_before;
         vec![
@@ -131,14 +87,7 @@ fn main() {
     let mut t = TextTable::new(vec!["sessions", "10-run makespan", "MyProxy traffic"]);
     let session_modes = [("authenticate every run (paper)", false), ("cached session", true)];
     for row in par_sweep(&session_modes, |_, &(label, cache)| {
-        let spec = DeploymentSpec {
-            config: OnServeConfig {
-                cache_grid_sessions: cache,
-                ..OnServeConfig::default()
-            },
-            ..DeploymentSpec::default()
-        };
-        let mut r = Runner::new(702, &spec);
+        let mut r = Runner::with_config(702, |c| c.cache_grid_sessions = cache);
         r.publish(
             "s.exe",
             8 * 1024,
@@ -151,7 +100,7 @@ fn main() {
         // cache at once
         let mut makespan = 0.0;
         for _ in 0..10 {
-            makespan += invoke_n(&mut r, "s", 1);
+            makespan += r.invoke_burst("s", 1);
         }
         let mp = r.sim.recorder_ref().total("mp.fwd.bytes")
             + r.sim.recorder_ref().total("mp.rev.bytes");
@@ -175,14 +124,7 @@ fn main() {
     ]);
     let intervals = [3u64, 9, 30, 90];
     for row in par_sweep(&intervals, |_, &secs| {
-        let spec = DeploymentSpec {
-            config: OnServeConfig {
-                poll_interval: Duration::from_secs(secs),
-                ..OnServeConfig::default()
-            },
-            ..DeploymentSpec::default()
-        };
-        let mut r = Runner::new(703, &spec);
+        let mut r = Runner::with_config(703, |c| c.poll_interval = Duration::from_secs(secs));
         r.publish(
             "p.exe",
             8 * 1024,
@@ -200,7 +142,7 @@ fn main() {
                 .map(|s| rec.total(&format!("wan.{}.down.bytes", s.name())))
                 .sum::<f64>()
         };
-        let latency = invoke_n(&mut r, "p", 1);
+        let latency = r.invoke_burst("p", 1);
         let rec = r.sim.recorder_ref();
         let refetched: f64 = r
             .d

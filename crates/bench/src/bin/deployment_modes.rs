@@ -22,7 +22,7 @@ use onserve::deployment::{Deployment, DeploymentSpec};
 use onserve::profile::ExecutionProfile;
 use onserve_bench::KB;
 use simkit::report::TextTable;
-use simkit::{Duration, Link, Sim, SimTime, GBIT_PER_S};
+use simkit::{Duration, Link, Sim, GBIT_PER_S};
 use vappliance::{build_image, ApplianceRecipe};
 use wsstack::SoapValue;
 
@@ -212,5 +212,4 @@ fn main() {
          nothing until disk or LAN saturate — which the scalability bench\n\
          probes directly."
     );
-    let _ = SimTime::ZERO;
 }

@@ -32,14 +32,7 @@ struct StoreRun {
 }
 
 fn store_batch(strategy: WriteStrategy, n: u32, seed: u64, telemetry: bool) -> (StoreRun, Runner) {
-    let spec = DeploymentSpec {
-        config: onserve::OnServeConfig {
-            write_strategy: strategy,
-            ..onserve::OnServeConfig::default()
-        },
-        ..DeploymentSpec::default()
-    };
-    let mut r = Runner::new(seed, &spec);
+    let mut r = Runner::with_config(seed, |c| c.write_strategy = strategy);
     if telemetry {
         r.sim.enable_telemetry();
     }

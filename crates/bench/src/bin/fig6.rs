@@ -17,76 +17,20 @@
 //! profile printed with it then also says which scheduled closures the
 //! host's time went to.
 
-use onserve::deployment::DeploymentSpec;
-use onserve::profile::ExecutionProfile;
-use onserve_bench::{curve_from, render_figure, trim_curves, Runner, KB};
-use simkit::Duration;
-use wsstack::SoapValue;
+use onserve_bench::figures::{self, FIG6};
+use onserve_bench::{render_figure, KB};
 
 fn main() {
     let trace = onserve_bench::trace_arg();
-    let mut r = Runner::new(6, &DeploymentSpec::default());
-    if trace.is_some() {
-        r.sim.enable_telemetry();
-        r.sim.enable_host_profile();
-    }
-    // a very small file (some bytes); the job runs ~60 s and writes a
-    // modest output that the poller keeps re-fetching
-    r.publish(
-        "small.exe",
-        64,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_secs(60))
-            .producing(48.0 * KB),
-        &[],
-    );
-    let t0 = r.sim.now();
-    let (res, done_at) = r.invoke_blocking("small", &[]);
-    let bytes = match res.expect("invocation") {
-        SoapValue::Binary { bytes, .. } => bytes,
-        other => panic!("unexpected {other:?}"),
-    };
-
-    let iv = r.sim.recorder_ref().interval().as_secs_f64();
+    let fig = figures::fig6(|sim| {
+        if trace.is_some() {
+            sim.enable_telemetry();
+            sim.enable_host_profile();
+        }
+    });
+    let (r, t0, done_at, bytes) = (&fig.r, fig.t0, fig.done_at, fig.output_bytes);
     let rec = r.sim.recorder_ref();
-    let mut curves = vec![
-        curve_from(
-            rec.series("appliance.cpu.busy"),
-            t0,
-            "CPU utilization",
-            "%",
-            100.0 / iv,
-        ),
-        curve_from(
-            rec.series("appliance.net.out.bytes"),
-            t0,
-            "network out",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.net.in.bytes"),
-            t0,
-            "network in",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.write.bytes"),
-            t0,
-            "hard disk write",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.read.bytes"),
-            t0,
-            "hard disk read",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-    ];
-    trim_curves(&mut curves);
+    let curves = fig.curves(&FIG6);
     if let Ok(path) = onserve_bench::save_curves("fig6", &curves) {
         eprintln!("(curves saved to {})", path.display());
     }

@@ -14,62 +14,20 @@
 //! Pass `--trace fig7.trace.json` to dump the run's causal span tree as
 //! Chrome trace-event JSON (open in Perfetto).
 
-use onserve::deployment::DeploymentSpec;
-use onserve::profile::ExecutionProfile;
-use onserve_bench::{curve_from, render_figure, trim_curves, Runner, KB};
-use simkit::Duration;
+use onserve_bench::figures::{self, FIG7};
+use onserve_bench::{render_figure, KB};
 
 fn main() {
     let trace = onserve_bench::trace_arg();
-    let mut r = Runner::new(7, &DeploymentSpec::default());
-    if trace.is_some() {
-        r.sim.enable_telemetry();
-    }
-    r.publish(
-        "large.exe",
-        5 * 1024 * 1024,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_secs(45))
-            .producing(32.0 * KB),
-        &[],
-    );
-    let t0 = r.sim.now();
-    let (res, done_at) = r.invoke_blocking("large", &[]);
-    res.expect("invocation");
-
-    let iv = r.sim.recorder_ref().interval().as_secs_f64();
+    let fig = figures::fig7(|sim| {
+        if trace.is_some() {
+            sim.enable_telemetry();
+        }
+    });
+    let (r, t0, done_at) = (&fig.r, fig.t0, fig.done_at);
     let rec = r.sim.recorder_ref();
-    let mut curves = vec![
-        curve_from(
-            rec.series("appliance.net.out.bytes"),
-            t0,
-            "network out",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.net.in.bytes"),
-            t0,
-            "network in",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.write.bytes"),
-            t0,
-            "hard disk write",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.read.bytes"),
-            t0,
-            "hard disk read",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-    ];
-    trim_curves(&mut curves);
+    let iv = rec.interval().as_secs_f64();
+    let curves = fig.curves(&FIG7);
     if let Ok(path) = onserve_bench::save_curves("fig7", &curves) {
         eprintln!("(curves saved to {})", path.display());
     }

@@ -6,9 +6,9 @@
 //! Add `--trace fleet.json` to export a Chrome trace of one representative
 //! point (4 replicas, replicated).
 
-use onserve_bench::fleetscale::{self, OFFERED_RPS};
-use onserve_bench::{save_experiment, trace_arg, write_trace};
-use simkit::report::TextTable;
+use fleet::StorageTopology;
+use onserve_bench::fleetscale::{self, OFFERED_RPS, REPLICAS};
+use onserve_bench::{report_sweep, trace_arg, write_trace};
 
 fn main() {
     println!(
@@ -17,70 +17,31 @@ fn main() {
         fleetscale::horizon().as_secs_f64()
     );
     let points = fleetscale::sweep();
-
-    let mut t = TextTable::new(vec![
-        "replicas",
-        "storage",
-        "throughput (req/s)",
-        "p50 (s)",
-        "p95 (s)",
-        "p99 (s)",
-        "shed",
-        "issued",
-    ]);
-    for p in &points {
-        t.row(vec![
-            p.replicas.to_string(),
-            p.topology.label().to_string(),
-            format!("{:.2}", p.throughput_rps),
-            format!("{:.1}", p.p50_s),
-            format!("{:.1}", p.p95_s),
-            format!("{:.1}", p.p99_s),
-            p.shed.to_string(),
-            p.issued.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let shared_span: Vec<f64> = points
-        .iter()
-        .filter(|p| p.topology.label() == "shared")
-        .map(|p| p.throughput_rps)
-        .collect();
-    let repl_span: Vec<f64> = points
-        .iter()
-        .filter(|p| p.topology.label() == "replicated")
-        .map(|p| p.throughput_rps)
-        .collect();
-    println!(
-        "replicated 1→{} replicas: {:.2} → {:.2} req/s ({:.1}x)",
-        fleetscale::REPLICAS[fleetscale::REPLICAS.len() - 1],
-        repl_span[0],
-        repl_span[repl_span.len() - 1],
-        repl_span[repl_span.len() - 1] / repl_span[0]
+    let most = REPLICAS[REPLICAS.len() - 1];
+    let span = |topology: StorageTopology| {
+        let at = |n: usize| {
+            points
+                .iter()
+                .find(|p| p.topology == topology && p.replicas == n)
+        };
+        let (lo, hi) = (
+            at(1).expect("row").throughput_rps,
+            at(most).expect("row").throughput_rps,
+        );
+        format!("{lo:.2} → {hi:.2} req/s ({:.1}x)", hi / lo)
+    };
+    let claim = format!(
+        "replicated 1→{most} replicas: {}\nshared     1→{most} replicas: {} — the NAS is the fleet",
+        span(StorageTopology::Replicated),
+        span(StorageTopology::Shared),
     );
-    println!(
-        "shared     1→{} replicas: {:.2} → {:.2} req/s ({:.1}x) — the NAS is the fleet",
-        fleetscale::REPLICAS[fleetscale::REPLICAS.len() - 1],
-        shared_span[0],
-        shared_span[shared_span.len() - 1],
-        shared_span[shared_span.len() - 1] / shared_span[0]
-    );
-
-    let csv = fleetscale::csv(&points);
-    let paths = save_experiment("fleetscale", &[("csv", &csv)]).expect("write target/experiments");
-    println!("\n(CSV written to {})", paths[0].display());
+    report_sweep("fleetscale", &[("csv", &fleetscale::csv(&points))], &claim);
 
     if let Some(path) = trace_arg() {
         // re-run one representative point with telemetry on; the sweep
         // itself stays untraced so its numbers match the golden fixture
         eprintln!("\ntracing 4-replica replicated point...");
-        let (sim, _fleet, _stats, _point) = fleetscale::run_point_instrumented(
-            fleet::StorageTopology::Replicated,
-            4,
-            0xf1ee7 + 5,
-            true,
-        );
-        write_trace(&sim, &path).expect("write trace");
+        let (run, _) = fleetscale::run_point(StorageTopology::Replicated, 4, 0xf1ee7 + 5, true);
+        write_trace(&run.sim, &path).expect("write trace");
     }
 }

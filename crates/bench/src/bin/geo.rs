@@ -3,9 +3,8 @@
 //!
 //! Run with: `cargo run --release -p onserve-bench --bin geo`
 
-use onserve_bench::geo;
-use onserve_bench::save_experiment;
-use simkit::report::TextTable;
+use onserve_bench::geo::{self, GeoMode};
+use onserve_bench::report_sweep;
 
 fn main() {
     println!(
@@ -18,50 +17,14 @@ fn main() {
         geo::outage_duration().as_secs_f64(),
     );
     let points = geo::sweep();
-
-    let mut t = TextTable::new(vec![
-        "mode",
-        "issued",
-        "completed",
-        "faulted",
-        "forwarded",
-        "pulled",
-        "blackholed",
-        "wan hops",
-        "link drops",
-        "mean (ms)",
-        "p99 (ms)",
-    ]);
-    for p in &points {
-        t.row(vec![
-            p.mode.label().to_string(),
-            p.issued.to_string(),
-            p.completed.to_string(),
-            p.faulted.to_string(),
-            p.forwarded.to_string(),
-            p.results_pulled.to_string(),
-            p.blackholed.to_string(),
-            p.wan_hops.to_string(),
-            p.link_drops.to_string(),
-            format!("{:.1}", p.mean_ms),
-            format!("{:.1}", p.p99_ms),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let row = |m: geo::GeoMode| points.iter().find(|p| p.mode == m).expect("row");
-    let (rr, near) = (row(geo::GeoMode::RoundRobin), row(geo::GeoMode::Nearest));
-    let (obl, fed) = (row(geo::GeoMode::Oblivious), row(geo::GeoMode::Federated));
-    println!(
+    let row = |m: GeoMode| points.iter().find(|p| p.mode == m).expect("row");
+    let (rr, near) = (row(GeoMode::RoundRobin), row(GeoMode::Nearest));
+    let (obl, fed) = (row(GeoMode::Oblivious), row(GeoMode::Federated));
+    let claim = format!(
         "nearest-site routing cuts mean latency {:.0} ms -> {:.0} ms; federation completes {} of {} where the oblivious control loses {} to timeouts",
         rr.mean_ms, near.mean_ms, fed.completed, fed.issued, obl.faulted,
     );
-
+    // the site-labelled exposition snapshot is the nearest row's
     let outputs = [("csv", &*geo::csv(&points)), ("prom", &*near.prom)];
-    let paths = save_experiment("geo", &outputs).expect("write target/experiments");
-    println!(
-        "\n(CSV written to {}; site-labelled exposition snapshot to {})",
-        paths[0].display(),
-        paths[1].display()
-    );
+    report_sweep("geo", &outputs, &claim);
 }

@@ -8,21 +8,12 @@
 //! shape, same seed discipline, byte-identical CSV per run; this is the
 //! variant `scripts/ci.sh` double-runs and compares.
 //!
-//! The binary asserts a wall-clock kernel-throughput floor (override with
-//! `MILLIONUSER_MIN_EPS=<events/sec>`; set it to 0 on a machine too slow
-//! or too noisy to judge) and, at full scale, the experiment's two
-//! structural claims: ≥ 1M distinct principals and ≥ 5×10⁷ kernel events.
+//! The binary prints the wall-clock kernel throughput it sustained and, at
+//! full scale, asserts the experiment's two structural claims: ≥ 1M
+//! distinct principals and ≥ 5×10⁷ kernel events.
 
 use onserve_bench::millionuser::{self, Scale, CI, FULL};
 use onserve_bench::save_experiment;
-
-/// Default wall-clock floor, kernel events per host second. Deliberately
-/// conservative: a release build sustains ~10⁵ fleet-tier events/sec on
-/// a single commodity core (each event drags the full SOAP/grid stack
-/// with it, cf. the ~171 µs/request fig6 baseline); the floor only
-/// catches the kernel falling off an algorithmic cliff, not
-/// machine-to-machine variance.
-const DEFAULT_MIN_EPS: f64 = 30_000.0;
 
 fn main() {
     let ci = std::env::args().any(|a| a == "--ci");
@@ -60,16 +51,6 @@ fn main() {
         host.events_per_sec / 1e6
     );
 
-    let min_eps = std::env::var("MILLIONUSER_MIN_EPS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(DEFAULT_MIN_EPS);
-    assert!(
-        host.events_per_sec >= min_eps,
-        "kernel throughput floor violated: {:.0} events/sec < {:.0}",
-        host.events_per_sec,
-        min_eps
-    );
     if !ci {
         assert!(
             point.distinct_principals >= 1_000_000,

@@ -30,14 +30,11 @@ fn upload_scenario(lan_bw: f64, concurrent: u32, seed: u64) -> f64 {
 }
 
 fn service_use_scenario(wan_bw: f64, concurrent: u32, seed: u64, telemetry: bool) -> (f64, Runner) {
-    let spec = DeploymentSpec {
+    let mut spec = DeploymentSpec {
         wan_bandwidth_override: Some(wan_bw),
-        config: onserve::OnServeConfig {
-            broker: gridsim::BrokerPolicy::Fixed("ncsa".into()),
-            ..onserve::OnServeConfig::default()
-        },
         ..DeploymentSpec::default()
     };
+    spec.config.broker = gridsim::BrokerPolicy::Fixed("ncsa".into());
     let mut r = Runner::new(seed, &spec);
     if telemetry {
         r.sim.enable_telemetry();

@@ -4,8 +4,7 @@
 //! Run with: `cargo run --release -p onserve-bench --bin noisyneighbor`
 
 use onserve_bench::noisyneighbor::{self, Mode, BEHAVED_RPS, BEHAVED_TENANTS, FLOOD_RPS, REPLICAS};
-use onserve_bench::save_experiment;
-use simkit::report::TextTable;
+use onserve_bench::report_sweep;
 
 fn main() {
     println!(
@@ -17,53 +16,20 @@ fn main() {
         noisyneighbor::horizon().as_secs_f64(),
     );
     let points = noisyneighbor::sweep();
-
-    let mut t = TextTable::new(vec![
-        "mode",
-        "behaved ok/shed",
-        "behaved p99 (s)",
-        "worst tenant p99 (s)",
-        "flood ok/shed",
-        "flood p99 (s)",
-        "door queued",
-        "door shed",
-    ]);
-    for p in &points {
-        t.row(vec![
-            p.mode.label().to_string(),
-            format!("{}/{}", p.behaved_ok, p.behaved_shed),
-            format!("{:.2}", p.behaved_p99_s),
-            format!("{:.2}", p.worst_p99_s),
-            format!("{}/{}", p.flood_ok, p.flood_shed),
-            format!("{:.2}", p.flood_p99_s),
-            p.door_queued.to_string(),
-            p.door_shed.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let base = points.iter().find(|p| p.mode == Mode::Base).expect("base");
-    let off = points.iter().find(|p| p.mode == Mode::QosOff).expect("off");
-    let on = points.iter().find(|p| p.mode == Mode::QosOn).expect("on");
-    println!(
-        "QoS off lets the flooder inflate behaved p99 {:.1}x over baseline ({:.1} s -> {:.1} s);",
+    let row = |m: Mode| points.iter().find(|p| p.mode == m).expect("row");
+    let (base, off, on) = (row(Mode::Base), row(Mode::QosOff), row(Mode::QosOn));
+    let claim = format!(
+        "QoS off lets the flooder inflate behaved p99 {:.1}x over baseline ({:.1} s -> {:.1} s);\n\
+         QoS on holds it at {:.2}x baseline ({:.1} s) and pushes the backlog onto the flooder (p99 {:.0} s, {} shed)",
         off.behaved_p99_s / base.behaved_p99_s,
         base.behaved_p99_s,
-        off.behaved_p99_s
-    );
-    println!(
-        "QoS on holds it at {:.2}x baseline ({:.1} s) and pushes the backlog onto the flooder (p99 {:.0} s, {} shed)",
+        off.behaved_p99_s,
         on.behaved_p99_s / base.behaved_p99_s,
         on.behaved_p99_s,
         on.flood_p99_s,
         on.flood_shed
     );
-
+    // the exposition snapshot is the QoS-on row's
     let outputs = [("csv", &*noisyneighbor::csv(&points)), ("prom", &*on.prom)];
-    let paths = save_experiment("noisyneighbor", &outputs).expect("write target/experiments");
-    println!(
-        "\n(CSV written to {}; QoS-on exposition snapshot to {})",
-        paths[0].display(),
-        paths[1].display()
-    );
+    report_sweep("noisyneighbor", &outputs, &claim);
 }

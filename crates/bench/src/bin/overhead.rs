@@ -22,7 +22,6 @@ use onserve::profile::ExecutionProfile;
 use onserve_bench::{par_sweep, Runner, KB};
 use simkit::report::TextTable;
 use simkit::{Duration, Sim};
-use wsstack::SoapValue;
 
 /// Raw JSE path: agent driven directly, no SaaS layer.
 fn raw_jse_latency(runtime: Duration, exe_bytes: f64, out_bytes: f64, seed: u64) -> f64 {
@@ -83,14 +82,7 @@ fn raw_jse_latency(runtime: Duration, exe_bytes: f64, out_bytes: f64, seed: u64)
 
 /// SaaS path: one invocation through the full stack (publish excluded).
 fn saas_latency(runtime: Duration, exe_bytes: usize, out_bytes: f64, seed: u64) -> f64 {
-    let spec = DeploymentSpec {
-        config: onserve::OnServeConfig {
-            poll_interval: Duration::from_secs(1),
-            ..onserve::OnServeConfig::default()
-        },
-        ..DeploymentSpec::default()
-    };
-    let mut r = Runner::new(seed, &spec);
+    let mut r = Runner::with_config(seed, |c| c.poll_interval = Duration::from_secs(1));
     r.publish(
         "job.exe",
         exe_bytes,
@@ -147,18 +139,7 @@ fn main() {
         &[],
     );
     let n = 200;
-    let t0 = r.sim.now();
-    let done = Rc::new(Cell::new(0u32));
-    for _ in 0..n {
-        let c = done.clone();
-        r.d.invoke(&mut r.sim, "micro", &[], move |_, res| {
-            assert!(matches!(res, Ok(SoapValue::Binary { .. })));
-            c.set(c.get() + 1);
-        });
-    }
-    r.sim.run();
-    assert_eq!(done.get(), n);
-    let wall = (r.sim.now() - t0).as_secs_f64();
+    let wall = r.invoke_burst("micro", n);
     println!("  {n} small jobs (8 KB exe, 20 s runtime) completed in {wall:.0} s");
     println!(
         "  sustained rate: {:.1} jobs/min across {} sites",

@@ -37,10 +37,10 @@ use std::time::{Duration as WallDuration, Instant};
 use blobstore::{BlobDb, TimedDb, WriteStrategy};
 use fleet::{Fleet, FleetSpec, Request};
 use gridsim::{CertAuthority, MyProxyServer};
-use onserve::deployment::{synth_executable, synth_payload, DeploymentSpec};
+use onserve::deployment::{synth_executable, synth_payload};
 use onserve::profile::ExecutionProfile;
-use onserve_bench::fleetscale::fleet_image;
-use onserve_bench::{Runner, KB};
+use onserve_bench::figures;
+use onserve_bench::fleetrun::fleet_image;
 use simkit::telemetry::{parse_json, Json};
 use simkit::wheel::TimerWheel;
 use simkit::{Duration, Host, HostSpec, PsServer, Recorder, ServerConfig, Sim, SimTime};
@@ -311,17 +311,7 @@ fn bench_span_tree() -> Entry {
 /// The full Figure-6 invocation pipeline; one op = one invocation.
 fn bench_fig6_pipeline() -> Entry {
     measure("pipeline.fig6", 10, || {
-        let mut r = Runner::new(6, &DeploymentSpec::default());
-        r.publish(
-            "small.exe",
-            64,
-            ExecutionProfile::quick()
-                .lasting(Duration::from_secs(60))
-                .producing(48.0 * KB),
-            &[],
-        );
-        let (res, _) = r.invoke_blocking("small", &[]);
-        res.expect("invocation");
+        figures::fig6(|_| {});
         1
     })
 }

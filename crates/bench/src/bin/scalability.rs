@@ -18,7 +18,7 @@ use onserve::deployment::DeploymentSpec;
 use onserve::profile::ExecutionProfile;
 use onserve_bench::{par_sweep, trace_arg, write_trace, Runner, KB};
 use simkit::report::TextTable;
-use simkit::{Duration, MB};
+use simkit::Duration;
 
 struct UploadPoint {
     n: u32,
@@ -50,15 +50,10 @@ struct InvokePoint {
 }
 
 fn invoke_point(n: u32, telemetry: bool) -> (InvokePoint, Runner) {
-    let spec = DeploymentSpec {
-        config: onserve::OnServeConfig {
-            // pin one site so the WAN contention is visible
-            broker: gridsim::BrokerPolicy::Fixed("tacc".into()),
-            ..onserve::OnServeConfig::default()
-        },
-        ..DeploymentSpec::default()
-    };
-    let mut r = Runner::new(200 + n as u64, &spec);
+    // pin one site so the WAN contention is visible
+    let mut r = Runner::with_config(200 + n as u64, |c| {
+        c.broker = gridsim::BrokerPolicy::Fixed("tacc".into())
+    });
     if telemetry {
         r.sim.enable_telemetry();
     }
@@ -139,7 +134,6 @@ fn main() {
         "the WAN uplink saturates (busy ≈ makespan) while appliance CPU/disk\n\
          stay nearly idle: the network is the scaling wall on the Grid side."
     );
-    let _ = MB;
 
     if let Some(path) = trace_arg() {
         // re-run one representative point with telemetry on; the sweep

@@ -21,17 +21,12 @@
 //! Shared by the `chaos` binary and the golden determinism test so both
 //! always describe the same experiment.
 
-use std::rc::Rc;
-
-use fleet::{
-    start_open_loop, ArrivalProcess, Autoscaler, AutoscalerConfig, ChaosMonkey, Fleet, FleetSpec,
-    Mix, Policy, RetryConfig, StorageTopology, SubmitFn,
-};
+use fleet::{ArrivalProcess, ChaosMonkey, FleetSpec, Mix, RetryConfig};
 use onserve::profile::ExecutionProfile;
 use simkit::fault::FaultPlan;
-use simkit::{Duration, Sim, KB};
+use simkit::{Duration, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::fleetrun::{replicated_spec, FleetRun};
 
 /// Open-loop offered load, requests/second.
 pub const OFFERED_RPS: f64 = 0.5;
@@ -85,70 +80,34 @@ pub struct ChaosPoint {
 }
 
 fn fleet_spec(retry: bool) -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = 2;
-    spec.dispatcher.policy = Policy::RoundRobin;
     // the whole horizon's traffic can be in flight at once
-    spec.dispatcher.max_in_flight = 512;
+    let mut spec = replicated_spec(2, 512);
     spec.dispatcher.retry = retry.then(RetryConfig::default);
     spec
 }
 
 /// Run one row: boot, provision, unleash the schedule, offer load.
 pub fn run_point(retry: bool) -> ChaosPoint {
-    let mut sim = Sim::new(SEED);
-    let fleet = Fleet::new(&mut sim, fleet_spec(retry));
-    sim.run(); // cold-start both appliances
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
+    let mut run = FleetRun::new(SEED, fleet_spec(retry), false);
+    run.provision(
         ExecutionProfile::quick()
             .lasting(service_time())
             .producing(64.0 * KB),
-        |_| {},
     );
-    sim.run();
-    let until = sim.now() + horizon();
-    // replacement-only autoscaler: thresholds parked so Replace is the
-    // only reachable decision
-    let _scaler = Autoscaler::install(
-        &mut sim,
-        &fleet,
-        AutoscalerConfig {
-            interval: Duration::from_secs(15),
-            cooldown: Duration::from_secs(60),
-            scale_up_load: f64::INFINITY,
-            scale_down_load: 0.0,
-            min_replicas: 2,
-            max_replicas: 6,
-            ..AutoscalerConfig::default()
-        },
-        until,
-    );
+    let until = run.sim.now() + horizon();
+    run.replace_losses(2, 6, until);
     let mut plan = FaultPlan::new(SEED);
     for t in crash_offsets() {
         plan = plan.crash_at(t);
     }
-    let monkey = ChaosMonkey::unleash(&mut sim, &fleet, &plan);
-    let dispatcher = Rc::clone(fleet.dispatcher());
-    let sink: Rc<SubmitFn> = Rc::new(move |sim, req, done| dispatcher.submit(sim, req, done));
-    let stats = start_open_loop(
-        &mut sim,
+    let monkey = ChaosMonkey::unleash(&mut run.sim, &run.fleet, &plan);
+    let stats = run.offer(
         ArrivalProcess::Poisson { rate: OFFERED_RPS },
         Mix::invoke_only(&["app"]),
-        sink,
         until,
     );
-    sim.run(); // drain every outstanding request and retry
-    let c = fleet.dispatcher().counters();
-    assert_eq!(
-        c.accepted,
-        c.completed + c.faulted,
-        "request conservation violated"
-    );
-    assert_eq!(monkey.landed(), fleet.lost_total());
+    let c = run.drain(); // every outstanding request and retry
+    assert_eq!(monkey.landed(), run.fleet.lost_total());
     ChaosPoint {
         retry,
         issued: stats.issued(),
@@ -156,8 +115,8 @@ pub fn run_point(retry: bool) -> ChaosPoint {
         faulted: stats.faulted(),
         shed: c.shed,
         retried: c.retried,
-        lost: fleet.lost_total(),
-        replaced: fleet.booted_total() - 2,
+        lost: run.fleet.lost_total(),
+        replaced: run.fleet.booted_total() - 2,
         goodput_rps: stats.completed() as f64 / horizon().as_secs_f64(),
     }
 }

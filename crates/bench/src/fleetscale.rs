@@ -23,15 +23,11 @@
 //! Shared by the `fleetscale` binary and the golden determinism test so
 //! both always describe the same experiment.
 
-use std::rc::Rc;
-
-use fleet::{
-    start_open_loop, ArrivalProcess, Fleet, FleetSpec, Mix, StorageTopology, SubmitFn,
-    WorkloadStats,
-};
+use fleet::{ArrivalProcess, FleetSpec, Mix, StorageTopology};
 use onserve::profile::ExecutionProfile;
-use simkit::{Duration, HostSpec, Sim, KB, MB};
-use vappliance::ApplianceImage;
+use simkit::{Duration, HostSpec, KB, MB};
+
+use crate::fleetrun::{fleet_image, FleetRun};
 
 /// Replica counts each topology is swept over.
 pub const REPLICAS: [usize; 3] = [1, 2, 4];
@@ -66,16 +62,6 @@ pub struct FleetPoint {
     pub booted: u64,
 }
 
-/// The appliance image every replica boots from.
-pub fn fleet_image() -> ApplianceImage {
-    ApplianceImage {
-        name: "onserve".into(),
-        bytes: 600.0 * MB,
-        boot_services: vec!["mysqld".into(), "tomcat".into(), "juddi".into()],
-        recipe_fingerprint: 1,
-    }
-}
-
 /// The sweep's fleet configuration for one point.
 pub fn fleet_spec(topology: StorageTopology, replicas: usize) -> FleetSpec {
     let mut spec = FleetSpec::with_image(fleet_image());
@@ -96,49 +82,28 @@ pub fn fleet_spec(topology: StorageTopology, replicas: usize) -> FleetSpec {
     spec
 }
 
-/// Run one sweep point: boot, provision, offer load, measure.
-pub fn run_point(topology: StorageTopology, replicas: usize, seed: u64) -> FleetPoint {
-    let (sim, _fleet, stats, point) = run_point_instrumented(topology, replicas, seed, false);
-    drop((sim, stats));
-    point
-}
-
-/// [`run_point`] but returning the live simulator and stats, and
-/// optionally with telemetry enabled — the `--trace` path of the binary
-/// uses this to export the span tree of a representative point.
-pub fn run_point_instrumented(
+/// Run one sweep point: boot, provision, offer load, measure. The live
+/// run comes back with the point so the binary's `--trace` path can export
+/// the span tree of a representative point run with `telemetry` on.
+pub fn run_point(
     topology: StorageTopology,
     replicas: usize,
     seed: u64,
     telemetry: bool,
-) -> (Sim, Rc<Fleet>, Rc<WorkloadStats>, FleetPoint) {
-    let mut sim = Sim::new(seed);
-    if telemetry {
-        sim.enable_telemetry();
-    }
-    let fleet = Fleet::new(&mut sim, fleet_spec(topology, replicas));
-    sim.run(); // cold-start every appliance
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
+) -> (FleetRun, FleetPoint) {
+    let mut run = FleetRun::new(seed, fleet_spec(topology, replicas), telemetry);
+    run.provision(
         ExecutionProfile::quick()
             .lasting(Duration::from_secs(2))
             .producing(2.0 * MB),
-        |_| {},
     );
-    sim.run();
-    let until = sim.now() + horizon();
-    let dispatcher = Rc::clone(fleet.dispatcher());
-    let sink: Rc<SubmitFn> = Rc::new(move |sim, req, done| dispatcher.submit(sim, req, done));
-    let stats = start_open_loop(
-        &mut sim,
+    let until = run.sim.now() + horizon();
+    let stats = run.offer(
         ArrivalProcess::Poisson { rate: OFFERED_RPS },
         Mix::invoke_only(&["app"]),
-        sink,
         until,
     );
-    sim.run();
+    run.sim.run();
     let point = FleetPoint {
         replicas,
         topology,
@@ -146,11 +111,11 @@ pub fn run_point_instrumented(
         p50_s: stats.latency_percentile(50.0),
         p95_s: stats.latency_percentile(95.0),
         p99_s: stats.latency_percentile(99.0),
-        shed: fleet.dispatcher().counters().shed,
+        shed: run.fleet.dispatcher().counters().shed,
         issued: stats.issued(),
-        booted: fleet.booted_total(),
+        booted: run.fleet.booted_total(),
     };
-    (sim, fleet, stats, point)
+    (run, point)
 }
 
 /// Run the full sweep (both topologies × [`REPLICAS`]), one thread per
@@ -161,7 +126,7 @@ pub fn sweep() -> Vec<FleetPoint> {
         .flat_map(|t| REPLICAS.into_iter().map(move |n| (t, n)))
         .collect();
     crate::par_sweep(&points, |i, &(topology, replicas)| {
-        run_point(topology, replicas, 0xf1ee7 + i as u64)
+        run_point(topology, replicas, 0xf1ee7 + i as u64, false).1
     })
 }
 

@@ -34,19 +34,17 @@
 //! Shared by the `geo` binary and the golden determinism test so both
 //! always describe the same experiment.
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use fleet::{
-    ChaosMonkey, Fleet, FleetSpec, GeoPlane, HealthConfig, HealthPlane, Policy, Request, SiteMap,
-    StorageTopology,
+    AffinityConfig, ChaosMonkey, FleetSpec, GeoPlane, HealthConfig, HealthPlane, Policy, SiteMap,
 };
 use gridsim::SiteSpec;
 use onserve::profile::ExecutionProfile;
 use simkit::fault::FaultPlan;
-use simkit::{Duration, Sim, KB};
+use simkit::{Duration, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::fleetrun::{pace, replicated_spec, FleetRun};
 
 /// Seed shared by every row — arrivals, placement, and the outage victim
 /// must be identical so the routing/federation knobs are the only
@@ -200,15 +198,12 @@ pub struct GeoPoint {
 }
 
 fn fleet_spec(mode: GeoMode) -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = REPLICAS;
-    spec.dispatcher.max_in_flight = 1024;
-    if mode == GeoMode::RoundRobin {
-        spec.dispatcher.policy = Policy::RoundRobin;
+    let mut spec = replicated_spec(REPLICAS, 1024);
+    if mode != GeoMode::RoundRobin {
+        spec.dispatcher.policy = Policy::LeastOutstanding;
     }
     if mode.sticky() {
-        spec.dispatcher.affinity = Some(fleet::AffinityConfig::default());
+        spec.dispatcher.affinity = Some(AffinityConfig::default());
     }
     if mode.outage() {
         // fail fast on loss: the rows measure what the *routing* saves,
@@ -219,62 +214,17 @@ fn fleet_spec(mode: GeoMode) -> FleetSpec {
     spec
 }
 
-/// Fixed-schedule pacer: one invocation every [`arrival_gap`], origin
-/// following the sun, principals cycling (sticky rows only).
-#[allow(clippy::too_many_arguments)]
-fn pace(
-    sim: &mut Sim,
-    fleet: &Rc<Fleet>,
-    geo: &Rc<GeoPlane>,
-    sticky: bool,
-    t0: simkit::SimTime,
-    until: simkit::SimTime,
-    n: u64,
-    issued: Rc<Cell<u64>>,
-    ok: Rc<Cell<u64>>,
-    bad: Rc<Cell<u64>>,
-    latencies: Rc<RefCell<Vec<f64>>>,
-) {
-    if sim.now() > until {
-        return;
-    }
-    geo.set_origin(geo.map().sun_origin(sim.now() - t0, horizon()));
-    issued.set(issued.get() + 1);
-    let principal = sticky.then(|| format!("t{:02}", n % TENANTS as u64));
-    let (c, f, lat) = (Rc::clone(&ok), Rc::clone(&bad), Rc::clone(&latencies));
-    let sent = sim.now();
-    fleet.dispatcher().clone().submit(
-        sim,
-        Request::Invoke {
-            service: "app".into(),
-            args: Vec::new(),
-            principal,
-        },
-        Box::new(move |sim, res| {
-            if res.is_ok() {
-                c.set(c.get() + 1);
-                lat.borrow_mut().push((sim.now() - sent).as_secs_f64());
-            } else {
-                f.set(f.get() + 1);
-            }
-        }),
-    );
-    let (fl, g) = (Rc::clone(fleet), Rc::clone(geo));
-    sim.schedule(arrival_gap(), move |sim| {
-        pace(sim, &fl, &g, sticky, t0, until, n + 1, issued, ok, bad, latencies)
-    });
-}
-
 /// Run one row: boot, provision, attach the planes, optionally unleash
-/// the outage, offer the burst schedule, drain completely.
+/// the outage, offer the paced schedule — one invocation every
+/// [`arrival_gap`], origin following the sun, principals cycling (sticky
+/// rows only) — and drain completely.
 pub fn run_point(mode: GeoMode) -> GeoPoint {
-    let mut sim = Sim::new(SEED);
-    let fleet = Fleet::new(&mut sim, fleet_spec(mode));
+    let mut run = FleetRun::new(SEED, fleet_spec(mode), false);
     // attach the planes before the boots scheduled by `Fleet::new` run, so
     // every replica activates with its site placement (WAN costs, outage
     // blackholing) and a site-labelled health series
     let plane = HealthPlane::new(HealthConfig::default());
-    fleet.dispatcher().set_health_plane(Rc::clone(&plane));
+    run.fleet.dispatcher().set_health_plane(Rc::clone(&plane));
     let geo = GeoPlane::new(SiteMap::from_specs(&sites()));
     geo.set_payload_bytes(payload_bytes());
     geo.set_spill_threshold(SPILL_THRESHOLD);
@@ -289,53 +239,35 @@ pub fn run_point(mode: GeoMode) -> GeoPoint {
         geo.set_injector(Rc::clone(&inj));
         inj
     });
-    fleet.attach_geo(Rc::clone(&geo));
+    run.fleet.attach_geo(Rc::clone(&geo));
     if mode.dispatcher_geo() {
-        fleet.dispatcher().set_geo(Rc::clone(&geo));
+        run.fleet.dispatcher().set_geo(Rc::clone(&geo));
     }
-    sim.run(); // cold-start all appliances
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
+    run.provision(
         ExecutionProfile::quick()
             .lasting(Duration::from_secs(2))
             .producing(16.0 * KB),
-        |_| {},
     );
-    sim.run();
 
-    let t0 = sim.now();
+    let t0 = run.sim.now();
     let monkey = mode.outage().then(|| {
         ChaosMonkey::unleash(
-            &mut sim,
-            &fleet,
+            &mut run.sim,
+            &run.fleet,
             &FaultPlan::new(SEED).site_down(outage_offset(), outage_duration()),
         )
     });
-    let issued = Rc::new(Cell::new(0u64));
-    let ok = Rc::new(Cell::new(0u64));
-    let bad = Rc::new(Cell::new(0u64));
-    let latencies: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
-    pace(
-        &mut sim,
-        &fleet,
-        &geo,
-        mode.sticky(),
-        t0,
-        t0 + horizon(),
-        0,
-        Rc::clone(&issued),
-        Rc::clone(&ok),
-        Rc::clone(&bad),
-        Rc::clone(&latencies),
-    );
-    sim.run(); // drain every outstanding answer, hold, and watchdog
+    let (sun, sticky) = (Rc::clone(&geo), mode.sticky());
+    let paced = pace(&mut run, arrival_gap(), t0 + horizon(), move |sim, n| {
+        sun.set_origin(sun.map().sun_origin(sim.now() - t0, horizon()));
+        sticky.then(|| format!("t{:02}", n % TENANTS as u64))
+    });
+    run.sim.run(); // drain every outstanding answer, hold, and watchdog
     if let Some(m) = &monkey {
         assert_eq!(m.site_outages(), 1, "the pinned outage registered");
     }
 
-    let mut lat = latencies.borrow().clone();
+    let mut lat = paced.latencies.borrow().clone();
     lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let mean = if lat.is_empty() {
         0.0
@@ -347,13 +279,13 @@ pub fn run_point(mode: GeoMode) -> GeoPoint {
     } else {
         lat[((lat.len() as f64 * 0.99).ceil() as usize).min(lat.len()) - 1]
     };
-    let d = fleet.dispatcher().counters();
+    let d = run.fleet.dispatcher().counters();
     let g = geo.counters();
     GeoPoint {
         mode,
-        issued: issued.get(),
-        completed: ok.get(),
-        faulted: bad.get(),
+        issued: paced.issued.get(),
+        completed: paced.ok.get(),
+        faulted: paced.bad.get(),
         shed: d.shed,
         forwarded: d.forwarded,
         results_pulled: g.results_pulled,
@@ -362,7 +294,7 @@ pub fn run_point(mode: GeoMode) -> GeoPoint {
         link_drops: injector.map_or(0, |i| i.counts().link_drops),
         mean_ms: mean * 1000.0,
         p99_ms: p99 * 1000.0,
-        prom: plane.prometheus_text(sim.now()),
+        prom: plane.prometheus_text(run.sim.now()),
     }
 }
 

@@ -25,18 +25,14 @@
 //! Shared by the `grayfail` binary and the golden determinism test so
 //! both always describe the same experiment.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
-use fleet::{
-    Autoscaler, AutoscalerConfig, ChaosMonkey, DetectorAction, Fleet, FleetSpec,
-    GrayFailureDetector, HealthConfig, HealthPlane, Policy, Request, StorageTopology,
-};
+use fleet::{ChaosMonkey, DetectorAction, GrayFailureDetector, HealthPlane};
 use onserve::profile::ExecutionProfile;
 use simkit::fault::FaultPlan;
-use simkit::{Duration, Sim, SimTime, KB};
+use simkit::{Duration, SimTime, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::fleetrun::{pace, replicated_spec, slow_replica_health, FleetRun};
 
 /// Seed shared by both rows — the slow-strike victim and every arrival
 /// must be identical so the detector is the only variable.
@@ -66,23 +62,6 @@ pub fn degrade_offset() -> Duration {
 /// Latency multiplier the strike applies to the victim.
 pub const SLOW_FACTOR: f64 = 10.0;
 
-/// Windowing tuned to the appliance's real invoke latency: with the
-/// victim at 10× (~155 s per answer) the lookback must still hold its
-/// completions, or the detector would only ever see the healthy pack.
-pub fn health_config() -> HealthConfig {
-    HealthConfig {
-        window: Duration::from_secs(30),
-        ring: 16,
-        lookback: Duration::from_secs(240),
-        interval: Duration::from_secs(30),
-        latency_factor: 3.0,
-        min_samples: 2,
-        probation_strikes: 2,
-        eject_strikes: 6,
-        ..HealthConfig::default()
-    }
-}
-
 /// One measured row.
 pub struct GrayfailPoint {
     /// Whether the gray-failure detector was installed.
@@ -111,102 +90,35 @@ pub struct GrayfailPoint {
     pub timeseries: String,
 }
 
-fn fleet_spec() -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = REPLICAS;
-    spec.dispatcher.policy = Policy::RoundRobin;
-    // the victim's backlog must queue, not shed: the control row pins
-    // hundreds of requests behind the degraded replica
-    spec.dispatcher.max_in_flight = 1024;
-    spec
-}
-
-/// Fixed-interval pacer cycling three tenants, counting completions.
-fn pace(sim: &mut Sim, fleet: &Rc<Fleet>, until: SimTime, n: u64, issued: Rc<Cell<u64>>, ok: Rc<Cell<u64>>, bad: Rc<Cell<u64>>) {
-    if sim.now() > until {
-        return;
-    }
-    const TENANTS: [&str; 3] = ["alice", "bob", "carol"];
-    issued.set(issued.get() + 1);
-    let (c, f) = (Rc::clone(&ok), Rc::clone(&bad));
-    fleet.dispatcher().clone().submit(
-        sim,
-        Request::Invoke {
-            service: "app".into(),
-            args: Vec::new(),
-            principal: Some(TENANTS[(n % 3) as usize].into()),
-        },
-        Box::new(move |_, res| {
-            if res.is_ok() {
-                c.set(c.get() + 1);
-            } else {
-                f.set(f.get() + 1);
-            }
-        }),
-    );
-    let fl = Rc::clone(fleet);
-    sim.schedule(arrival_gap(), move |sim| {
-        pace(sim, &fl, until, n + 1, issued, ok, bad)
-    });
-}
-
 /// Run one row: boot, provision, attach the plane, unleash the slow
 /// strike, offer paced load, read the plane at the end.
 pub fn run_point(detector: bool) -> GrayfailPoint {
-    let mut sim = Sim::new(SEED);
-    let fleet = Fleet::new(&mut sim, fleet_spec());
-    sim.run(); // cold-start all appliances
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
+    // the victim's backlog must queue, not shed: the control row pins
+    // hundreds of requests behind the degraded replica
+    let mut run = FleetRun::new(SEED, replicated_spec(REPLICAS, 1024), false);
+    run.provision(
         ExecutionProfile::quick()
             .lasting(Duration::from_millis(200))
             .producing(16.0 * KB),
-        |_| {},
     );
-    sim.run();
-    let plane = HealthPlane::new(health_config());
-    fleet.dispatcher().set_health_plane(Rc::clone(&plane));
-    let t0 = sim.now();
+    let plane = HealthPlane::new(slow_replica_health());
+    run.fleet.dispatcher().set_health_plane(Rc::clone(&plane));
+    let t0 = run.sim.now();
     let until = t0 + horizon();
-    // replacement-only autoscaler: thresholds parked so Replace is the
-    // only reachable decision — capacity changes come from the detector
-    let _scaler = Autoscaler::install(
-        &mut sim,
-        &fleet,
-        AutoscalerConfig {
-            interval: Duration::from_secs(15),
-            cooldown: Duration::from_secs(60),
-            scale_up_load: f64::INFINITY,
-            scale_down_load: 0.0,
-            min_replicas: REPLICAS,
-            max_replicas: REPLICAS + 2,
-            ..AutoscalerConfig::default()
-        },
-        until,
-    );
+    // capacity changes come from the detector alone
+    run.replace_losses(REPLICAS, REPLICAS + 2, until);
     let monkey = ChaosMonkey::unleash(
-        &mut sim,
-        &fleet,
+        &mut run.sim,
+        &run.fleet,
         &FaultPlan::new(SEED).slow_at(degrade_offset(), SLOW_FACTOR),
     );
-    let sentry = detector.then(|| GrayFailureDetector::install(&mut sim, &fleet, &plane, until));
-    let issued = Rc::new(Cell::new(0u64));
-    let ok = Rc::new(Cell::new(0u64));
-    let bad = Rc::new(Cell::new(0u64));
-    pace(
-        &mut sim,
-        &fleet,
-        until,
-        0,
-        Rc::clone(&issued),
-        Rc::clone(&ok),
-        Rc::clone(&bad),
-    );
-    sim.run_until(until);
-    let end = sim.now();
+    let sentry =
+        detector.then(|| GrayFailureDetector::install(&mut run.sim, &run.fleet, &plane, until));
+    let paced = pace(&mut run, arrival_gap(), until, |_, n| {
+        Some(["alice", "bob", "carol"][(n % 3) as usize].into())
+    });
+    run.sim.run_until(until);
+    let end = run.sim.now();
     assert_eq!(monkey.slowed(), 1, "the pinned slow strike landed");
     let degrade_at = t0 + degrade_offset();
     let since = |at: Option<SimTime>| at.map_or(-1.0, |t| (t - degrade_at).as_secs_f64());
@@ -216,12 +128,12 @@ pub fn run_point(detector: bool) -> GrayfailPoint {
     };
     GrayfailPoint {
         detector,
-        issued: issued.get(),
-        completed: ok.get(),
-        faulted: bad.get(),
+        issued: paced.issued.get(),
+        completed: paced.ok.get(),
+        faulted: paced.bad.get(),
         probations: sentry.as_ref().map_or(0, |s| s.probations() as u64),
         ejections: sentry.as_ref().map_or(0, |s| s.ejections() as u64),
-        replaced: fleet.booted_total() - REPLICAS as u64,
+        replaced: run.fleet.booted_total() - REPLICAS as u64,
         first_probation_s: since(first(DetectorAction::Probation)),
         first_eject_s: since(first(DetectorAction::Ejected)),
         fleet_p99_s: plane.fleet_p99(end).unwrap_or(-1.0),

@@ -2,15 +2,20 @@
 
 //! Shared experiment drivers for the benchmark harness.
 //!
-//! Every figure-regeneration binary (`fig6`, `fig7`, `fig8`,
-//! `scalability`, `netsweep`, `diskio`, `overhead`) builds on the same
-//! blocking [`Runner`] around a [`Deployment`], plus the
-//! figure-rendering helpers here. Binaries print
-//! the same series the paper plots (ASCII charts + row tables) so
-//! EXPERIMENTS.md can quote exact numbers.
+//! One appliance: the blocking [`Runner`] around a [`Deployment`], which
+//! the paper-section binaries (`scalability`, `netsweep`, `diskio`,
+//! `overhead`, `ablations`) drive directly and [`figures`] builds the
+//! paper's Figures 6–8 on. A fleet: [`fleetrun::FleetRun`], with one
+//! module per fleet experiment on top of it (its constants, its `…Point`
+//! row, `sweep()` and the `csv()` the golden pins) and one binary each.
+//! Binaries print what the fixtures pin — the figures' series as ASCII
+//! charts + row tables, a sweep's CSV as an aligned table
+//! ([`report_sweep`]) — so EXPERIMENTS.md can quote exact numbers.
 
 pub mod affinity;
 pub mod chaos;
+pub mod figures;
+pub mod fleetrun;
 pub mod fleetscale;
 pub mod geo;
 pub mod grayfail;
@@ -23,9 +28,9 @@ use std::rc::Rc;
 
 use onserve::deployment::{Deployment, DeploymentSpec};
 use onserve::profile::ExecutionProfile;
-use onserve::PublishedService;
+use onserve::{OnServeConfig, PublishedService};
 use simkit::metrics::Series;
-use simkit::report::{ascii_chart_rows, series_table};
+use simkit::report::{ascii_chart_rows, series_table, TextTable};
 use simkit::{Sim, SimTime};
 use wsstack::{SoapFault, SoapValue};
 
@@ -43,6 +48,14 @@ impl Runner {
         let mut sim = Sim::new(seed);
         let d = Deployment::build(&mut sim, spec);
         Runner { sim, d }
+    }
+
+    /// Fresh default deployment whose middleware configuration `configure`
+    /// has adjusted — the one knob an ablation or sweep point turns.
+    pub fn with_config(seed: u64, configure: impl FnOnce(&mut OnServeConfig)) -> Runner {
+        let mut spec = DeploymentSpec::default();
+        configure(&mut spec.config);
+        Runner::new(seed, &spec)
     }
 
     /// Fresh system with a custom sampling interval.
@@ -94,14 +107,18 @@ impl Runner {
     }
 
     /// Fire `n` concurrent no-argument invocations of `service`, drain,
-    /// and return the batch makespan in seconds. Panics on any fault.
+    /// and return the batch makespan in seconds. Panics on any answer
+    /// that is not the job's output.
     pub fn invoke_burst(&mut self, service: &str, n: u32) -> f64 {
         let t0 = self.sim.now();
         let done = Rc::new(Cell::new(0u32));
         for _ in 0..n {
             let c = done.clone();
             self.d.invoke(&mut self.sim, service, &[], move |_, res| {
-                res.expect("invoke");
+                assert!(
+                    matches!(res, Ok(SoapValue::Binary { .. })),
+                    "invoke: {res:?}"
+                );
                 c.set(c.get() + 1);
             });
         }
@@ -294,17 +311,44 @@ pub fn save_experiment(
     Ok(paths)
 }
 
-/// Write a figure's curves to `target/experiments/<name>.csv`. Returns
-/// the path written.
-pub fn save_curves(name: &str, curves: &[Curve]) -> std::io::Result<std::path::PathBuf> {
+/// Render a sweep's CSV (header line, then one line per row, no quoted
+/// cells) as an aligned text table: the columns a reader sees are named
+/// and rounded exactly as the golden fixture pins them.
+pub fn csv_table(csv: &str) -> String {
+    let mut lines = csv.lines().map(|l| l.split(',').collect::<Vec<_>>());
+    let mut table = TextTable::new(lines.next().expect("CSV header"));
+    for row in lines {
+        table.row(row);
+    }
+    table.render()
+}
+
+/// Print a sweep the way every sweep binary does — its CSV (the first
+/// output) as a table, then the experiment's one-sentence `claim` — and
+/// save the outputs as `target/experiments/<name>.<ext>`.
+pub fn report_sweep(name: &str, outputs: &[(&str, &str)], claim: &str) {
+    println!("{}\n{claim}", csv_table(outputs[0].1));
+    let paths = save_experiment(name, outputs).expect("write target/experiments");
+    let listed: Vec<String> = paths.iter().map(|p| p.display().to_string()).collect();
+    println!("\n(written: {})", listed.join(", "));
+}
+
+/// A figure's curves as CSV: a shared time column, then one
+/// `label (unit)` column per curve — the bytes the figure goldens pin.
+pub fn curves_csv(curves: &[Curve]) -> String {
     let headers: Vec<String> = curves
         .iter()
         .map(|c| format!("{} ({})", c.label, c.unit))
         .collect();
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let rows: Vec<&[(f64, f64)]> = curves.iter().map(|c| c.rows.as_slice()).collect();
-    let csv = simkit::report::curves_to_csv(&header_refs, &rows);
-    Ok(save_experiment(name, &[("csv", &csv)])?.remove(0))
+    simkit::report::curves_to_csv(&header_refs, &rows)
+}
+
+/// Write a figure's curves to `target/experiments/<name>.csv`. Returns
+/// the path written.
+pub fn save_curves(name: &str, curves: &[Curve]) -> std::io::Result<std::path::PathBuf> {
+    Ok(save_experiment(name, &[("csv", &curves_csv(curves))])?.remove(0))
 }
 
 #[cfg(test)]
@@ -320,6 +364,17 @@ mod tests {
         let (res, at) = r.invoke_blocking("t", &[]);
         assert!(matches!(res, Ok(SoapValue::Binary { .. })));
         assert!(at > SimTime::ZERO);
+    }
+
+    #[test]
+    fn with_config_turns_one_knob_on_the_default_deployment() {
+        let polls = |secs: u64| {
+            let mut r = Runner::with_config(5, |c| c.poll_interval = Duration::from_secs(secs));
+            r.publish("t.exe", 4096, ExecutionProfile::quick(), &[]);
+            r.invoke_burst("t", 1);
+            r.d.agent.polls_issued()
+        };
+        assert!(polls(3) > polls(30), "a shorter interval polls more often");
     }
 
     #[test]
@@ -359,6 +414,42 @@ mod tests {
         assert!(text.starts_with("t_seconds,net (KB/s)"));
         assert!(text.contains("3,2.5"));
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn csv_table_right_aligns_the_csv_cells_under_their_headers() {
+        let table = csv_table("mode,p99_s\nroundrobin,1.5000\non,10.2500\n");
+        let want =
+            "      mode    p99_s\n-------------------\nroundrobin   1.5000\n        on  10.2500\n";
+        assert_eq!(table, want);
+    }
+
+    #[test]
+    fn csv_table_renders_a_golden_with_one_line_per_row_plus_two() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/geo.csv");
+        let csv = std::fs::read_to_string(path).expect("golden");
+        let table = csv_table(&csv);
+        // header, rule, then the CSV's data rows
+        assert_eq!(table.lines().count(), csv.lines().count() + 1);
+        let header = table.lines().next().expect("header");
+        assert!(header.ends_with("mean_ms    p99_ms"), "{header}");
+    }
+
+    #[test]
+    #[should_panic(expected = "row arity mismatch")]
+    fn csv_table_rejects_a_row_that_does_not_match_the_header() {
+        csv_table("a,b\n1,2,3\n");
+    }
+
+    #[test]
+    fn report_sweep_saves_every_output_under_the_sweep_name() {
+        let outputs = [("csv", "a,b\n1,2\n"), ("prom", "x 1\n")];
+        report_sweep("unit-test-sweep", &outputs, "claim");
+        for (ext, want) in outputs {
+            let path = format!("target/experiments/unit-test-sweep.{ext}");
+            assert_eq!(std::fs::read_to_string(&path).expect("written"), want);
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! Everything reported in the CSV is virtual-time state — counts and
 //! latencies — so a same-seed double run is byte-identical; wall-clock
 //! throughput (the kernel events/second the host actually sustained) is
-//! returned separately and asserted against a floor by the binary, never
-//! written to the golden file.
+//! returned separately and printed by the binary, never written to the
+//! golden file.
 //!
 //! Shared by the `millionuser` binary and the golden determinism test so
 //! both always describe the same experiment.
@@ -27,14 +27,11 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use fleet::{
-    start_open_loop, AffinityConfig, ArrivalProcess, Fleet, FleetSpec, Mix, Policy, Request,
-    StorageTopology, SubmitFn,
-};
+use fleet::{start_open_loop, AffinityConfig, ArrivalProcess, FleetSpec, Mix, Request, SubmitFn};
 use onserve::profile::ExecutionProfile;
-use simkit::{Duration, Sim, KB};
+use simkit::{Duration, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::fleetrun::{replicated_spec, FleetRun};
 
 /// Seed for the whole run — boot, arrivals, and principal draws.
 pub const SEED: u64 = 0x1_000_000;
@@ -152,11 +149,7 @@ impl DistinctPrincipals {
 }
 
 fn fleet_spec() -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = REPLICAS;
-    spec.dispatcher.policy = Policy::RoundRobin;
-    spec.dispatcher.max_in_flight = 4096;
+    let mut spec = replicated_spec(REPLICAS, 4096);
     spec.dispatcher.affinity = Some(AffinityConfig {
         capacity: AFFINITY_CAPACITY,
     });
@@ -169,24 +162,16 @@ fn fleet_spec() -> FleetSpec {
 /// diurnal population-keyed traffic, and drain. Returns the
 /// virtual-time row plus the host-side throughput of the measured window.
 pub fn run_point(scale: Scale) -> (MillionUserPoint, HostThroughput) {
-    let mut sim = Sim::new(SEED);
-    let fleet = Fleet::new(&mut sim, fleet_spec());
-    sim.run(); // cold-start the replicas
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
+    let mut run = FleetRun::new(SEED, fleet_spec(), false);
+    run.provision(
         ExecutionProfile::quick()
             .lasting(Duration::from_millis(500))
             .producing(16.0 * KB),
-        |_| {},
     );
-    sim.run();
 
-    let until = sim.now() + Duration::from_secs(scale.horizon_secs);
+    let until = run.sim.now() + Duration::from_secs(scale.horizon_secs);
     let distinct = Rc::new(DistinctPrincipals::new(scale.population));
-    let dispatcher = Rc::clone(fleet.dispatcher());
-    let d2 = Rc::clone(&distinct);
+    let (door, d2) = (run.sink(), Rc::clone(&distinct));
     let sink: Rc<SubmitFn> = Rc::new(move |sim, req, done| {
         if let Request::Invoke {
             principal: Some(p), ..
@@ -194,10 +179,10 @@ pub fn run_point(scale: Scale) -> (MillionUserPoint, HostThroughput) {
         {
             d2.observe(p);
         }
-        dispatcher.submit(sim, req, done)
+        door(sim, req, done)
     });
     let stats = start_open_loop(
-        &mut sim,
+        &mut run.sim,
         ArrivalProcess::Diurnal {
             base_rate: scale.base_rps,
             peak_rate: scale.peak_rps,
@@ -207,19 +192,12 @@ pub fn run_point(scale: Scale) -> (MillionUserPoint, HostThroughput) {
         sink,
         until,
     );
-
-    let events_before = sim.events_executed();
+    let events_before = run.sim.events_executed();
     let t0 = std::time::Instant::now();
-    sim.run(); // the measured window: the diurnal cycles plus drain
+    let c = run.drain(); // the measured window: the diurnal cycles plus drain
     let wall_secs = t0.elapsed().as_secs_f64();
-    let events = sim.events_executed();
+    let events = run.sim.events_executed();
 
-    let c = fleet.dispatcher().counters();
-    assert_eq!(
-        c.accepted,
-        c.completed + c.faulted,
-        "request conservation violated"
-    );
     let point = MillionUserPoint {
         label: scale.label,
         population: scale.population,

@@ -28,14 +28,11 @@
 
 use std::rc::Rc;
 
-use fleet::{
-    start_open_loop, ArrivalProcess, Fleet, FleetSpec, HealthConfig, HealthPlane, Mix, Policy,
-    QosConfig, QosTier, StorageTopology, SubmitFn,
-};
+use fleet::{ArrivalProcess, HealthConfig, HealthPlane, Mix, QosConfig, QosTier};
 use onserve::profile::ExecutionProfile;
-use simkit::{Duration, Sim, KB};
+use simkit::{Duration, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::fleetrun::{replicated_spec, FleetRun};
 
 /// Seed shared by all rows.
 pub const SEED: u64 = 0x9019;
@@ -125,15 +122,6 @@ pub struct NoisyPoint {
     pub prom: String,
 }
 
-fn fleet_spec() -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = REPLICAS;
-    spec.dispatcher.policy = Policy::RoundRobin;
-    spec.dispatcher.max_in_flight = MAX_IN_FLIGHT;
-    spec
-}
-
 /// The QoS plane the `on` row runs: behaved tenants registered gold,
 /// unknown tenants (the flooder) defaulted to batch, no borrowing — the
 /// flooder's quota is `max(1, 320·1/93) = 3` admission slots.
@@ -151,28 +139,18 @@ pub fn qos_config() -> QosConfig {
 /// Run one row: boot, publish, offer the behaved stream (plus the flood
 /// in non-base rows) and read the tenant-sliced stats at the end.
 pub fn run_point(mode: Mode) -> NoisyPoint {
-    let mut sim = Sim::new(SEED);
-    sim.enable_telemetry();
-    let fleet = Fleet::new(&mut sim, fleet_spec());
-    sim.run(); // cold-start the replicas
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
+    let mut run = FleetRun::new(SEED, replicated_spec(REPLICAS, MAX_IN_FLIGHT), true);
+    run.provision(
         ExecutionProfile::quick()
             .lasting(Duration::from_secs(2))
             .producing(16.0 * KB),
-        |_| {},
     );
-    sim.run();
     let plane = HealthPlane::new(HealthConfig::default());
-    fleet.dispatcher().set_health_plane(Rc::clone(&plane));
+    run.fleet.dispatcher().set_health_plane(Rc::clone(&plane));
     if mode == Mode::QosOn {
-        fleet.dispatcher().set_qos(qos_config());
+        run.fleet.dispatcher().set_qos(qos_config());
     }
-    let until = sim.now() + horizon();
-    let dispatcher = Rc::clone(fleet.dispatcher());
-    let sink: Rc<SubmitFn> = Rc::new(move |sim, req, done| dispatcher.submit(sim, req, done));
+    let until = run.sim.now() + horizon();
     // the behaved generator forks its rng stream FIRST, so its arrival
     // schedule is bit-identical whether or not the flood starts
     let behaved_targets: Vec<(String, String)> = (1..=BEHAVED_TENANTS)
@@ -182,36 +160,30 @@ pub fn run_point(mode: Mode) -> NoisyPoint {
         .iter()
         .map(|(s, p)| (s.as_str(), p.as_str()))
         .collect();
-    let behaved = start_open_loop(
-        &mut sim,
+    let behaved = run.offer(
         ArrivalProcess::Poisson { rate: BEHAVED_RPS },
         Mix::invoke_as(&behaved_refs),
-        Rc::clone(&sink),
         until,
     );
     behaved.track_tenants();
     let flood = (mode != Mode::Base).then(|| {
-        start_open_loop(
-            &mut sim,
+        run.offer(
             ArrivalProcess::Poisson { rate: FLOOD_RPS },
             Mix::invoke_as(&[("app", FLOOD_TENANT)]),
-            sink,
             until,
         )
     });
-    sim.run(); // drain every outstanding request
-    let end = sim.now();
-    // conservation: the generators' ledgers close, and so does the door's
+    // conservation: the door's ledger closes, and so do the generators'
+    let c = run.drain();
+    let end = run.sim.now();
     assert_eq!(behaved.issued(), behaved.completed() + behaved.faulted());
     if let Some(f) = &flood {
         assert_eq!(f.issued(), f.completed() + f.faulted());
     }
-    let c = fleet.dispatcher().counters();
-    assert_eq!(c.accepted, c.completed + c.faulted, "outcome ledger");
     let offered = behaved.issued() + flood.as_ref().map_or(0, |f| f.issued());
     assert_eq!(c.accepted + c.shed, offered, "door ledger");
     if mode == Mode::QosOn {
-        for (t, s) in fleet.dispatcher().qos_tenants() {
+        for (t, s) in run.fleet.dispatcher().qos_tenants() {
             assert_eq!(
                 s.issued,
                 s.accepted + s.shed,
@@ -226,7 +198,7 @@ pub fn run_point(mode: Mode) -> NoisyPoint {
         .iter()
         .map(|t| behaved.tenant_latency_percentile(t, 99.0))
         .fold(0.0, f64::max);
-    let t = sim.telemetry().expect("telemetry on");
+    let t = run.sim.telemetry().expect("telemetry on");
     NoisyPoint {
         mode,
         behaved_issued: behaved.issued(),

@@ -25,19 +25,18 @@
 //! Shared by the `rollout` binary and the golden determinism test so
 //! both always describe the same experiment.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use fleet::{
-    AffinityConfig, CanaryConfig, ChaosMonkey, Fleet, FleetSpec, HealthConfig, HealthPlane,
-    Policy, Request, RolloutConfig, RolloutController, RolloutOutcome, RolloutStrategy,
-    StorageTopology,
+    AffinityConfig, CanaryConfig, ChaosMonkey, FleetSpec, HealthPlane, RolloutConfig,
+    RolloutController, RolloutOutcome, RolloutStrategy,
 };
 use onserve::profile::ExecutionProfile;
 use simkit::fault::FaultPlan;
-use simkit::{Duration, Sim, SimTime, KB};
+use simkit::{Duration, KB};
 
-use crate::fleetscale::fleet_image;
+use crate::fleetrun::{pace, replicated_spec, slow_replica_health, FleetRun};
 
 /// Seed shared by all four rows — arrivals, boots, and pin placement
 /// must be identical so the strategy is the only variable.
@@ -89,22 +88,6 @@ pub fn canary_config() -> CanaryConfig {
         judgment: Duration::from_secs(240),
         p99_factor: 3.0,
         min_samples: 2,
-    }
-}
-
-/// Windowing tuned to the appliance's ~15.5 s invoke latency, wide
-/// enough to hold a 10×-degraded canary's completions.
-pub fn health_config() -> HealthConfig {
-    HealthConfig {
-        window: Duration::from_secs(30),
-        ring: 16,
-        lookback: Duration::from_secs(240),
-        interval: Duration::from_secs(30),
-        latency_factor: 3.0,
-        min_samples: 2,
-        probation_strikes: 2,
-        eject_strikes: 6,
-        ..HealthConfig::default()
     }
 }
 
@@ -160,80 +143,30 @@ pub struct RolloutPoint {
 }
 
 fn fleet_spec() -> FleetSpec {
-    let mut spec = FleetSpec::with_image(fleet_image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = REPLICAS;
-    spec.dispatcher.policy = Policy::RoundRobin;
-    spec.dispatcher.max_in_flight = 1024;
+    let mut spec = replicated_spec(REPLICAS, 1024);
     // canary pin shifts ride the affinity plane
     spec.dispatcher.affinity = Some(AffinityConfig::default());
     spec.base.config.cache_grid_sessions = true;
     spec
 }
 
-/// Fixed-interval pacer cycling three tenants, counting completions.
-fn pace(
-    sim: &mut Sim,
-    fleet: &Rc<Fleet>,
-    until: SimTime,
-    n: u64,
-    issued: Rc<Cell<u64>>,
-    ok: Rc<Cell<u64>>,
-    bad: Rc<Cell<u64>>,
-) {
-    if sim.now() > until {
-        return;
-    }
-    const TENANTS: [&str; 3] = ["alice", "bob", "carol"];
-    issued.set(issued.get() + 1);
-    let (c, f) = (Rc::clone(&ok), Rc::clone(&bad));
-    fleet.dispatcher().clone().submit(
-        sim,
-        Request::Invoke {
-            service: "app".into(),
-            args: Vec::new(),
-            principal: Some(TENANTS[(n % 3) as usize].into()),
-        },
-        Box::new(move |_, res| {
-            if res.is_ok() {
-                c.set(c.get() + 1);
-            } else {
-                f.set(f.get() + 1);
-            }
-        }),
-    );
-    let fl = Rc::clone(fleet);
-    sim.schedule(arrival_gap(), move |sim| {
-        pace(sim, &fl, until, n + 1, issued, ok, bad)
-    });
-}
-
-/// Run one row with an explicit lemon seed (only the rollback row arms
-/// the lemon). [`run_point`] is the pinned-seed entry everything else
-/// uses.
-pub fn run_point_seeded(mode: RolloutMode, lemon_seed: u64) -> RolloutPoint {
-    let mut sim = Sim::new(SEED);
-    let fleet = Fleet::new(&mut sim, fleet_spec());
-    sim.run(); // cold-start all appliances
-    fleet.publish(
-        &mut sim,
-        "app.exe",
-        64 * 1024,
+/// Run one row (only the rollback row arms the lemon), asserting the
+/// outcome the row exists to demonstrate.
+pub fn run_point(mode: RolloutMode) -> RolloutPoint {
+    let mut run = FleetRun::new(SEED, fleet_spec(), false);
+    run.provision(
         ExecutionProfile::quick()
             .lasting(Duration::from_millis(200))
             .producing(16.0 * KB),
-        |_| {},
     );
-    sim.run();
-    let plane = HealthPlane::new(health_config());
-    fleet.dispatcher().set_health_plane(Rc::clone(&plane));
-    let t0 = sim.now();
-    let until = t0 + horizon();
+    let plane = HealthPlane::new(slow_replica_health());
+    run.fleet.dispatcher().set_health_plane(Rc::clone(&plane));
+    let until = run.sim.now() + horizon();
     let monkey = (mode == RolloutMode::CanaryRollback).then(|| {
         ChaosMonkey::unleash(
-            &mut sim,
-            &fleet,
-            &FaultPlan::new(lemon_seed).slow_at(lemon_offset(), SLOW_FACTOR),
+            &mut run.sim,
+            &run.fleet,
+            &FaultPlan::new(LEMON_SEED).slow_at(lemon_offset(), SLOW_FACTOR),
         )
     });
     let cfg = match mode {
@@ -249,75 +182,61 @@ pub fn run_point_seeded(mode: RolloutMode, lemon_seed: u64) -> RolloutPoint {
         },
     };
     let ctl: Rc<RefCell<Option<Rc<RolloutController>>>> = Rc::new(RefCell::new(None));
-    let (f2, c2) = (Rc::clone(&fleet), Rc::clone(&ctl));
-    sim.schedule(roll_offset(), move |sim| {
+    let (f2, c2) = (Rc::clone(&run.fleet), Rc::clone(&ctl));
+    run.sim.schedule(roll_offset(), move |sim| {
         *c2.borrow_mut() = Some(RolloutController::start(sim, &f2, cfg));
     });
-    let issued = Rc::new(Cell::new(0u64));
-    let ok = Rc::new(Cell::new(0u64));
-    let bad = Rc::new(Cell::new(0u64));
-    pace(
-        &mut sim,
-        &fleet,
-        until,
-        0,
-        Rc::clone(&issued),
-        Rc::clone(&ok),
-        Rc::clone(&bad),
-    );
-    sim.run_until(until);
+    let paced = pace(&mut run, arrival_gap(), until, |_, n| {
+        Some(["alice", "bob", "carol"][(n % 3) as usize].into())
+    });
+    run.sim.run_until(until);
     // the final-lookback p99 and the exposition, read before the drain
-    let fleet_p99_s = plane.fleet_p99(sim.now()).unwrap_or(-1.0);
-    let prom = plane.prometheus_text(sim.now());
-    sim.run(); // drain everything still in flight
+    let fleet_p99_s = plane.fleet_p99(run.sim.now()).unwrap_or(-1.0);
+    let prom = plane.prometheus_text(run.sim.now());
+    let c = run.drain(); // everything still in flight
     if let Some(m) = &monkey {
         assert_eq!(m.slowed(), 1, "the pinned lemon strike landed");
     }
     let ctl = ctl.borrow().clone().expect("rollout started");
-    let c = fleet.dispatcher().counters();
-    assert_eq!(c.accepted + c.shed, issued.get(), "door ledger");
-    assert_eq!(ok.get() + bad.get(), c.accepted + c.shed, "every request answered");
-    assert_eq!(fleet.dispatcher().in_flight(), 0, "drained");
-    let versions = fleet
+    let (issued, completed) = (paced.issued.get(), paced.ok.get());
+    assert_eq!(c.accepted + c.shed, issued, "door ledger");
+    let answered = completed + paced.bad.get();
+    assert_eq!(answered, issued, "every request answered");
+    let versions = run
+        .fleet
         .version_counts()
         .into_iter()
         .map(|(v, n)| format!("{v}:{n}"))
         .collect::<Vec<_>>()
         .join("|");
-    RolloutPoint {
-        mode,
-        issued: issued.get(),
-        completed: ok.get(),
-        dropped: issued.get() - ok.get(),
-        failed: c.faulted,
-        replaced: ctl.replaced(),
-        rollbacks: ctl.rollbacks(),
-        outcome: match ctl.outcome() {
-            None => "pending",
-            Some(RolloutOutcome::Completed) => "completed",
-            Some(RolloutOutcome::Promoted) => "promoted",
-            Some(RolloutOutcome::RolledBack) => "rolled-back",
-        },
-        versions,
-        fleet_p99_s,
-        prom,
-    }
-}
-
-/// Run one row under the pinned [`LEMON_SEED`], asserting the outcome
-/// the row exists to demonstrate.
-pub fn run_point(mode: RolloutMode) -> RolloutPoint {
-    let p = run_point_seeded(mode, LEMON_SEED);
+    let outcome = match ctl.outcome() {
+        None => "pending",
+        Some(RolloutOutcome::Completed) => "completed",
+        Some(RolloutOutcome::Promoted) => "promoted",
+        Some(RolloutOutcome::RolledBack) => "rolled-back",
+    };
     let want = match mode {
         RolloutMode::Restart | RolloutMode::Rolling => "completed",
         RolloutMode::CanaryPromote => "promoted",
         RolloutMode::CanaryRollback => "rolled-back",
     };
-    assert_eq!(p.outcome, want, "{} rollout outcome", p.mode.label());
+    assert_eq!(outcome, want, "{} rollout outcome", mode.label());
     if mode == RolloutMode::CanaryRollback {
-        assert_eq!(p.rollbacks, 1, "exactly one rollback");
+        assert_eq!(ctl.rollbacks(), 1, "exactly one rollback");
     }
-    p
+    RolloutPoint {
+        mode,
+        issued,
+        completed,
+        dropped: issued - completed,
+        failed: c.faulted,
+        replaced: ctl.replaced(),
+        rollbacks: ctl.rollbacks(),
+        outcome,
+        versions,
+        fleet_p99_s,
+        prom,
+    }
 }
 
 /// Run all four rows in parallel.

@@ -3,25 +3,15 @@
 //!
 //! The fixtures under `tests/golden/` were captured before the fast-path
 //! work (interned metric IDs, zero-alloc fair-share); every optimisation
-//! PR must keep them byte-for-byte stable. Regenerate deliberately by
-//! running the fig binaries and copying `target/experiments/*.csv` here —
-//! and say so in the PR.
+//! PR must keep them byte-for-byte stable. Each test runs what its binary
+//! runs (`onserve_bench::figures`, a fleet module's `sweep()`) and compares
+//! the bytes the binary writes (`curves_csv`, the module's `csv()`).
+//! Regenerate deliberately by running the binaries and copying
+//! `target/experiments/*.csv` here — and say so in the PR.
 
-use onserve::deployment::DeploymentSpec;
-use onserve::profile::ExecutionProfile;
-use onserve_bench::{curve_from, trim_curves, Curve, Runner, KB};
-use simkit::{Duration, SimTime, MB};
-
-/// Same CSV shape `onserve_bench::save_curves` writes.
-fn csv_of(curves: &[Curve]) -> String {
-    let headers: Vec<String> = curves
-        .iter()
-        .map(|c| format!("{} ({})", c.label, c.unit))
-        .collect();
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let rows: Vec<&[(f64, f64)]> = curves.iter().map(|c| c.rows.as_slice()).collect();
-    simkit::report::curves_to_csv(&header_refs, &rows)
-}
+use onserve_bench::figures::{self, FIG6, FIG7, FIG8};
+use onserve_bench::{curves_csv, Curve};
+use simkit::Duration;
 
 fn golden(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -32,63 +22,13 @@ fn golden(name: &str) -> String {
 
 /// The fig6 pipeline's CSV plus the number of telemetry spans recorded.
 fn fig6_csv(telemetry: bool) -> (String, usize) {
-    let mut r = Runner::new(6, &DeploymentSpec::default());
-    if telemetry {
-        r.sim.enable_telemetry();
-    }
-    r.publish(
-        "small.exe",
-        64,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_secs(60))
-            .producing(48.0 * KB),
-        &[],
-    );
-    let t0 = r.sim.now();
-    let (res, _) = r.invoke_blocking("small", &[]);
-    res.expect("invocation");
-    let iv = r.sim.recorder_ref().interval().as_secs_f64();
-    let rec = r.sim.recorder_ref();
-    let mut curves = vec![
-        curve_from(
-            rec.series("appliance.cpu.busy"),
-            t0,
-            "CPU utilization",
-            "%",
-            100.0 / iv,
-        ),
-        curve_from(
-            rec.series("appliance.net.out.bytes"),
-            t0,
-            "network out",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.net.in.bytes"),
-            t0,
-            "network in",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.write.bytes"),
-            t0,
-            "hard disk write",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.read.bytes"),
-            t0,
-            "hard disk read",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-    ];
-    trim_curves(&mut curves);
-    let spans = r.sim.telemetry().map_or(0, |t| t.spans().len());
-    (csv_of(&curves), spans)
+    let fig = figures::fig6(|sim| {
+        if telemetry {
+            sim.enable_telemetry();
+        }
+    });
+    let spans = fig.r.sim.telemetry().map_or(0, |t| t.spans().len());
+    (curves_csv(&fig.curves(&FIG6)), spans)
 }
 
 #[test]
@@ -109,92 +49,12 @@ fn fig6_curves_unchanged_with_telemetry_enabled() {
 
 #[test]
 fn fig7_curves_match_golden() {
-    let mut r = Runner::new(7, &DeploymentSpec::default());
-    r.publish(
-        "large.exe",
-        5 * 1024 * 1024,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_secs(45))
-            .producing(32.0 * KB),
-        &[],
-    );
-    let t0 = r.sim.now();
-    let (res, _) = r.invoke_blocking("large", &[]);
-    res.expect("invocation");
-    let iv = r.sim.recorder_ref().interval().as_secs_f64();
-    let rec = r.sim.recorder_ref();
-    let mut curves = vec![
-        curve_from(
-            rec.series("appliance.net.out.bytes"),
-            t0,
-            "network out",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.net.in.bytes"),
-            t0,
-            "network in",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.write.bytes"),
-            t0,
-            "hard disk write",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.read.bytes"),
-            t0,
-            "hard disk read",
-            "KB/s",
-            1.0 / (iv * KB),
-        ),
-    ];
-    trim_curves(&mut curves);
-    assert_eq!(csv_of(&curves), golden("fig7.csv"), "fig7 CSV drifted");
+    let curves = figures::fig7(|_| {}).curves(&FIG7);
+    assert_eq!(curves_csv(&curves), golden("fig7.csv"), "fig7 CSV drifted");
 }
 
 fn fig8_curves(interval: Duration) -> Vec<Curve> {
-    let mut r = Runner::with_sampling(8, &DeploymentSpec::default(), interval);
-    let t0 = SimTime::ZERO;
-    r.publish("upload5mb.exe", 5 * 1024 * 1024, ExecutionProfile::quick(), &[]);
-    let iv = interval.as_secs_f64();
-    let rec = r.sim.recorder_ref();
-    let mut curves = vec![
-        curve_from(
-            rec.series("appliance.cpu.busy"),
-            t0,
-            "CPU utilization",
-            "%",
-            100.0 / iv,
-        ),
-        curve_from(
-            rec.series("appliance.net.in.bytes"),
-            t0,
-            "network in",
-            "MB/s",
-            1.0 / (iv * MB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.write.bytes"),
-            t0,
-            "hard disk write",
-            "MB/s",
-            1.0 / (iv * MB),
-        ),
-        curve_from(
-            rec.series("appliance.disk.read.bytes"),
-            t0,
-            "hard disk read",
-            "MB/s",
-            1.0 / (iv * MB),
-        ),
-    ];
-    trim_curves(&mut curves);
-    curves
+    figures::fig8(interval, |_| {}).curves(&FIG8)
 }
 
 /// The fleet-scaling sweep must be byte-stable per seed, and its headline
@@ -381,13 +241,13 @@ fn geo_sweep_matches_golden() {
 fn fig8_curves_match_golden_at_both_sampling_rates() {
     let fine = fig8_curves(Duration::from_millis(200));
     assert_eq!(
-        csv_of(&fine),
+        curves_csv(&fine),
         golden("fig8-200ms.csv"),
         "fig8 200 ms CSV drifted"
     );
     let coarse = fig8_curves(Duration::from_secs(3));
     assert_eq!(
-        csv_of(&coarse),
+        curves_csv(&coarse),
         golden("fig8-3000ms.csv"),
         "fig8 3 s CSV drifted"
     );

@@ -8,33 +8,13 @@
 //! JSON, monotone timestamps, balanced `B`/`E` pairs, resolvable parent
 //! references — all enforced by `validate_chrome_trace`).
 
-use onserve::deployment::DeploymentSpec;
-use onserve::profile::ExecutionProfile;
-use onserve_bench::{Runner, KB};
+use onserve_bench::figures::fig6;
+use onserve_bench::Runner;
 use simkit::telemetry::validate_chrome_trace;
-use simkit::Duration;
 
 /// The fig6 scenario with telemetry on, drained to completion.
 fn traced_fig6() -> Runner {
-    fig6(|sim| sim.enable_telemetry())
-}
-
-/// The fig6 scenario, drained to completion, after `prepare` has switched
-/// on whatever the test observes with.
-fn fig6(prepare: impl FnOnce(&mut simkit::Sim)) -> Runner {
-    let mut r = Runner::new(6, &DeploymentSpec::default());
-    prepare(&mut r.sim);
-    r.publish(
-        "small.exe",
-        64,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_secs(60))
-            .producing(48.0 * KB),
-        &[],
-    );
-    let (res, _) = r.invoke_blocking("small", &[]);
-    res.expect("invocation");
-    r
+    fig6(|sim| sim.enable_telemetry()).r
 }
 
 #[test]
@@ -120,8 +100,8 @@ fn disabled_run_exports_empty_trace() {
 
 #[test]
 fn host_profile_changes_nothing_the_run_computes() {
-    let plain = fig6(|_| {});
-    let profiled = fig6(|sim| sim.enable_host_profile());
+    let plain = fig6(|_| {}).r;
+    let profiled = fig6(|sim| sim.enable_host_profile()).r;
     assert_eq!(plain.sim.events_executed(), profiled.sim.events_executed());
     assert_eq!(plain.sim.now(), profiled.sim.now());
     let (a, b) = (plain.sim.recorder_ref(), profiled.sim.recorder_ref());

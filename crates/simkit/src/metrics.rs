@@ -666,10 +666,19 @@ impl WindowedRegistry {
 
     /// Time-series CSV: one row per live window per series, name-ordered
     /// then time-ordered. Columns: `series,t_s,count,sum,max,p50,p95,p99`
-    /// (quantile columns are 0 for counter-only series).
+    /// (quantile columns are 0 for counter-only series). Series names can
+    /// carry request principals, so one that needs it is quoted per
+    /// RFC 4180.
     pub fn timeseries_csv(&self) -> String {
         let mut out = String::from("series,t_s,count,sum,max,p50,p95,p99\n");
         for (name, &id) in &self.names {
+            let quoted;
+            let name = if name.contains([',', '"', '\n', '\r']) {
+                quoted = format!("\"{}\"", name.replace('"', "\"\""));
+                &quoted
+            } else {
+                name
+            };
             let s = self.series_by_id(id);
             for (t, agg) in s.windows() {
                 out.push_str(&format!(
@@ -1236,6 +1245,51 @@ mod windowed_tests {
         assert!(lines[2].starts_with("b.lat,0,1,32,32,"));
         assert!(lines[3].starts_with("b.lat,20,1,64,64,"));
         assert_eq!(lines.len(), 4);
+    }
+
+    #[test]
+    fn timeseries_csv_quotes_a_series_name_only_when_it_needs_it() {
+        /// Split one RFC 4180 record into its cells.
+        fn cells(row: &str) -> Vec<String> {
+            let (mut out, mut cell, mut quoted) = (Vec::new(), String::new(), false);
+            let mut chars = row.chars().peekable();
+            while let Some(c) = chars.next() {
+                match c {
+                    '"' if quoted && chars.peek() == Some(&'"') => {
+                        cell.push('"');
+                        chars.next();
+                    }
+                    '"' => quoted = !quoted,
+                    ',' if !quoted => out.push(std::mem::take(&mut cell)),
+                    c => cell.push(c),
+                }
+            }
+            out.push(cell);
+            out
+        }
+        let mut r = reg();
+        let names = [
+            "fleet.tenant.a,b.ok",
+            "fleet.tenant.say \"hi\".ok",
+            "fleet.tenant.plain.ok",
+        ];
+        for name in names {
+            let id = r.counter(name);
+            r.record(id, SimTime::from_secs(5), 1);
+        }
+        let csv = r.timeseries_csv();
+        let rows: Vec<Vec<String>> = csv.lines().map(cells).collect();
+        assert_eq!(rows.len(), 4);
+        for row in &rows {
+            assert_eq!(row.len(), 8, "{row:?}");
+        }
+        let mut first: Vec<&str> = rows[1..].iter().map(|r| r[0].as_str()).collect();
+        first.sort_unstable();
+        let mut want = names;
+        want.sort_unstable();
+        assert_eq!(first, want, "every name round-trips as one cell");
+        let bare = csv.contains("\nfleet.tenant.plain.ok,0,1,");
+        assert!(bare, "plain names stay bare: {csv}");
     }
 
     #[test]

@@ -20,8 +20,8 @@ echo "==> cargo test -q (with test-count floor)"
 cargo test -q --workspace 2>&1 | tee target/test-output.log
 total_passed=$(grep -Eo '[0-9]+ passed' target/test-output.log | awk '{s+=$1} END {print s}')
 echo "    total tests passed: ${total_passed}"
-if [ "${total_passed}" -lt 668 ]; then
-  echo "test-count floor: expected >= 668 passing tests, got ${total_passed}" >&2
+if [ "${total_passed}" -lt 683 ]; then
+  echo "test-count floor: expected >= 683 passing tests, got ${total_passed}" >&2
   exit 1
 fi
 
@@ -47,6 +47,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # out byte-identical.
 #   name | bin args | extensions | extra `cargo test` filters (;-separated)
 bench_tiers=(
+  "fleetscale    |      | csv      |"
   "chaos         |      | csv      | -p onserve-fleet --test chaos; -p onserve-fleet --test door_all_planes"
   "affinity      |      | csv      |"
   "grayfail      |      | csv,prom | -p onserve-fleet --test health"
@@ -87,6 +88,14 @@ run_bench_tier() {
 for tier in "${bench_tiers[@]}"; do
   run_bench_tier "$tier"
 done
+
+# The seven paper-section bins' stdout against its goldens, in release:
+# `scalability` is 55 s unoptimised and ignored in the debug run above.
+echo "==> paper sections (bin stdout vs tests/golden/<bin>.txt, release)"
+cargo test --release -q -p onserve-bench --test paper_sections
+
+echo "==> doccheck (EXPERIMENTS.md golden blocks vs tests/golden)"
+scripts/doccheck.sh
 
 echo "==> benchmark tier (harness unit tests + 2 s correctness smoke per workload)"
 (cd benchmark && cargo test --offline -q)
