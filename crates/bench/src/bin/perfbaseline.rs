@@ -4,9 +4,9 @@
 //! metric recorder, span-tree export), the end-to-end Figure-6 pipeline,
 //! the two host-time sinks of the upload path (payload synthesis,
 //! exact-name UDDI inquiry), the two of the invocation path (sizing a
-//! SOAP request, delegating and validating a proxy chain) and the two
+//! SOAP request, delegating and validating a proxy chain), the two
 //! byte-work floors (reloading a stored row, fanning one upload out to
-//! four replicas), and writes the results as machine-readable JSON to
+//! four replicas) and the front door with every plane on, and writes the results as machine-readable JSON to
 //! `BENCH_kernel.json` at the repo root. CI and future optimisation PRs
 //! diff this file to catch regressions.
 //!
@@ -35,15 +35,18 @@ use std::rc::Rc;
 use std::time::{Duration as WallDuration, Instant};
 
 use blobstore::{BlobDb, TimedDb, WriteStrategy};
-use fleet::{Fleet, FleetSpec, Request};
-use gridsim::{CertAuthority, MyProxyServer};
+use fleet::{
+    AffinityConfig, Backend, Dispatcher, DispatcherConfig, Fleet, FleetSpec, GeoPlane,
+    HealthConfig, HealthPlane, Policy, QosConfig, QosTier, Request, Responder, SiteMap,
+};
+use gridsim::{CertAuthority, MyProxyServer, SiteSpec};
 use onserve::deployment::{synth_executable, synth_payload};
 use onserve::profile::ExecutionProfile;
 use onserve_bench::figures;
 use onserve_bench::fleetrun::fleet_image;
 use simkit::telemetry::{parse_json, Json};
 use simkit::wheel::TimerWheel;
-use simkit::{Duration, Host, HostSpec, PsServer, Recorder, ServerConfig, Sim, SimTime};
+use simkit::{Duration, Host, HostSpec, PsServer, Recorder, ServerConfig, Sim, SimTime, KB};
 use wsstack::soap::Envelope;
 use wsstack::{BindingTemplate, SoapValue, UddiRegistry};
 
@@ -386,6 +389,78 @@ fn bench_upload_fanout() -> Entry {
     })
 }
 
+/// A replica that answers inside `serve` and schedules nothing, so only
+/// the front door is timed.
+struct InlineStub(String);
+
+impl Backend for InlineStub {
+    fn name(&self) -> &str {
+        &self.0
+    }
+
+    fn serve(&self, sim: &mut Sim, _req: Request, done: Responder) {
+        done(sim, Ok(SoapValue::Bool(true)));
+    }
+}
+
+/// The front door with every plane on, in the shape of the ledger probe
+/// `fleet.submit_ns.all` (`benchmark/src/probes.rs`): affinity, a health
+/// plane, a three-site geo plane and QoS over 240 tenants, in front of
+/// nine stubs answering inline. Every tenant is registered and pinned
+/// before timing. One op = one keyed invocation admitted, routed,
+/// answered and settled.
+fn bench_door_all_planes() -> Entry {
+    let dispatcher = Dispatcher::new(DispatcherConfig {
+        policy: Policy::RoundRobin,
+        max_in_flight: 512,
+        affinity: Some(AffinityConfig { capacity: 4096 }),
+        ..DispatcherConfig::default()
+    });
+    let health = HealthPlane::new(HealthConfig::default());
+    dispatcher.set_health_plane(Rc::clone(&health));
+    let mut sites = ["east", "central", "west"].map(|s| SiteSpec::teragrid_like(s, 64, 4));
+    (sites[0].wan_latency, sites[0].wan_bandwidth_bps) = (Duration::from_millis(30), 100.0 * KB);
+    (sites[2].wan_latency, sites[2].wan_bandwidth_bps) = (Duration::from_millis(55), 70.0 * KB);
+    let geo = GeoPlane::new(SiteMap::from_specs(&sites));
+    geo.set_spill_threshold(4);
+    dispatcher.set_geo(Rc::clone(&geo));
+    for i in 0..9 {
+        let name = format!("r{i}");
+        let site = &geo.map().sites()[i / 3];
+        geo.assign(&name, site);
+        health.set_site(&name, site);
+        dispatcher.add_backend(Rc::new(InlineStub(name)));
+    }
+    let tenants: Vec<String> = (0..240).map(|i| format!("t{i:03}")).collect();
+    dispatcher.set_qos(QosConfig {
+        default_tier: QosTier::Batch,
+        tiers: tenants
+            .iter()
+            .cloned()
+            .zip(QosTier::ALL.into_iter().cycle())
+            .collect(),
+        queue_depth: 1 << 20,
+        borrow: 1,
+    });
+    let mut sim = Sim::new(13);
+    let round = move |sim: &mut Sim| {
+        for tenant in &tenants {
+            let req = Request::Invoke {
+                service: "app".into(),
+                args: Vec::new(),
+                principal: Some(tenant.clone()),
+            };
+            let done: Responder = Box::new(|_, res| {
+                res.expect("stub answers");
+            });
+            dispatcher.submit(sim, req, done);
+        }
+        tenants.len() as u64
+    };
+    round(&mut sim);
+    measure("fleet.door_all_planes", 20, move || round(&mut sim))
+}
+
 /// An exact-name inquiry against a front-end registry of 2000 services —
 /// the discovery step of a consumer, on the registry shape
 /// `benchmark/src/probes.rs` times as `wsstack.uddi_find_ns`. One op =
@@ -518,6 +593,7 @@ fn main() {
         bench_synth_payload,
         bench_load_for_use,
         bench_upload_fanout,
+        bench_door_all_planes,
         bench_uddi_find_exact,
         bench_wire_size_paper,
         bench_retrieve_validate,

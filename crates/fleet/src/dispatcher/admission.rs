@@ -18,7 +18,8 @@
 //! the virtual clock — no randomness — so same-seed runs replay
 //! byte-identically.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::rc::Rc;
 
 use simkit::SimTime;
 
@@ -137,10 +138,14 @@ pub struct TenantQos {
 
 /// The QoS identity a request carries from the door on: set once by the
 /// tenant stage and never re-derived, so a retried, re-pinned, or
-/// canary-shifted request keeps its tenant and priority tier.
+/// canary-shifted request keeps its tenant and priority tier. Cloning one
+/// bumps a refcount.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(super) struct QosTag {
-    pub tenant: String,
+    /// The tenant's index in the stage's table: how admission finds it.
+    index: usize,
+    /// The tenant's name, shared with the table: how everyone else does.
+    pub tenant: Rc<str>,
     pub tier: QosTier,
     /// When the request first hit the front door (queue wait included) —
     /// the per-tenant latency series measures door-to-answer.
@@ -161,6 +166,7 @@ pub(super) enum Offer {
 }
 
 struct Tenant<T> {
+    name: Rc<str>,
     /// The tenant's books as [`Admission::tenants`] reports them; `quota`
     /// and `queued` are derived, and filled in only on that read.
     ledger: TenantQos,
@@ -174,14 +180,19 @@ pub(super) struct Admission<T> {
     max_in_flight: usize,
     in_flight: usize,
     /// The tenant stage's settings; `None` — the default — is the plain
-    /// window gate, and leaves the three tables below empty for good.
+    /// window gate, and leaves the tables below empty for good.
     qos: Option<QosConfig>,
-    tenants: BTreeMap<String, Tenant<T>>,
+    /// Registered tenants in registration order: a [`QosTag`]'s index
+    /// points here.
+    tenants: Vec<Tenant<T>>,
+    /// Tenant name → index into `tenants`, filled by `register`.
+    index: HashMap<Rc<str>, usize>,
     /// Sum of tier weights over all registered tenants (the quota
     /// denominator). Grows monotonically as tenants are first seen.
     total_weight: u64,
-    /// Tenants with queued work, in first-enqueue order — the DRR ring.
-    ring: VecDeque<String>,
+    /// Indices of tenants with queued work, in first-enqueue order — the
+    /// DRR ring.
+    ring: VecDeque<usize>,
 }
 
 impl<T> Admission<T> {
@@ -191,7 +202,8 @@ impl<T> Admission<T> {
             max_in_flight,
             in_flight: 0,
             qos: None,
-            tenants: BTreeMap::new(),
+            tenants: Vec::new(),
+            index: HashMap::new(),
             total_weight: 0,
             ring: VecDeque::new(),
         }
@@ -215,32 +227,35 @@ impl<T> Admission<T> {
     pub fn tenants(&self) -> BTreeMap<String, TenantQos> {
         self.tenants
             .iter()
-            .map(|(t, st)| {
+            .map(|st| {
                 let snapshot = TenantQos {
                     quota: self.quota(st.ledger.tier),
                     queued: st.queue.len(),
                     ..st.ledger.clone()
                 };
-                (t.clone(), snapshot)
+                (st.name.to_string(), snapshot)
             })
             .collect()
     }
 
-    /// Ensure `tenant` exists, at `tier` if it is new.
-    fn register(&mut self, tenant: &str, tier: QosTier) {
-        if !self.tenants.contains_key(tenant) {
-            self.total_weight += tier.weight();
-            let ledger = TenantQos {
+    /// `tenant`'s index, registering it at `tier` if it is new.
+    fn register(&mut self, tenant: &str, tier: QosTier) -> usize {
+        if let Some(&index) = self.index.get(tenant) {
+            return index;
+        }
+        self.total_weight += tier.weight();
+        let name: Rc<str> = Rc::from(tenant);
+        self.index.insert(Rc::clone(&name), self.tenants.len());
+        self.tenants.push(Tenant {
+            name,
+            ledger: TenantQos {
                 tier,
                 ..TenantQos::default()
-            };
-            let fresh = Tenant {
-                ledger,
-                queue: VecDeque::new(),
-                deficit: 0,
-            };
-            self.tenants.insert(tenant.to_owned(), fresh);
-        }
+            },
+            queue: VecDeque::new(),
+            deficit: 0,
+        });
+        self.tenants.len() - 1
     }
 
     /// A tier's quota: its weighted share of the window, never below one
@@ -254,7 +269,7 @@ impl<T> Admission<T> {
     /// may be granted (or admitted) above quota — idle capacity is lent
     /// only when nobody under-quota wants it.
     fn under_quota_waiting(&self) -> bool {
-        self.ring.iter().any(|t| {
+        self.ring.iter().any(|&t| {
             let st = &self.tenants[t];
             !st.queue.is_empty() && st.ledger.in_flight < self.quota(st.ledger.tier)
         })
@@ -294,12 +309,13 @@ impl<T> Admission<T> {
         // listed tenants were registered up front, so a first sight
         // always lands on the default tier
         let (default_tier, borrow, queue_depth) = (cfg.default_tier, cfg.borrow, cfg.queue_depth);
-        self.register(tenant, default_tier);
-        let admit = any_live && room && self.may_admit(&self.tenants[tenant], borrow);
-        let st = self.tenants.get_mut(tenant).expect("just registered");
+        let index = self.register(tenant, default_tier);
+        let admit = any_live && room && self.may_admit(&self.tenants[index], borrow);
+        let st = &mut self.tenants[index];
         st.ledger.issued += 1;
         let tag = QosTag {
-            tenant: tenant.to_owned(),
+            index,
+            tenant: Rc::clone(&st.name),
             tier: st.ledger.tier,
             submitted_at: now,
         };
@@ -325,7 +341,7 @@ impl<T> Admission<T> {
     fn take_slot(&mut self, tag: Option<&QosTag>) {
         self.in_flight += 1;
         if let Some(tag) = tag {
-            let st = self.tenants.get_mut(&tag.tenant).expect("tagged tenant");
+            let st = &mut self.tenants[tag.index];
             st.ledger.accepted += 1;
             st.ledger.in_flight += 1;
         }
@@ -336,7 +352,7 @@ impl<T> Admission<T> {
     pub fn release(&mut self, tag: Option<&QosTag>) {
         self.in_flight -= 1;
         if let Some(tag) = tag {
-            let st = self.tenants.get_mut(&tag.tenant).expect("tagged tenant");
+            let st = &mut self.tenants[tag.index];
             let left = st.ledger.in_flight.checked_sub(1);
             st.ledger.in_flight = left.expect("tenant in-flight underflow: tag lost in transit");
         }
@@ -344,10 +360,10 @@ impl<T> Admission<T> {
 
     /// Park a request [`Offer::Queue`] told the caller to hold.
     pub fn park(&mut self, tag: QosTag, item: T) {
-        let st = self.tenants.get_mut(&tag.tenant).expect("tagged tenant");
-        if !self.ring.contains(&tag.tenant) {
-            self.ring.push_back(tag.tenant.clone());
+        if !self.ring.contains(&tag.index) {
+            self.ring.push_back(tag.index);
         }
+        let st = &mut self.tenants[tag.index];
         st.ledger.enqueued += 1;
         st.queue.push_back((tag, item));
     }
@@ -369,12 +385,10 @@ impl<T> Admission<T> {
         // each ring member is visited at most twice per grant (top-up,
         // then serve), so 2·len + 1 passes always reach a fixed point
         for _ in 0..(self.ring.len() * 2 + 1) {
-            let tier = self.tenants[self.ring.front()?].ledger.tier;
+            let front = *self.ring.front()?;
+            let tier = self.tenants[front].ledger.tier;
             let cap = self.quota(tier).saturating_add(borrow);
-            let st = self
-                .tenants
-                .get_mut(self.ring.front()?)
-                .expect("ring member registered");
+            let st = &mut self.tenants[front];
             if st.queue.is_empty() {
                 st.deficit = 0;
                 self.ring.pop_front();
@@ -401,7 +415,7 @@ impl<T> Admission<T> {
     pub fn flush(&mut self) -> Vec<(QosTag, T)> {
         let mut out = Vec::new();
         for t in std::mem::take(&mut self.ring) {
-            let st = self.tenants.get_mut(&t).expect("ring member registered");
+            let st = &mut self.tenants[t];
             st.deficit = 0;
             st.ledger.shed += st.queue.len() as u64;
             out.extend(st.queue.drain(..));
@@ -461,7 +475,7 @@ mod tests {
         // window 4, gold 4 : batch 1 → quotas 3 and 1 (never below one)
         let mut a = door(4, &[("gold", QosTier::Gold), ("batch", QosTier::Batch)], 1);
         let tag = admitted(a.offer(Some("batch"), true, T0)).expect("tagged");
-        assert_eq!((tag.tenant.as_str(), tag.tier), ("batch", QosTier::Batch));
+        assert_eq!((&*tag.tenant, tag.tier), ("batch", QosTier::Batch));
         park(&mut a, "batch", 7);
         assert!(matches!(
             a.offer(Some("batch"), true, T0),
@@ -484,7 +498,7 @@ mod tests {
         assert!(a.next_grant().is_none(), "batch is at quota");
         a.release(Some(&tag));
         let (granted, item) = a.next_grant().expect("slot freed");
-        assert_eq!((granted.tenant.as_str(), item), ("batch", 7));
+        assert_eq!((&*granted.tenant, item), ("batch", 7));
         assert_eq!(a.tenants()["batch"].accepted, 2);
     }
 
@@ -525,16 +539,20 @@ mod tests {
             ..QosConfig::default()
         });
         fn set_in_flight(a: &mut Admission<()>, tenant: &str, n: usize) {
-            a.tenants.get_mut(tenant).unwrap().ledger.in_flight = n;
+            let index = a.index[tenant];
+            a.tenants[index].ledger.in_flight = n;
         }
         fn may_admit(a: &Admission<()>, tenant: &str) -> bool {
-            a.may_admit(&a.tenants[tenant], 1)
+            a.may_admit(&a.tenants[a.index[tenant]], 1)
         }
-        let tag = |tenant: &str| QosTag {
-            tenant: tenant.to_owned(),
-            tier: QosTier::Gold,
-            submitted_at: T0,
-        };
+        fn tag(a: &Admission<()>, tenant: &str) -> QosTag {
+            QosTag {
+                index: a.index[tenant],
+                tenant: Rc::from(tenant),
+                tier: QosTier::Gold,
+                submitted_at: T0,
+            }
+        }
         // two gold tenants: quota = 8 * 4 / 8 = 4 each
         assert_eq!(a.quota(QosTier::Gold), 4);
         set_in_flight(&mut a, "a", 4);
@@ -546,7 +564,7 @@ mod tests {
         assert!(!may_admit(&a, "a"), "borrow is bounded to +1");
         // an under-quota tenant starts waiting: borrowing shuts off
         set_in_flight(&mut a, "a", 4);
-        a.park(tag("b"), ());
+        a.park(tag(&a, "b"), ());
         assert!(
             !may_admit(&a, "a"),
             "no borrowing while an under-quota tenant queues"
@@ -557,7 +575,7 @@ mod tests {
         assert!(may_admit(&a, "a"), "b is at quota, its backlog is its own");
         // a tenant with its own backlog must join the queue, not jump it
         set_in_flight(&mut a, "a", 0);
-        a.park(tag("a"), ());
+        a.park(tag(&a, "a"), ());
         assert!(
             !may_admit(&a, "a"),
             "FIFO: no admission past a non-empty own queue"

@@ -312,7 +312,7 @@ type Fate<'a> = Result<Answer, &'a str>;
 
 /// Stamp a span with the QoS identity of the request it follows.
 fn stamp_qos(sim: &mut Sim, span: SpanId, tag: &QosTag) {
-    sim.span_attr(span, "tenant", tag.tenant.as_str());
+    sim.span_attr(span, "tenant", &*tag.tenant);
     sim.span_attr(span, "tier", tag.tier.label());
 }
 
@@ -567,7 +567,7 @@ impl Dispatcher {
         match offer {
             Offer::Shed(why, tag) => {
                 if let Some(tag) = &tag {
-                    sim.span_attr(span, "tenant", tag.tenant.as_str());
+                    sim.span_attr(span, "tenant", &*tag.tenant);
                     self.tenant_shed(sim, tag);
                 }
                 self.shed(sim, *ticket, why);

@@ -173,27 +173,27 @@ struct CanaryShare {
     cursor: u64,
 }
 
-/// One route's reading of the geo plane: every candidate's site, looked
-/// up once.
+/// One route's reading of the geo plane: every candidate's site, as the
+/// plane's site index, looked up once.
 struct Placed<'g> {
     plane: &'g GeoPlane,
-    site: Vec<Option<String>>,
+    site: Vec<Option<usize>>,
 }
 
 impl Placed<'_> {
-    /// `among` grouped by site, walking outward from `from` nearest
+    /// `among` grouped by site, walking outward from site `from` nearest
     /// first; sites holding none of them are skipped.
     fn outward<'a>(
         &'a self,
-        from: &str,
+        from: usize,
         among: &'a [usize],
     ) -> impl Iterator<Item = Vec<usize>> + 'a {
-        let sites = self.plane.map().nearest_order(from);
-        sites.into_iter().filter_map(move |site| {
+        let sites = self.plane.nearest_from(from).iter();
+        sites.filter_map(move |&site| {
             let group: Vec<usize> = among
                 .iter()
                 .copied()
-                .filter(|&i| self.site[i].as_deref() == Some(site.as_str()))
+                .filter(|&i| self.site[i] == Some(site))
                 .collect();
             (!group.is_empty()).then_some(group)
         })
@@ -263,12 +263,12 @@ impl Routing {
         let geo = self.geo.clone();
         let placed = geo.as_deref().map(|plane| Placed {
             plane,
-            site: view.iter().map(|c| plane.site_of(c.name)).collect(),
+            site: view.iter().map(|c| plane.site_index(c.name)).collect(),
         });
         if let Some(p) = &placed {
             // unplaced candidates are never behind a severed site
-            let up = |site: &str| !p.plane.is_down(site, sim.now());
-            live.retain(|&i| p.site[i].as_deref().is_none_or(up));
+            let up = |site: usize| !p.plane.severed(site, sim.now());
+            live.retain(|&i| p.site[i].is_none_or(up));
             if live.is_empty() {
                 return None;
             }
@@ -298,19 +298,21 @@ impl Routing {
         // interleaved with the loss. Under a geo plane the peers nearest
         // the pinned replica's home site come first (placements outlive
         // the replica), keeping sessions local.
-        let home = placed.as_ref().and_then(|p| p.plane.site_of(&pin.replica));
+        let home = placed
+            .as_ref()
+            .and_then(|p| p.plane.site_index(&pin.replica));
         let peers = placed
             .as_ref()
-            .zip(home.as_deref())
+            .zip(home)
             .and_then(|(p, home)| p.outward(home, &live).next());
         let i = pick_rendezvous(key, view, peers.as_deref().unwrap_or(&live));
-        if let (Some(p), Some(home), true) = (&placed, &home, pin.live) {
+        if let (Some(p), Some(home), true) = (&placed, home, pin.live) {
             // HTCondor-C-style forwarding: the pinned replica is still in
             // rotation but its site is severed. Serve the principal from
             // the peer *without* re-pinning — the pin survives the outage,
             // so the session comes home on reconnect.
             let in_rotation = view.iter().any(|c| !c.draining && c.name == pin.replica);
-            if p.plane.federation() && p.plane.is_down(home, sim.now()) && in_rotation {
+            if p.plane.federation() && p.plane.severed(home, sim.now()) && in_rotation {
                 p.plane.note_forward();
                 return Some((i, Some(RouteOutcome::Forward)));
             }
@@ -334,7 +336,7 @@ impl Routing {
         }
         if let Some(p) = placed {
             let spill = p.plane.spill_threshold();
-            for site in p.outward(&p.plane.origin(), live) {
+            for site in p.outward(p.plane.origin_index(), live) {
                 let open: Vec<usize> = site
                     .into_iter()
                     .filter(|&i| view[i].outstanding < spill)
@@ -411,9 +413,10 @@ impl Routing {
     /// Does the attached geo plane place `replica` on `site`? Never,
     /// without a plane.
     pub fn on_site(&self, replica: &str, site: &str) -> bool {
-        self.geo
-            .as_ref()
-            .is_some_and(|g| g.site_of(replica).as_deref() == Some(site))
+        self.geo.as_ref().is_some_and(|g| {
+            let placed = g.site_index(replica);
+            placed.is_some_and(|i| g.map().sites()[i] == site)
+        })
     }
 
     /// Send `share_pct`% of first-sight routes to `target`; the counter

@@ -120,6 +120,11 @@ impl SiteMap {
         &self.sites
     }
 
+    /// `name`'s declaration index, if it is declared.
+    fn index_of(&self, name: &str) -> Option<usize> {
+        self.sites.iter().position(|s| s == name)
+    }
+
     /// The WAN path between `a` and `b`. A site paired with itself is a
     /// free infinite-bandwidth local hop; an undeclared pair panics
     /// (misconfigured map).
@@ -182,18 +187,25 @@ pub struct GeoCounters {
 /// [`crate::Fleet`] with [`crate::Fleet::attach_geo`] (WAN costs +
 /// placement) and to the [`crate::Dispatcher`] with
 /// [`crate::Dispatcher::set_geo`] (latency-aware routing).
+///
+/// Inside the plane a site is its declaration index in the map: names are
+/// resolved once, where they come in, so routing reads placement, outages
+/// and the nearest-site order without touching a string.
 pub struct GeoPlane {
     map: SiteMap,
+    /// Per origin site, every site nearest first:
+    /// [`SiteMap::nearest_order`], resolved once at construction.
+    nearest: Vec<Vec<usize>>,
     /// Replica → site, filled by [`GeoPlane::place`] /
     /// [`GeoPlane::assign`].
-    placement: RefCell<BTreeMap<String, String>>,
+    placement: RefCell<BTreeMap<String, usize>>,
     /// Round-robin placement cursor.
     cursor: Cell<usize>,
     /// Outage windows: `(site, from, to)`.
-    outages: RefCell<Vec<(String, SimTime, SimTime)>>,
+    outages: RefCell<Vec<(usize, SimTime, SimTime)>>,
     /// Ambient origin site of the *next* submitted request (set by the
     /// workload, read by the WAN cost model and nearest-site routing).
-    origin: RefCell<String>,
+    origin: Cell<usize>,
     /// Bytes charged against the path bandwidth per cross-site answer.
     payload_bytes: Cell<f64>,
     /// Outstanding attempts per replica at which nearest-site routing
@@ -212,13 +224,21 @@ impl GeoPlane {
     /// declared site.
     pub fn new(map: SiteMap) -> Rc<GeoPlane> {
         assert!(!map.sites().is_empty(), "a geo plane needs sites");
-        let origin = map.sites()[0].clone();
+        let nearest = map
+            .sites()
+            .iter()
+            .map(|origin| {
+                let order = map.nearest_order(origin).into_iter();
+                order.filter_map(|site| map.index_of(&site)).collect()
+            })
+            .collect();
         Rc::new(GeoPlane {
             map,
+            nearest,
             placement: RefCell::new(BTreeMap::new()),
             cursor: Cell::new(0),
             outages: RefCell::new(Vec::new()),
-            origin: RefCell::new(origin),
+            origin: Cell::new(0),
             payload_bytes: Cell::new(2048.0),
             spill_threshold: Cell::new(4),
             federation: Cell::new(false),
@@ -273,81 +293,96 @@ impl GeoPlane {
         *self.injector.borrow_mut() = Some(injector);
     }
 
+    /// `site`'s declaration index; an undeclared site panics
+    /// (misconfigured caller).
+    fn declared(&self, site: &str) -> usize {
+        let index = self.map.index_of(site);
+        index.unwrap_or_else(|| panic!("unknown site {site:?}"))
+    }
+
     /// Place `replica` on the next site round-robin and return the site.
     /// Already-placed replicas keep their site.
     pub fn place(&self, replica: &str) -> String {
-        if let Some(site) = self.placement.borrow().get(replica) {
-            return site.clone();
-        }
-        let sites = self.map.sites();
-        let site = sites[self.cursor.get() % sites.len()].clone();
-        self.cursor.set(self.cursor.get() + 1);
-        self.placement
-            .borrow_mut()
-            .insert(replica.to_owned(), site.clone());
-        site
+        let mut placement = self.placement.borrow_mut();
+        let site = *placement.entry(replica.to_owned()).or_insert_with(|| {
+            let k = self.cursor.get();
+            self.cursor.set(k + 1);
+            k % self.map.sites().len()
+        });
+        self.map.sites()[site].clone()
     }
 
     /// Pin `replica` to an explicit site (tests, hand-built layouts).
     pub fn assign(&self, replica: &str, site: &str) {
-        assert!(
-            self.map.sites().iter().any(|s| s == site),
-            "unknown site {site:?}"
-        );
-        self.placement
-            .borrow_mut()
-            .insert(replica.to_owned(), site.to_owned());
+        let site = self.declared(site);
+        self.placement.borrow_mut().insert(replica.to_owned(), site);
     }
 
     /// The site `replica` lives on, if placed. Placements survive the
     /// replica's loss — an orphaned affinity pin still knows its home.
     pub fn site_of(&self, replica: &str) -> Option<String> {
-        self.placement.borrow().get(replica).cloned()
+        let site = self.site_index(replica)?;
+        Some(self.map.sites()[site].clone())
     }
 
     /// Set the ambient origin site of subsequently submitted requests.
     pub fn set_origin(&self, site: &str) {
-        assert!(
-            self.map.sites().iter().any(|s| s == site),
-            "unknown origin site {site:?}"
-        );
-        *self.origin.borrow_mut() = site.to_owned();
+        self.origin.set(self.declared(site));
     }
 
     /// The ambient request origin.
     pub fn origin(&self) -> String {
-        self.origin.borrow().clone()
+        self.map.sites()[self.origin.get()].clone()
     }
 
     /// Register one outage window: `site` is severed over `[from, to)`.
     pub fn add_outage(&self, site: &str, from: SimTime, to: SimTime) {
-        assert!(
-            self.map.sites().iter().any(|s| s == site),
-            "unknown site {site:?}"
-        );
+        let site = self.declared(site);
         assert!(from < to, "outage window must have positive length");
-        self.outages
-            .borrow_mut()
-            .push((site.to_owned(), from, to));
+        self.outages.borrow_mut().push((site, from, to));
     }
 
     /// Is `site` severed at `now`?
     pub fn is_down(&self, site: &str, now: SimTime) -> bool {
-        self.outages
-            .borrow()
-            .iter()
-            .any(|(s, from, to)| s == site && *from <= now && now < *to)
+        let site = self.map.index_of(site);
+        site.is_some_and(|site| self.severed(site, now))
     }
 
     /// When `site` reconnects, if it is severed at `now` (the latest end
     /// over every active window).
     pub fn reconnect_at(&self, site: &str, now: SimTime) -> Option<SimTime> {
+        let site = self.map.index_of(site)?;
         self.outages
             .borrow()
             .iter()
-            .filter(|(s, from, to)| s == site && *from <= now && now < *to)
+            .filter(|&&(s, from, to)| s == site && from <= now && now < to)
             .map(|&(_, _, to)| to)
             .max()
+    }
+
+    // -- by declaration index: what routing reads per request ----------------
+
+    /// The site `replica` lives on, as a declaration index.
+    pub(crate) fn site_index(&self, replica: &str) -> Option<usize> {
+        self.placement.borrow().get(replica).copied()
+    }
+
+    /// The ambient request origin, as a declaration index.
+    pub(crate) fn origin_index(&self) -> usize {
+        self.origin.get()
+    }
+
+    /// Every site, nearest `from` first, as declaration indices.
+    pub(crate) fn nearest_from(&self, from: usize) -> &[usize] {
+        &self.nearest[from]
+    }
+
+    /// Is the site at declaration index `site` severed at `now`?
+    pub(crate) fn severed(&self, site: usize, now: SimTime) -> bool {
+        self.outages
+            .borrow()
+            .iter()
+            .any(|&(s, from, to)| s == site && from <= now && now < to)
     }
 
     /// The WAN cost of delivering one answer from `site` back to `from`:
@@ -485,6 +520,67 @@ mod tests {
             "latest end over active windows"
         );
         assert_eq!(geo.reconnect_at("west", t(300)), None);
+    }
+
+    /// Declared out of name order, so latency ties exercise the name
+    /// tie-break.
+    const NAMES: [&str; 6] = ["delta", "alpha", "echo", "bravo", "foxtrot", "charlie"];
+
+    proptest::proptest! {
+        /// The plane's index-keyed reads answer exactly as the by-name
+        /// definitions do: per origin, the precomputed order is
+        /// `nearest_order` (ties included); per site and instant, the
+        /// severed check and `reconnect_at` match a scan of the windows
+        /// by name; placements read back the same site either way.
+        #[test]
+        fn index_reads_agree_with_the_by_name_definitions(
+            n in 2usize..7,
+            latencies in proptest::collection::vec(1u64..4, 15),
+            windows in proptest::collection::vec((0usize..6, 0u64..100, 1u64..40), 0..8),
+            instants in proptest::collection::vec(0u64..150, 1..20),
+        ) {
+            let names = &NAMES[..n];
+            let mut map = SiteMap::new();
+            for site in names {
+                map.add_site(site);
+            }
+            let mut pairs = latencies.iter();
+            for a in 0..n {
+                for b in a + 1..n {
+                    let ms = 10 * pairs.next().expect("15 pairs cover six sites");
+                    map.link(names[a], names[b], Duration::from_millis(ms), 1e6);
+                }
+            }
+            let geo = GeoPlane::new(map.clone());
+            for (i, origin) in names.iter().enumerate() {
+                let by_index: Vec<&str> = geo.nearest_from(i).iter().map(|&s| names[s]).collect();
+                proptest::prop_assert_eq!(by_index, map.nearest_order(origin));
+                let replica = format!("r{i}");
+                geo.assign(&replica, names[n - 1 - i]);
+                let placed = geo.site_index(&replica).map(|s| names[s].to_owned());
+                proptest::prop_assert_eq!(placed, geo.site_of(&replica));
+            }
+            let t = SimTime::from_secs;
+            let windows: Vec<(&str, SimTime, SimTime)> = windows
+                .iter()
+                .map(|&(s, from, len)| (names[s % n], t(from), t(from + len)))
+                .collect();
+            for &(site, from, to) in &windows {
+                geo.add_outage(site, from, to);
+            }
+            for now in instants.into_iter().map(t) {
+                for (i, site) in names.iter().enumerate() {
+                    let active: Vec<SimTime> = windows
+                        .iter()
+                        .filter(|(s, from, to)| s == site && *from <= now && now < *to)
+                        .map(|w| w.2)
+                        .collect();
+                    proptest::prop_assert_eq!(geo.severed(i, now), !active.is_empty());
+                    proptest::prop_assert_eq!(geo.is_down(site, now), !active.is_empty());
+                    proptest::prop_assert_eq!(geo.reconnect_at(site, now), active.into_iter().max());
+                }
+            }
+        }
     }
 
     #[test]

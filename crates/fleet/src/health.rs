@@ -22,10 +22,10 @@
 //! median with it and flags nobody; only an *outlier* is a gray failure.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
-use simkit::{Duration, Sim, SimTime, WindowedRegistry};
+use simkit::{sanitize_metric_name, Duration, Sim, SimTime, WindowedId, WindowedRegistry};
 
 use crate::fleet::Fleet;
 
@@ -58,7 +58,10 @@ pub struct HealthConfig {
     /// `probation_strikes`; probation is the intermediate state).
     pub eject_strikes: u32,
     /// Distinct per-tenant request series kept before further tenants
-    /// fold into the `tenant.other.requests` overflow series.
+    /// fold into the `tenant.other.requests` overflow series. The QoS
+    /// `fleet.tenant.<t>.*` series are capped the same, counted apart.
+    /// Under either cap, a tenant whose series would sanitize onto a
+    /// granted tenant's Prometheus family folds into `other` too.
     pub max_tenants: usize,
 }
 
@@ -91,25 +94,157 @@ pub struct ReplicaHealth {
     pub error_rate: f64,
 }
 
+/// One kind of owned series. A replica owns
+/// `fleet.replica.<r>.{latency_us, errors, depth}`; a QoS tenant owns
+/// `fleet.tenant.<t>.{latency_us, errors, queue_depth, accepted, shed}`;
+/// a requesting tenant owns `tenant.<t>.requests`.
+#[derive(Clone, Copy)]
+enum Kind {
+    Latency,
+    Errors,
+    Depth,
+    QueueDepth,
+    Accepted,
+    Shed,
+    Requests,
+}
+
+/// One owner's series ids, each `None` until that series' first sample.
+type Slots = [Option<WindowedId>; 5];
+
+impl Kind {
+    /// Where the id sits among its owner's, the name suffix, and whether
+    /// the series keeps a histogram.
+    fn layout(self) -> (usize, &'static str, bool) {
+        match self {
+            Kind::Latency => (0, "latency_us", true),
+            Kind::Errors => (1, "errors", false),
+            Kind::Depth => (2, "depth", true),
+            Kind::QueueDepth => (2, "queue_depth", true),
+            Kind::Accepted => (3, "accepted", false),
+            Kind::Shed => (4, "shed", false),
+            Kind::Requests => (0, "requests", false),
+        }
+    }
+
+    /// `owner`'s series of this kind, `<prefix><owner>.<suffix>`.
+    fn id(
+        self,
+        reg: &mut WindowedRegistry,
+        slots: &mut Slots,
+        prefix: &str,
+        owner: &str,
+    ) -> WindowedId {
+        let (slot, suffix, histogram) = self.layout();
+        let name = || format!("{prefix}{owner}.{suffix}");
+        resolve(reg, &mut slots[slot], histogram, name)
+    }
+}
+
+/// The one resolve step: the id kept in `slot`, registering the series
+/// `name()` on its first sample — never before, so a series appears in
+/// the exposition exactly when it has something to say.
+fn resolve(
+    reg: &mut WindowedRegistry,
+    slot: &mut Option<WindowedId>,
+    histogram: bool,
+    name: impl FnOnce() -> String,
+) -> WindowedId {
+    *slot.get_or_insert_with(|| {
+        let name = name();
+        if histogram {
+            reg.histogram(&name)
+        } else {
+            reg.counter(&name)
+        }
+    })
+}
+
+/// A tenant cap: at most `max` tenants get series of their own; every
+/// other tenant writes under `other` and leaves no entry behind (tenants
+/// are request principals — outside input).
+struct Cap {
+    max: usize,
+    /// The sanitized `<prefix><tenant>` of every granted tenant: a
+    /// newcomer whose series would land in a granted tenant's Prometheus
+    /// family folds into `other` too.
+    families: HashSet<String>,
+    other: Slots,
+}
+
+/// Series ids of named owners under one prefix, each owner's entry made
+/// on its first sample.
+struct Owners {
+    prefix: &'static str,
+    ids: HashMap<String, Slots>,
+    /// Tenants only; replicas are named by the fleet and never capped.
+    cap: Option<Cap>,
+}
+
+impl Owners {
+    fn new(prefix: &'static str, cap: Option<usize>) -> Owners {
+        let cap = cap.map(|max| Cap {
+            max,
+            families: HashSet::new(),
+            other: Slots::default(),
+        });
+        Owners {
+            prefix,
+            ids: HashMap::new(),
+            cap,
+        }
+    }
+
+    /// `owner`'s `kind` series: one hash lookup once it has an entry.
+    fn id(&mut self, reg: &mut WindowedRegistry, owner: &str, kind: Kind) -> WindowedId {
+        let prefix = self.prefix;
+        if let Some(slots) = self.ids.get_mut(owner) {
+            return kind.id(reg, slots, prefix, owner);
+        }
+        if let Some(cap) = &mut self.cap {
+            let family = || sanitize_metric_name(&format!("{prefix}{owner}"));
+            if self.ids.len() >= cap.max || !cap.families.insert(family()) {
+                return kind.id(reg, &mut cap.other, prefix, "other");
+            }
+        }
+        let slots = self.ids.entry(owner.to_owned()).or_default();
+        kind.id(reg, slots, prefix, owner)
+    }
+}
+
+/// Every series id the plane has resolved.
+struct Ids {
+    attempt_latency: Option<WindowedId>,
+    in_flight: Option<WindowedId>,
+    queue_depth: Option<WindowedId>,
+    replicas: Owners,
+    /// `tenant.<t>.requests`, capped at [`HealthConfig::max_tenants`].
+    tenants: Owners,
+    /// `fleet.tenant.<t>.*`, capped separately. Only written while the
+    /// dispatcher's QoS stage is on — QoS-off runs emit no
+    /// `tenant="..."`-labeled series and stay byte-identical.
+    qos: Owners,
+}
+
+/// Replica → label key → value: the labels every per-replica series of
+/// that replica carries in the Prometheus exposition.
+type Tags = BTreeMap<String, BTreeMap<&'static str, String>>;
+
 /// Per-replica latency/error/queue and per-tenant request series on the
 /// virtual clock. Create once, attach via
 /// [`crate::Dispatcher::set_health_plane`].
+///
+/// Each series name is formatted once, at the series' first sample; the
+/// plane keeps its id, so a later sample costs one hash lookup.
 pub struct HealthPlane {
     cfg: HealthConfig,
     reg: RefCell<WindowedRegistry>,
-    tenants: Cell<usize>,
-    /// Replica → label key → value: the labels every per-replica series
-    /// of that replica carries in the Prometheus exposition (`site` from
-    /// [`crate::Fleet::attach_geo`], `version` from activation). Labels
-    /// render in key order whatever order they were tagged in; an empty
-    /// table (the default) leaves the exposition unlabeled.
-    tags: RefCell<BTreeMap<String, BTreeMap<&'static str, String>>>,
-    /// Tenants granted distinct `fleet.tenant.<t>.*` QoS series (capped
-    /// at [`HealthConfig::max_tenants`]; overflow folds into
-    /// `fleet.tenant.other.*`). Only populated when the dispatcher's QoS
-    /// stage is on — QoS-off runs emit no `tenant="..."`-labeled series
-    /// and stay byte-identical.
-    qos_tenants: RefCell<BTreeSet<String>>,
+    ids: RefCell<Ids>,
+    /// Per-replica labels (`site` from [`crate::Fleet::attach_geo`],
+    /// `version` from activation). Labels render in key order whatever
+    /// order they were tagged in; an empty table (the default) leaves the
+    /// exposition unlabeled.
+    tags: RefCell<Tags>,
 }
 
 impl HealthPlane {
@@ -119,11 +254,18 @@ impl HealthPlane {
             cfg.eject_strikes > cfg.probation_strikes,
             "eject_strikes must exceed probation_strikes"
         );
+        let ids = Ids {
+            attempt_latency: None,
+            in_flight: None,
+            queue_depth: None,
+            replicas: Owners::new("fleet.replica.", None),
+            tenants: Owners::new("tenant.", Some(cfg.max_tenants)),
+            qos: Owners::new("fleet.tenant.", Some(cfg.max_tenants)),
+        };
         Rc::new(HealthPlane {
             reg: RefCell::new(WindowedRegistry::new(cfg.window, cfg.ring)),
-            tenants: Cell::new(0),
+            ids: RefCell::new(ids),
             tags: RefCell::new(BTreeMap::new()),
-            qos_tenants: RefCell::new(BTreeSet::new()),
             cfg,
         })
     }
@@ -158,27 +300,42 @@ impl HealthPlane {
         &self.cfg
     }
 
+    /// Record `v` at `now` into the series `pick` resolves.
+    fn record(
+        &self,
+        now: SimTime,
+        v: u64,
+        pick: impl FnOnce(&mut WindowedRegistry, &mut Ids) -> WindowedId,
+    ) {
+        let mut reg = self.reg.borrow_mut();
+        let id = pick(&mut reg, &mut self.ids.borrow_mut());
+        reg.record(id, now, v);
+    }
+
     /// One finished attempt on `replica`: its latency (and whether it was
     /// an error) lands in the replica's series and the fleet-wide series.
     pub fn record_attempt(&self, now: SimTime, replica: &str, latency: Duration, error: bool) {
         let micros = latency.ticks().max(1);
-        let mut reg = self.reg.borrow_mut();
-        let lat = reg.histogram(&format!("fleet.replica.{replica}.latency_us"));
-        reg.record(lat, now, micros);
-        let fleet_lat = reg.histogram("fleet.attempt_latency_us");
-        reg.record(fleet_lat, now, micros);
+        self.record(now, micros, |reg, ids| {
+            ids.replicas.id(reg, replica, Kind::Latency)
+        });
+        self.record(now, micros, |reg, ids| {
+            let name = || "fleet.attempt_latency_us".into();
+            resolve(reg, &mut ids.attempt_latency, true, name)
+        });
         if error {
-            let err = reg.counter(&format!("fleet.replica.{replica}.errors"));
-            reg.record(err, now, 1);
+            self.record(now, 1, |reg, ids| {
+                ids.replicas.id(reg, replica, Kind::Errors)
+            });
         }
     }
 
     /// Outstanding-attempt depth on `replica` right after an attempt was
     /// routed to it.
     pub fn record_depth(&self, now: SimTime, replica: &str, depth: u64) {
-        let mut reg = self.reg.borrow_mut();
-        let id = reg.histogram(&format!("fleet.replica.{replica}.depth"));
-        reg.record(id, now, depth);
+        self.record(now, depth, |reg, ids| {
+            ids.replicas.id(reg, replica, Kind::Depth)
+        });
     }
 
     /// One admitted front-door request: fleet-wide in-flight and queued
@@ -186,39 +343,30 @@ impl HealthPlane {
     /// [`HealthConfig::max_tenants`] distinct series; the overflow folds
     /// into `tenant.other.requests`).
     pub fn record_submit(&self, now: SimTime, in_flight: u64, queued: u64, tenant: Option<&str>) {
-        let mut reg = self.reg.borrow_mut();
-        let inf = reg.histogram("dispatcher.in_flight");
-        reg.record(inf, now, in_flight);
-        let q = reg.histogram("dispatcher.queue_depth");
-        reg.record(q, now, queued);
+        self.record(now, in_flight, |reg, ids| {
+            let name = || "dispatcher.in_flight".into();
+            resolve(reg, &mut ids.in_flight, true, name)
+        });
+        self.record(now, queued, |reg, ids| {
+            let name = || "dispatcher.queue_depth".into();
+            resolve(reg, &mut ids.queue_depth, true, name)
+        });
         if let Some(t) = tenant {
-            let name = format!("tenant.{t}.requests");
-            let known = reg.series(&name).is_some();
-            let id = if known {
-                reg.counter(&name)
-            } else if self.tenants.get() < self.cfg.max_tenants {
-                self.tenants.set(self.tenants.get() + 1);
-                reg.counter(&name)
-            } else {
-                reg.counter("tenant.other.requests")
-            };
-            reg.record(id, now, 1);
+            self.record(now, 1, |reg, ids| ids.tenants.id(reg, t, Kind::Requests));
         }
     }
 
     /// `replica`'s windowed health over the configured lookback; `None`
     /// when it has produced no latency sample in the lookback.
     pub fn replica_health(&self, now: SimTime, replica: &str) -> Option<ReplicaHealth> {
-        let reg = self.reg.borrow();
-        let lat = reg.series(&format!("fleet.replica.{replica}.latency_us"))?;
-        let agg = lat.range(now, self.cfg.lookback);
+        let (reg, ids) = (self.reg.borrow(), self.ids.borrow());
+        let slots = ids.replicas.ids.get(replica)?;
+        let [latency, errors, ..] = *slots;
+        let agg = reg.range(latency?, now, self.cfg.lookback);
         if agg.count() == 0 {
             return None;
         }
-        let errors = reg
-            .series(&format!("fleet.replica.{replica}.errors"))
-            .map(|s| s.range(now, self.cfg.lookback).sum())
-            .unwrap_or(0);
+        let errors = errors.map_or(0, |id| reg.range(id, now, self.cfg.lookback).sum());
         Some(ReplicaHealth {
             samples: agg.count(),
             p99_s: agg.quantile(0.99) / 1e6,
@@ -229,63 +377,39 @@ impl HealthPlane {
     /// Fleet-wide windowed p99 attempt latency (seconds) over the
     /// configured lookback; `None` before any attempt finished.
     pub fn fleet_p99(&self, now: SimTime) -> Option<f64> {
-        let reg = self.reg.borrow();
-        let s = reg.series("fleet.attempt_latency_us")?;
-        let agg = s.range(now, self.cfg.lookback);
+        let id = self.ids.borrow().attempt_latency?;
+        let agg = self.reg.borrow().range(id, now, self.cfg.lookback);
         (agg.count() > 0).then(|| agg.quantile(0.99) / 1e6)
-    }
-
-    /// The series key a QoS tenant writes under: its own name while we
-    /// are under [`HealthConfig::max_tenants`] distinct tenants, `other`
-    /// past the cap.
-    fn qos_key(&self, tenant: &str) -> String {
-        let mut known = self.qos_tenants.borrow_mut();
-        if known.contains(tenant) {
-            tenant.to_owned()
-        } else if known.len() < self.cfg.max_tenants {
-            known.insert(tenant.to_owned());
-            tenant.to_owned()
-        } else {
-            "other".to_owned()
-        }
     }
 
     /// One request admitted past the QoS stage for `tenant`.
     pub fn record_tenant_accepted(&self, now: SimTime, tenant: &str) {
-        let key = self.qos_key(tenant);
-        let mut reg = self.reg.borrow_mut();
-        let id = reg.counter(&format!("fleet.tenant.{key}.accepted"));
-        reg.record(id, now, 1);
+        self.record(now, 1, |reg, ids| ids.qos.id(reg, tenant, Kind::Accepted));
     }
 
     /// One request shed at the QoS stage (quota + queue full, or no
     /// replicas) for `tenant`.
     pub fn record_tenant_shed(&self, now: SimTime, tenant: &str) {
-        let key = self.qos_key(tenant);
-        let mut reg = self.reg.borrow_mut();
-        let id = reg.counter(&format!("fleet.tenant.{key}.shed"));
-        reg.record(id, now, 1);
+        self.record(now, 1, |reg, ids| ids.qos.id(reg, tenant, Kind::Shed));
     }
 
     /// `tenant`'s door-queue depth right after one of its requests was
     /// queued.
     pub fn record_tenant_queue_depth(&self, now: SimTime, tenant: &str, depth: u64) {
-        let key = self.qos_key(tenant);
-        let mut reg = self.reg.borrow_mut();
-        let id = reg.histogram(&format!("fleet.tenant.{key}.queue_depth"));
-        reg.record(id, now, depth);
+        self.record(now, depth, |reg, ids| {
+            ids.qos.id(reg, tenant, Kind::QueueDepth)
+        });
     }
 
     /// One finished QoS-admitted request for `tenant`: door-to-answer
     /// latency (including any time spent queued at the door).
     pub fn record_tenant_latency(&self, now: SimTime, tenant: &str, latency: Duration, error: bool) {
-        let key = self.qos_key(tenant);
-        let mut reg = self.reg.borrow_mut();
-        let id = reg.histogram(&format!("fleet.tenant.{key}.latency_us"));
-        reg.record(id, now, latency.ticks().max(1));
+        let micros = latency.ticks().max(1);
+        self.record(now, micros, |reg, ids| {
+            ids.qos.id(reg, tenant, Kind::Latency)
+        });
         if error {
-            let id = reg.counter(&format!("fleet.tenant.{key}.errors"));
-            reg.record(id, now, 1);
+            self.record(now, 1, |reg, ids| ids.qos.id(reg, tenant, Kind::Errors));
         }
     }
 
@@ -295,31 +419,36 @@ impl HealthPlane {
     /// [`HealthPlane::set_version`]; with no tags the output is
     /// byte-identical to the unlabeled format.
     pub fn prometheus_text(&self, now: SimTime) -> String {
-        let tags = self.tags.borrow();
-        self.reg.borrow().prometheus_text_multi_labeled(now, |name| {
-            if let Some(rest) = name.strip_prefix("fleet.tenant.") {
-                // suffixes (accepted/shed/queue_depth/latency_us/errors)
-                // carry no dot, so the last dot ends the tenant name
-                let Some((tenant, _)) = rest.rsplit_once('.') else {
-                    return Vec::new();
-                };
-                return vec![("tenant".to_owned(), tenant.to_owned())];
-            }
-            let Some(rest) = name.strip_prefix("fleet.replica.") else {
-                return Vec::new();
-            };
-            let Some((replica, _)) = rest.split_once('.') else {
-                return Vec::new();
-            };
-            let labels = tags.get(replica).into_iter().flatten();
-            labels.map(|(k, v)| ((*k).to_owned(), v.clone())).collect()
-        })
+        exposition(&self.reg.borrow(), &self.tags.borrow(), now)
     }
 
     /// Full time-series CSV dump (one row per non-empty window).
     pub fn timeseries_csv(&self) -> String {
         self.reg.borrow().timeseries_csv()
     }
+}
+
+/// `reg`'s Prometheus exposition at `now`: QoS series labeled with their
+/// tenant, per-replica series with the replica's `tags`.
+fn exposition(reg: &WindowedRegistry, tags: &Tags, now: SimTime) -> String {
+    reg.prometheus_text_multi_labeled(now, |name| {
+        if let Some(rest) = name.strip_prefix("fleet.tenant.") {
+            // suffixes (accepted/shed/queue_depth/latency_us/errors)
+            // carry no dot, so the last dot ends the tenant name
+            let Some((tenant, _)) = rest.rsplit_once('.') else {
+                return Vec::new();
+            };
+            return vec![("tenant".to_owned(), tenant.to_owned())];
+        }
+        let Some(rest) = name.strip_prefix("fleet.replica.") else {
+            return Vec::new();
+        };
+        let Some((replica, _)) = rest.split_once('.') else {
+            return Vec::new();
+        };
+        let labels = tags.get(replica).into_iter().flatten();
+        labels.map(|(k, v)| ((*k).to_owned(), v.clone())).collect()
+    })
 }
 
 /// What the detector did about a replica.
@@ -609,6 +738,25 @@ mod tests {
     }
 
     #[test]
+    fn tenant_caches_stay_bounded_by_the_cap_under_a_flood_of_principals() {
+        let plane = HealthPlane::new(HealthConfig::default());
+        let t = SimTime::from_secs(1);
+        for i in 0..10_000 {
+            let tenant = format!("principal{i}");
+            plane.record_submit(t, 1, 0, Some(&tenant));
+            plane.record_tenant_accepted(t, &tenant);
+        }
+        let ids = plane.ids.borrow();
+        let cap = plane.config().max_tenants;
+        for owners in [&ids.tenants, &ids.qos] {
+            assert_eq!(owners.ids.len(), cap);
+            assert_eq!(owners.cap.as_ref().map(|c| c.families.len()), Some(cap));
+        }
+        let csv = plane.timeseries_csv();
+        assert!(csv.contains(&format!("tenant.other.requests,0,{},", 10_000 - cap)));
+    }
+
+    #[test]
     fn exposition_snapshot_is_strictly_valid() {
         let plane = HealthPlane::new(HealthConfig::default());
         let t = SimTime::from_secs(3);
@@ -735,6 +883,277 @@ mod tests {
         for escaped in [r#"a\"b"#, r"x\ny", r"back\\slash"] {
             let accepted = format!("_accepted{{tenant=\"{escaped}\"}} 1\n");
             assert_eq!(text.matches(&accepted).count(), 1, "{escaped:?} in:\n{text}");
+        }
+    }
+}
+
+/// The health plane's recorder as it was before series ids were kept:
+/// every sample formats its series name and looks it up in the registry,
+/// and the two tenant caps are a counter and a name set. Kept as an
+/// executable reference, so the equivalence property below can hold the
+/// id-keeping plane to it byte for byte.
+#[cfg(test)]
+mod name_model {
+    use std::cell::{Cell, RefCell};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use simkit::{Duration, SimTime, WindowedRegistry};
+
+    use super::{HealthConfig, ReplicaHealth};
+
+    /// [`super::HealthPlane`]'s recording and queries, as they were.
+    pub struct NamePlane {
+        cfg: HealthConfig,
+        reg: RefCell<WindowedRegistry>,
+        tenants: Cell<usize>,
+        qos_tenants: RefCell<BTreeSet<String>>,
+    }
+
+    impl NamePlane {
+        pub fn new(cfg: HealthConfig) -> NamePlane {
+            NamePlane {
+                reg: RefCell::new(WindowedRegistry::new(cfg.window, cfg.ring)),
+                tenants: Cell::new(0),
+                qos_tenants: RefCell::new(BTreeSet::new()),
+                cfg,
+            }
+        }
+
+        pub fn record_attempt(&self, now: SimTime, replica: &str, latency: Duration, error: bool) {
+            let micros = latency.ticks().max(1);
+            let mut reg = self.reg.borrow_mut();
+            let lat = reg.histogram(&format!("fleet.replica.{replica}.latency_us"));
+            reg.record(lat, now, micros);
+            let fleet_lat = reg.histogram("fleet.attempt_latency_us");
+            reg.record(fleet_lat, now, micros);
+            if error {
+                let err = reg.counter(&format!("fleet.replica.{replica}.errors"));
+                reg.record(err, now, 1);
+            }
+        }
+
+        pub fn record_depth(&self, now: SimTime, replica: &str, depth: u64) {
+            let mut reg = self.reg.borrow_mut();
+            let id = reg.histogram(&format!("fleet.replica.{replica}.depth"));
+            reg.record(id, now, depth);
+        }
+
+        pub fn record_submit(
+            &self,
+            now: SimTime,
+            in_flight: u64,
+            queued: u64,
+            tenant: Option<&str>,
+        ) {
+            let mut reg = self.reg.borrow_mut();
+            let inf = reg.histogram("dispatcher.in_flight");
+            reg.record(inf, now, in_flight);
+            let q = reg.histogram("dispatcher.queue_depth");
+            reg.record(q, now, queued);
+            if let Some(t) = tenant {
+                let name = format!("tenant.{t}.requests");
+                let known = reg.series(&name).is_some();
+                let id = if known {
+                    reg.counter(&name)
+                } else if self.tenants.get() < self.cfg.max_tenants {
+                    self.tenants.set(self.tenants.get() + 1);
+                    reg.counter(&name)
+                } else {
+                    reg.counter("tenant.other.requests")
+                };
+                reg.record(id, now, 1);
+            }
+        }
+
+        pub fn replica_health(&self, now: SimTime, replica: &str) -> Option<ReplicaHealth> {
+            let reg = self.reg.borrow();
+            let lat = reg.series(&format!("fleet.replica.{replica}.latency_us"))?;
+            let agg = lat.range(now, self.cfg.lookback);
+            if agg.count() == 0 {
+                return None;
+            }
+            let errors = reg
+                .series(&format!("fleet.replica.{replica}.errors"))
+                .map(|s| s.range(now, self.cfg.lookback).sum())
+                .unwrap_or(0);
+            Some(ReplicaHealth {
+                samples: agg.count(),
+                p99_s: agg.quantile(0.99) / 1e6,
+                error_rate: errors as f64 / agg.count() as f64,
+            })
+        }
+
+        pub fn fleet_p99(&self, now: SimTime) -> Option<f64> {
+            let reg = self.reg.borrow();
+            let s = reg.series("fleet.attempt_latency_us")?;
+            let agg = s.range(now, self.cfg.lookback);
+            (agg.count() > 0).then(|| agg.quantile(0.99) / 1e6)
+        }
+
+        fn qos_key(&self, tenant: &str) -> String {
+            let mut known = self.qos_tenants.borrow_mut();
+            if known.contains(tenant) {
+                tenant.to_owned()
+            } else if known.len() < self.cfg.max_tenants {
+                known.insert(tenant.to_owned());
+                tenant.to_owned()
+            } else {
+                "other".to_owned()
+            }
+        }
+
+        pub fn record_tenant_accepted(&self, now: SimTime, tenant: &str) {
+            let key = self.qos_key(tenant);
+            let mut reg = self.reg.borrow_mut();
+            let id = reg.counter(&format!("fleet.tenant.{key}.accepted"));
+            reg.record(id, now, 1);
+        }
+
+        pub fn record_tenant_shed(&self, now: SimTime, tenant: &str) {
+            let key = self.qos_key(tenant);
+            let mut reg = self.reg.borrow_mut();
+            let id = reg.counter(&format!("fleet.tenant.{key}.shed"));
+            reg.record(id, now, 1);
+        }
+
+        pub fn record_tenant_queue_depth(&self, now: SimTime, tenant: &str, depth: u64) {
+            let key = self.qos_key(tenant);
+            let mut reg = self.reg.borrow_mut();
+            let id = reg.histogram(&format!("fleet.tenant.{key}.queue_depth"));
+            reg.record(id, now, depth);
+        }
+
+        pub fn record_tenant_latency(
+            &self,
+            now: SimTime,
+            tenant: &str,
+            latency: Duration,
+            error: bool,
+        ) {
+            let key = self.qos_key(tenant);
+            let mut reg = self.reg.borrow_mut();
+            let id = reg.histogram(&format!("fleet.tenant.{key}.latency_us"));
+            reg.record(id, now, latency.ticks().max(1));
+            if error {
+                let id = reg.counter(&format!("fleet.tenant.{key}.errors"));
+                reg.record(id, now, 1);
+            }
+        }
+
+        pub fn prometheus_text(&self, now: SimTime) -> String {
+            super::exposition(&self.reg.borrow(), &BTreeMap::new(), now)
+        }
+
+        pub fn timeseries_csv(&self) -> String {
+            self.reg.borrow().timeseries_csv()
+        }
+    }
+}
+
+#[cfg(test)]
+mod equivalence {
+    use super::name_model::NamePlane;
+    use super::*;
+    use proptest::prelude::*;
+
+    const REPLICAS: [&str; 3] = ["replica0", "replica1", "replica2"];
+    /// More tenants than the cap below, `other` among them, and no two
+    /// that sanitize onto one Prometheus family.
+    const TENANTS: [&str; 6] = ["alice", "other", "bob", "carol", "dave", "erin"];
+
+    /// One call of the plane's seven recording methods.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Attempt(usize, u64, bool),
+        Depth(usize, u64),
+        Submit(u64, u64, Option<usize>),
+        Accepted(usize),
+        Shed(usize),
+        QueueDepth(usize, u64),
+        Latency(usize, u64, bool),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let (r, t) = (0..REPLICAS.len(), 0..TENANTS.len());
+        prop_oneof![
+            (r.clone(), 1u64..2_000_000, any::<bool>())
+                .prop_map(|(r, us, e)| Op::Attempt(r, us, e)),
+            (r, 0u64..16).prop_map(|(r, d)| Op::Depth(r, d)),
+            (0u64..64, 0u64..64, proptest::option::of(t.clone()))
+                .prop_map(|(f, q, t)| Op::Submit(f, q, t)),
+            t.clone().prop_map(Op::Accepted),
+            t.clone().prop_map(Op::Shed),
+            (t.clone(), 0u64..16).prop_map(|(t, d)| Op::QueueDepth(t, d)),
+            (t, 1u64..2_000_000, any::<bool>()).prop_map(|(t, us, e)| Op::Latency(t, us, e)),
+        ]
+    }
+
+    fn health(h: Option<ReplicaHealth>) -> Option<(u64, f64, f64)> {
+        h.map(|h| (h.samples, h.p99_s, h.error_rate))
+    }
+
+    proptest! {
+        /// The id-keeping plane and the name-formatting recorder it
+        /// replaced agree on every query after every call, and on both
+        /// exports at the end: series appear on their first sample, and
+        /// each tenant cap counts tenants, not calls. Four 1 s windows
+        /// against steps of up to 1.5 s wrap the ring many times over.
+        #[test]
+        fn id_keeping_plane_matches_the_name_formatting_recorder(
+            steps in proptest::collection::vec((0u64..1_500_000, op()), 1..160),
+        ) {
+            let cfg = HealthConfig {
+                window: Duration::from_secs(1),
+                ring: 4,
+                lookback: Duration::from_secs(3),
+                max_tenants: 3,
+                ..HealthConfig::default()
+            };
+            let (plane, model) = (HealthPlane::new(cfg), NamePlane::new(cfg));
+            let mut now = SimTime::ZERO;
+            for (step, op) in &steps {
+                now += Duration::from_micros(*step);
+                let us = Duration::from_micros;
+                match *op {
+                    Op::Attempt(r, d, e) => {
+                        plane.record_attempt(now, REPLICAS[r], us(d), e);
+                        model.record_attempt(now, REPLICAS[r], us(d), e);
+                    }
+                    Op::Depth(r, d) => {
+                        plane.record_depth(now, REPLICAS[r], d);
+                        model.record_depth(now, REPLICAS[r], d);
+                    }
+                    Op::Submit(f, q, t) => {
+                        plane.record_submit(now, f, q, t.map(|t| TENANTS[t]));
+                        model.record_submit(now, f, q, t.map(|t| TENANTS[t]));
+                    }
+                    Op::Accepted(t) => {
+                        plane.record_tenant_accepted(now, TENANTS[t]);
+                        model.record_tenant_accepted(now, TENANTS[t]);
+                    }
+                    Op::Shed(t) => {
+                        plane.record_tenant_shed(now, TENANTS[t]);
+                        model.record_tenant_shed(now, TENANTS[t]);
+                    }
+                    Op::QueueDepth(t, d) => {
+                        plane.record_tenant_queue_depth(now, TENANTS[t], d);
+                        model.record_tenant_queue_depth(now, TENANTS[t], d);
+                    }
+                    Op::Latency(t, d, e) => {
+                        plane.record_tenant_latency(now, TENANTS[t], us(d), e);
+                        model.record_tenant_latency(now, TENANTS[t], us(d), e);
+                    }
+                }
+                for r in REPLICAS {
+                    prop_assert_eq!(
+                        health(plane.replica_health(now, r)),
+                        health(model.replica_health(now, r))
+                    );
+                }
+                prop_assert_eq!(plane.fleet_p99(now), model.fleet_p99(now));
+            }
+            prop_assert_eq!(plane.prometheus_text(now), model.prometheus_text(now));
+            prop_assert_eq!(plane.timeseries_csv(), model.timeseries_csv());
         }
     }
 }

@@ -271,6 +271,35 @@ fn write_faults_surface_as_soap_faults_and_draw_probation() {
     assert!(ok.get() > 40, "invoke traffic kept flowing, got {}", ok.get());
 }
 
+/// Tenants are request principals, so two of them may differ only in
+/// characters the Prometheus name rule folds (`a.b`, `a_b`). The second
+/// to arrive must not open a second family of the same name: it folds
+/// into `other`, under both tenant caps, and its samples still count.
+#[test]
+fn tenants_that_sanitize_alike_fold_into_other_and_the_exposition_validates() {
+    let plane = HealthPlane::new(HealthConfig::default());
+    let t = SimTime::from_secs(3);
+    for tenant in ["a.b", "a_b"] {
+        plane.record_submit(t, 1, 0, Some(tenant));
+        plane.record_tenant_accepted(t, tenant);
+        plane.record_tenant_latency(t, tenant, Duration::from_millis(4), true);
+    }
+    let text = plane.prometheus_text(t);
+    simkit::validate_prometheus_text(&text).expect("no family is declared twice");
+    for sample in [
+        "tenant_a_b_requests 1\n",
+        "tenant_other_requests 1\n",
+        "fleet_tenant_a_b_accepted{tenant=\"a.b\"} 1\n",
+        "fleet_tenant_other_accepted{tenant=\"other\"} 1\n",
+        "fleet_tenant_a_b_errors{tenant=\"a.b\"} 1\n",
+        "fleet_tenant_other_errors{tenant=\"other\"} 1\n",
+        "fleet_tenant_a_b_latency_us_count{tenant=\"a.b\"} 1\n",
+        "fleet_tenant_other_latency_us_count{tenant=\"other\"} 1\n",
+    ] {
+        assert_eq!(text.matches(sample).count(), 1, "{sample:?} in:\n{text}");
+    }
+}
+
 #[test]
 fn health_plane_attachment_is_result_neutral() {
     let run = |attach: bool| {
