@@ -103,7 +103,7 @@ pub fn run_point(
         Mix::invoke_only(&["app"]),
         until,
     );
-    run.sim.run();
+    run.drain();
     let point = FleetPoint {
         replicas,
         topology,

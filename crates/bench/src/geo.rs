@@ -262,7 +262,7 @@ pub fn run_point(mode: GeoMode) -> GeoPoint {
         sun.set_origin(sun.map().sun_origin(sim.now() - t0, horizon()));
         sticky.then(|| format!("t{:02}", n % TENANTS as u64))
     });
-    run.sim.run(); // drain every outstanding answer, hold, and watchdog
+    run.drain(); // every outstanding answer, hold, and watchdog
     if let Some(m) = &monkey {
         assert_eq!(m.site_outages(), 1, "the pinned outage registered");
     }

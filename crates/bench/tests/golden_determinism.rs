@@ -111,8 +111,8 @@ fn chaos_sweep_matches_golden() {
 /// The million-principal experiment's CI shrink must be byte-stable per
 /// seed, and the shape it shares with the full run must hold: a churning
 /// pin table (population ≫ capacity is only true at full scale, but even
-/// here every distinct principal pins once), conservation at the front
-/// door, and a population actually sampled broadly.
+/// here every distinct principal pins once) and a population actually
+/// sampled broadly. Conservation is the drain's audit.
 #[test]
 fn millionuser_ci_matches_golden() {
     use onserve_bench::millionuser;
@@ -121,11 +121,6 @@ fn millionuser_ci_matches_golden() {
         millionuser::csv(std::slice::from_ref(&point)),
         golden("millionuser.csv"),
         "millionuser CI CSV drifted"
-    );
-    assert_eq!(
-        point.issued,
-        point.completed + point.faulted,
-        "every issued request must settle"
     );
     assert_eq!(point.faulted, 0, "no faults in a quiet fleet");
     assert_eq!(
@@ -200,11 +195,6 @@ fn geo_sweep_matches_golden() {
     // watchdog gives up — accepted requests are lost to timeouts
     assert!(obl.faulted > 0, "the control row must lose work to the outage");
     assert!(obl.blackholed > 0, "severed-site requests must blackhole");
-    assert_eq!(
-        obl.completed + obl.faulted,
-        obl.issued,
-        "control-row conservation: every request settles"
-    );
     // federation: pinned work is forwarded around the outage, answers
     // produced behind the partition are pulled back on reconnect, and no
     // accepted request is lost
@@ -357,11 +347,6 @@ fn rollout_sweep_matches_golden() {
     let rollback = row(RolloutMode::CanaryRollback);
     for p in &points {
         assert_eq!(p.issued, restart.issued, "same seed must offer the same load");
-        assert_eq!(
-            p.completed + p.dropped,
-            p.issued,
-            "conservation: every request settles"
-        );
     }
     // the naive baseline loses real work: in-flight requests fault at
     // the kill and arrivals during the boot window are refused
@@ -424,16 +409,6 @@ fn noisyneighbor_sweep_matches_golden() {
         assert_eq!(
             p.behaved_issued, base.behaved_issued,
             "behaved stream is forked first: identical across rows"
-        );
-        assert_eq!(
-            p.behaved_ok + p.behaved_shed,
-            p.behaved_issued,
-            "conservation: every behaved request settles"
-        );
-        assert_eq!(
-            p.flood_ok + p.flood_shed,
-            p.flood_issued,
-            "conservation: every flood request settles"
         );
     }
     assert_eq!(base.flood_issued, 0, "no flood in the baseline row");

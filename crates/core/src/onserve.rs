@@ -381,10 +381,7 @@ impl OnServe {
                 .registry
                 .borrow_mut()
                 .update_description(&new.service_key, &description2);
-            // invalidate cached stagings of the replaced binary
-            this.staged
-                .borrow_mut()
-                .retain(|(_, exe)| *exe != new.exe_name);
+            this.forget_stagings(&new.exe_name);
             let mut services = this.services.borrow_mut();
             services.insert(service_name, Rc::new(new));
             Ok(())
@@ -542,7 +539,14 @@ impl OnServe {
         let _ = self.registry.borrow_mut().delete(&meta.service_key);
         self.container.borrow_mut().undeploy(service_name);
         let _ = self.db.db().borrow_mut().delete(&meta.exe_name);
+        self.forget_stagings(&meta.exe_name);
         true
+    }
+
+    /// Forget every site `exe_name` was staged to: the binary under that
+    /// name was replaced or removed, so a cached copy is stale.
+    fn forget_stagings(&self, exe_name: &str) {
+        self.staged.borrow_mut().retain(|(_, exe)| exe != exe_name);
     }
 
     /// Build a typed client for a published service by reading its WSDL

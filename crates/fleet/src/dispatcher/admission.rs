@@ -218,6 +218,11 @@ impl<T> Admission<T> {
         self.qos = Some(cfg);
     }
 
+    /// Whether the tenant stage is in front of the window.
+    pub fn has_tenant_stage(&self) -> bool {
+        self.qos.is_some()
+    }
+
     /// Requests let in and not yet released.
     pub fn in_flight(&self) -> usize {
         self.in_flight

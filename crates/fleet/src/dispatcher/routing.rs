@@ -410,6 +410,11 @@ impl Routing {
         self.geo = Some(plane);
     }
 
+    /// The attached geo plane, if any.
+    pub fn geo(&self) -> Option<&Rc<GeoPlane>> {
+        self.geo.as_ref()
+    }
+
     /// Does the attached geo plane place `replica` on `site`? Never,
     /// without a plane.
     pub fn on_site(&self, replica: &str, site: &str) -> bool {

@@ -33,6 +33,12 @@
 //!   whole-site outage windows with held-and-pulled answers, and
 //!   HTCondor-C-style federation that forwards pinned work away from a
 //!   severed site without losing it.
+//! * [`rollout`] — zero-downtime version rollouts by replacement: rolling,
+//!   canary with judgment and auto-rollback, and the stop-the-world
+//!   baseline, never retiring through a `min_healthy` floor.
+//! * [`audit`] — every fleet invariant stated once (door and tenant
+//!   ledgers, routing, pins, fairness, the rollout floor) and checked at
+//!   every event boundary of a run, whichever planes are on.
 //!
 //! ## Quick start
 //!
@@ -56,6 +62,7 @@
 //! assert_eq!(fleet.active_replicas(), 2);
 //! ```
 
+pub mod audit;
 pub mod autoscaler;
 pub mod chaos;
 pub mod dispatcher;
@@ -65,6 +72,7 @@ pub mod health;
 pub mod rollout;
 pub mod workload;
 
+pub use audit::Audit;
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScaleAction, ScaleDecision};
 pub use chaos::ChaosMonkey;
 pub use dispatcher::{

@@ -264,6 +264,11 @@ impl RolloutController {
         self.retire_log.borrow().clone()
     }
 
+    /// The floor no retirement may reach ([`RolloutConfig::min_healthy`]).
+    pub fn min_healthy(&self) -> usize {
+        self.cfg.min_healthy
+    }
+
     // -- rolling ------------------------------------------------------------
 
     /// One rolling step: done when no old-version replica remains;

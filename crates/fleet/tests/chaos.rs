@@ -1,58 +1,43 @@
 //! Chaos soak and telemetry coverage for involuntary replica loss.
 //!
 //! The soak drives a seeded 10 000-request closed loop against a fleet
-//! under Poisson replica crashes with autoscaler replacement, and asserts
-//! *request conservation*: every issued request is answered exactly once
-//! (completed or faulted) — crashes may cost goodput, never answers. The
-//! same run twice must produce an identical fingerprint, byte-for-byte
-//! determinism being what makes a chaos schedule a reproducible test
-//! fixture rather than flake.
+//! under Poisson replica crashes with autoscaler replacement. The auditor
+//! holds it to request conservation at every event — crashes may cost
+//! goodput, never answers — and the same run twice must produce an
+//! identical fingerprint, byte-for-byte determinism being what makes a
+//! chaos schedule a reproducible test fixture rather than flake.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use fleet::{
-    AffinityConfig, Autoscaler, AutoscalerConfig, ChaosMonkey, Fleet, FleetSpec, Policy, Request,
-    StorageTopology,
+    AffinityConfig, Audit, Autoscaler, AutoscalerConfig, ChaosMonkey, DispatchCounters, Fleet,
+    SubmitFn,
 };
 use onserve::profile::ExecutionProfile;
 use simkit::fault::FaultPlan;
 use simkit::telemetry::{validate_chrome_trace, AttrValue};
-use simkit::{Duration, Rng, Sim, MB};
-use vappliance::ApplianceImage;
+use simkit::{Duration, Rng, Sim};
 
-fn image() -> ApplianceImage {
-    ApplianceImage {
-        name: "onserve".into(),
-        bytes: 600.0 * MB,
-        boot_services: vec!["mysqld".into(), "tomcat".into(), "juddi".into()],
-        recipe_fingerprint: 1,
-    }
-}
+mod common;
+
+use common::invoke;
 
 fn chaos_fleet(sim: &mut Sim, replicas: usize, affinity: bool) -> Rc<Fleet> {
-    let mut spec = FleetSpec::with_image(image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = replicas;
-    spec.dispatcher.policy = Policy::RoundRobin;
-    spec.dispatcher.max_in_flight = 256;
-    if affinity {
-        // sticky routing pays off through the per-replica session cache,
-        // so the two switches travel together in these scenarios
-        spec.dispatcher.affinity = Some(AffinityConfig::default());
-        spec.base.config.cache_grid_sessions = true;
-    }
-    Fleet::new(sim, spec)
+    common::fleet(sim, replicas, |spec| {
+        if affinity {
+            // sticky routing pays off through the per-replica session
+            // cache, so the two switches travel together in these scenarios
+            spec.dispatcher.affinity = Some(AffinityConfig::default());
+            spec.base.config.cache_grid_sessions = true;
+        }
+    })
 }
 
 /// Everything the soak measures; two same-seed runs must agree exactly.
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
-    completed: u64,
-    faulted: u64,
-    shed: u64,
-    retried: u64,
-    ejected: u64,
+    counters: DispatchCounters,
     lost: u64,
     booted: u64,
     end_ticks: u64,
@@ -61,51 +46,26 @@ struct Fingerprint {
 const SOAK_TOTAL: u64 = 10_000;
 const SOAK_USERS: usize = 40;
 
-struct Tally {
-    issued: Cell<u64>,
-    completed: Cell<u64>,
-    faulted: Cell<u64>,
-}
-
-fn spawn_user(
-    sim: &mut Sim,
-    fleet: Rc<Fleet>,
-    tally: Rc<Tally>,
-    rng: Rc<RefCell<Rng>>,
-    principal: Option<String>,
-) {
+/// One closed-loop user: think, invoke `app`, and go again once
+/// answered, until the population has issued [`SOAK_TOTAL`].
+fn spawn_user(sim: &mut Sim, door: Rc<SubmitFn>, issued: Rc<Cell<u64>>, rng: Rc<RefCell<Rng>>) {
     let think = Duration::from_millis(rng.borrow_mut().range(50, 400));
     sim.schedule(think, move |sim| {
-        if tally.issued.get() >= SOAK_TOTAL {
+        if issued.get() >= SOAK_TOTAL {
             return; // population drains once the budget is spent
         }
-        tally.issued.set(tally.issued.get() + 1);
-        let dispatcher = Rc::clone(fleet.dispatcher());
-        let t2 = Rc::clone(&tally);
-        let f2 = Rc::clone(&fleet);
-        let r2 = Rc::clone(&rng);
-        dispatcher.submit(
-            sim,
-            Request::Invoke {
-                service: "app".into(),
-                args: Vec::new(),
-                principal: principal.clone(),
-            },
-            Box::new(move |sim, res| {
-                match res {
-                    Ok(_) => t2.completed.set(t2.completed.get() + 1),
-                    Err(_) => t2.faulted.set(t2.faulted.get() + 1),
-                }
-                spawn_user(sim, f2, t2, r2, principal);
-            }),
-        );
+        issued.set(issued.get() + 1);
+        let again = Rc::clone(&door);
+        let answered = Box::new(move |sim: &mut Sim, _| spawn_user(sim, again, issued, rng));
+        door(sim, invoke("app", None), answered);
     });
 }
 
-fn soak(seed: u64, affinity: bool) -> Fingerprint {
+fn soak(seed: u64, drain: fn(&Audit, &mut Sim)) -> Fingerprint {
     let mut sim = Sim::new(seed);
-    let fleet = chaos_fleet(&mut sim, 3, affinity);
-    sim.run();
+    let fleet = chaos_fleet(&mut sim, 3, false);
+    let audit = Audit::fleet(&fleet);
+    drain(&audit, &mut sim);
     fleet.publish(
         &mut sim,
         "app.exe",
@@ -115,7 +75,7 @@ fn soak(seed: u64, affinity: bool) -> Fingerprint {
             .producing(16.0 * 1024.0),
         |_| {},
     );
-    sim.run();
+    drain(&audit, &mut sim);
     // replacement-only autoscaler: crash loss is re-ordered, load is not
     let until = sim.now() + Duration::from_secs(3600);
     let _scaler = Autoscaler::install(
@@ -135,49 +95,25 @@ fn soak(seed: u64, affinity: bool) -> Fingerprint {
     let plan = FaultPlan::new(seed)
         .poisson_crashes(Duration::from_secs(120), Duration::from_secs(600));
     let monkey = ChaosMonkey::unleash(&mut sim, &fleet, &plan);
-    let tally = Rc::new(Tally {
-        issued: Cell::new(0),
-        completed: Cell::new(0),
-        faulted: Cell::new(0),
-    });
+    let issued = Rc::new(Cell::new(0));
     let rng = Rc::new(RefCell::new(sim.rng().fork()));
-    for i in 0..SOAK_USERS {
-        // with affinity on, every user is a distinct sticky principal
-        let principal = affinity.then(|| format!("user{i}"));
-        spawn_user(&mut sim, Rc::clone(&fleet), Rc::clone(&tally), Rc::clone(&rng), principal);
+    for _ in 0..SOAK_USERS {
+        spawn_user(&mut sim, audit.sink(), Rc::clone(&issued), Rc::clone(&rng));
     }
-    sim.run();
+    drain(&audit, &mut sim);
 
-    // conservation: 10k issued, every one answered exactly once
-    assert_eq!(tally.issued.get(), SOAK_TOTAL);
-    assert_eq!(
-        tally.completed.get() + tally.faulted.get(),
-        SOAK_TOTAL,
-        "requests lost: neither completed nor faulted"
-    );
-    let c = fleet.dispatcher().counters();
-    assert_eq!(c.accepted + c.shed, SOAK_TOTAL, "door ledger");
-    assert_eq!(c.accepted, c.completed + c.faulted, "outcome ledger");
-    assert_eq!(fleet.dispatcher().in_flight(), 0, "nothing stuck in flight");
+    assert_eq!(issued.get(), SOAK_TOTAL);
     assert_eq!(monkey.landed(), fleet.lost_total());
     assert!(
         monkey.landed() >= 2,
         "the Poisson schedule should land several crashes, got {}",
         monkey.landed()
     );
-    assert_eq!(
-        fleet.lost_total() + fleet.retired_total(),
-        fleet.lost_total(),
-        "nothing was voluntarily retired in this scenario"
-    );
+    assert_eq!(fleet.retired_total(), 0, "nothing was voluntarily retired");
     // the fleet healed: replacements restored the floor
     assert!(fleet.active_replicas() >= 3);
     Fingerprint {
-        completed: tally.completed.get(),
-        faulted: tally.faulted.get(),
-        shed: c.shed,
-        retried: c.retried,
-        ejected: c.ejected,
+        counters: fleet.dispatcher().counters(),
         lost: fleet.lost_total(),
         booted: fleet.booted_total(),
         end_ticks: sim.now().ticks(),
@@ -187,27 +123,12 @@ fn soak(seed: u64, affinity: bool) -> Fingerprint {
 #[test]
 fn soak_10k_requests_conserved_under_poisson_crashes_and_deterministic() {
     const SEED: u64 = 0x50a4;
-    let first = soak(SEED, false);
-    let second = soak(SEED, false);
-    assert_eq!(first, second, "same-seed chaos soak must replay exactly");
+    let first = soak(SEED, Audit::run);
+    let replay = soak(SEED, common::unaudited);
+    assert_eq!(first, replay, "same-seed chaos soak must replay exactly");
     assert!(first.lost > 0, "chaos actually happened: {first:?}");
     assert!(
-        first.completed > SOAK_TOTAL * 9 / 10,
-        "retry should keep goodput high: {first:?}"
-    );
-}
-
-#[test]
-fn soak_10k_requests_conserved_and_deterministic_with_affinity() {
-    // same chaos, sticky routing on: conservation and same-seed
-    // byte-identical replay must survive the affinity table's bookkeeping
-    const SEED: u64 = 0x50a5;
-    let first = soak(SEED, true);
-    let second = soak(SEED, true);
-    assert_eq!(first, second, "same-seed affinity soak must replay exactly");
-    assert!(first.lost > 0, "chaos actually happened: {first:?}");
-    assert!(
-        first.completed > SOAK_TOTAL * 9 / 10,
+        first.counters.completed > SOAK_TOTAL * 9 / 10,
         "retry should keep goodput high: {first:?}"
     );
 }
@@ -217,28 +138,18 @@ fn soak_10k_requests_conserved_and_deterministic_with_affinity() {
 #[test]
 fn crash_retry_success_emits_replica_lost_and_retry_spans() {
     let mut sim = Sim::new(77);
-    sim.enable_telemetry();
     let fleet = chaos_fleet(&mut sim, 2, false);
-    sim.run();
-    fleet.publish(
-        &mut sim,
-        "slow.exe",
-        1024 * 1024,
-        ExecutionProfile::quick().lasting(Duration::from_secs(30)),
-        |_| {},
-    );
-    sim.run();
+    let audit = Audit::fleet(&fleet);
+    let slow = ExecutionProfile::quick().lasting(Duration::from_secs(30));
+    common::boot_and_publish(&mut sim, &fleet, &audit, ("slow.exe", 1024 * 1024), slow);
     // occupy both replicas, then kill replica0 mid-flight
     let ok = Rc::new(Cell::new(0u32));
+    let door = audit.sink();
     for _ in 0..2 {
         let ok = Rc::clone(&ok);
-        fleet.dispatcher().clone().submit(
+        door(
             &mut sim,
-            Request::Invoke {
-                service: "slow".into(),
-                args: Vec::new(),
-                principal: None,
-            },
+            invoke("slow", None),
             Box::new(move |_, res| {
                 assert!(res.is_ok(), "{res:?}");
                 ok.set(ok.get() + 1);
@@ -251,7 +162,7 @@ fn crash_retry_success_emits_replica_lost_and_retry_spans() {
     sim.schedule(Duration::from_secs(5), move |sim| {
         assert!(fleet2.crash_replica(sim, &v2));
     });
-    sim.run();
+    audit.run(&mut sim);
     assert_eq!(ok.get(), 2);
 
     let t = sim.telemetry().expect("telemetry on");
@@ -284,28 +195,18 @@ fn crash_retry_success_emits_replica_lost_and_retry_spans() {
 #[test]
 fn sticky_replica_crash_retries_on_survivor_and_reauthenticates_once() {
     let mut sim = Sim::new(78);
-    sim.enable_telemetry();
     let fleet = chaos_fleet(&mut sim, 2, true);
-    sim.run();
-    fleet.publish(
-        &mut sim,
-        "slow.exe",
-        1024 * 1024,
-        ExecutionProfile::quick().lasting(Duration::from_secs(30)),
-        |_| {},
-    );
-    sim.run();
+    let audit = Audit::fleet(&fleet);
+    let slow = ExecutionProfile::quick().lasting(Duration::from_secs(30));
+    common::boot_and_publish(&mut sim, &fleet, &audit, ("slow.exe", 1024 * 1024), slow);
     let auth_spans =
         |sim: &Sim| sim.telemetry().expect("telemetry on").spans_named("agent.authenticate").len();
-    let invoke_as_alice = |sim: &mut Sim, fleet: &Rc<Fleet>, ok: &Rc<Cell<u32>>| {
+    let door = audit.sink();
+    let invoke_as_alice = |sim: &mut Sim, ok: &Rc<Cell<u32>>| {
         let ok = Rc::clone(ok);
-        fleet.dispatcher().clone().submit(
+        door(
             sim,
-            Request::Invoke {
-                service: "slow".into(),
-                args: Vec::new(),
-                principal: Some("alice".into()),
-            },
+            invoke("slow", Some("alice")),
             Box::new(move |_, res| {
                 assert!(res.is_ok(), "{res:?}");
                 ok.set(ok.get() + 1);
@@ -316,8 +217,8 @@ fn sticky_replica_crash_retries_on_survivor_and_reauthenticates_once() {
 
     // request 1 pins alice to a replica and authenticates there once
     let base = auth_spans(&sim);
-    invoke_as_alice(&mut sim, &fleet, &ok);
-    sim.run();
+    invoke_as_alice(&mut sim, &ok);
+    audit.run(&mut sim);
     assert_eq!(ok.get(), 1);
     assert_eq!(auth_spans(&sim), base + 1, "first request authenticates once");
     let t = sim.telemetry().expect("telemetry on");
@@ -329,21 +230,21 @@ fn sticky_replica_crash_retries_on_survivor_and_reauthenticates_once() {
     };
 
     // request 2 heads for the pinned replica; kill it mid-flight
-    invoke_as_alice(&mut sim, &fleet, &ok);
+    invoke_as_alice(&mut sim, &ok);
     let fleet2 = Rc::clone(&fleet);
     let victim = pinned.clone();
     sim.schedule(Duration::from_secs(5), move |sim| {
         assert!(fleet2.crash_replica(sim, &victim));
     });
-    sim.run();
+    audit.run(&mut sim);
     assert_eq!(ok.get(), 2, "retry must answer the interrupted request");
     // the retry re-pinned onto the survivor and authenticated there — once
     assert_eq!(auth_spans(&sim), base + 2, "crash costs exactly one re-auth");
     assert_eq!(fleet.dispatcher().counters().affinity_repins, 1);
 
     // request 3 rides the survivor's cached session: no new credential work
-    invoke_as_alice(&mut sim, &fleet, &ok);
-    sim.run();
+    invoke_as_alice(&mut sim, &ok);
+    audit.run(&mut sim);
     assert_eq!(ok.get(), 3);
     assert_eq!(auth_spans(&sim), base + 2, "cached session absorbs request 3");
     assert!(fleet.dispatcher().counters().affinity_hits >= 1);

@@ -7,69 +7,41 @@
 //! while never flagging a healthy peer. A second test pins the plane's
 //! result-neutrality: attaching it must not move a single event.
 
+mod common;
+
 use std::cell::Cell;
 use std::rc::Rc;
 
+use common::invoke;
 use fleet::{
-    DetectorAction, Fleet, FleetSpec, GrayFailureDetector, HealthConfig, HealthPlane, Policy,
-    Request, StorageTopology,
+    Audit, DetectorAction, Fleet, GrayFailureDetector, HealthConfig, HealthPlane, SubmitFn,
 };
 use onserve::profile::ExecutionProfile;
-use simkit::{Duration, Sim, SimTime, MB};
-use vappliance::ApplianceImage;
-
-fn image() -> ApplianceImage {
-    ApplianceImage {
-        name: "onserve".into(),
-        bytes: 600.0 * MB,
-        boot_services: vec!["mysqld".into(), "tomcat".into(), "juddi".into()],
-        recipe_fingerprint: 1,
-    }
-}
-
-fn health_fleet(sim: &mut Sim, replicas: usize) -> Rc<Fleet> {
-    let mut spec = FleetSpec::with_image(image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = replicas;
-    spec.dispatcher.policy = Policy::RoundRobin;
-    spec.dispatcher.max_in_flight = 256;
-    Fleet::new(sim, spec)
-}
+use simkit::{Duration, Sim, SimTime};
 
 /// Boot, publish a 200ms service, and drain the provisioning.
-fn boot_and_publish(sim: &mut Sim, fleet: &Rc<Fleet>) {
-    sim.run();
-    fleet.publish(
-        sim,
-        "svc.exe",
-        256 * 1024,
-        ExecutionProfile::quick().lasting(Duration::from_millis(200)),
-        |_| {},
-    );
-    sim.run();
+fn boot_and_publish(sim: &mut Sim, fleet: &Rc<Fleet>, audit: &Audit) {
+    let profile = ExecutionProfile::quick().lasting(Duration::from_millis(200));
+    common::boot_and_publish(sim, fleet, audit, ("svc.exe", 256 * 1024), profile);
 }
 
 /// Submit one invoke every `every` until `until`, counting completions.
-fn pump(sim: &mut Sim, fleet: &Rc<Fleet>, every: Duration, until: SimTime, ok: Rc<Cell<u64>>) {
+fn pump(sim: &mut Sim, door: &Rc<SubmitFn>, every: Duration, until: SimTime, ok: Rc<Cell<u64>>) {
     if sim.now() > until {
         return;
     }
     let c = Rc::clone(&ok);
-    fleet.dispatcher().clone().submit(
+    door(
         sim,
-        Request::Invoke {
-            service: "svc".into(),
-            args: Vec::new(),
-            principal: Some("alice".into()),
-        },
+        invoke("svc", Some("alice")),
         Box::new(move |_, res| {
             if res.is_ok() {
                 c.set(c.get() + 1);
             }
         }),
     );
-    let f = Rc::clone(fleet);
-    sim.schedule(every, move |sim| pump(sim, &f, every, until, ok));
+    let door = Rc::clone(door);
+    sim.schedule(every, move |sim| pump(sim, &door, every, until, ok));
 }
 
 /// Windowing tuned to the appliance's real invoke latency (~15s end to
@@ -92,8 +64,9 @@ fn test_cfg(eject_strikes: u32) -> HealthConfig {
 #[test]
 fn detector_probations_then_ejects_a_gray_replica() {
     let mut sim = Sim::new(31);
-    let fleet = health_fleet(&mut sim, 3);
-    boot_and_publish(&mut sim, &fleet);
+    let fleet = common::fleet(&mut sim, 3, |_| {});
+    let audit = Audit::fleet(&fleet);
+    boot_and_publish(&mut sim, &fleet, &audit);
     let cfg = test_cfg(5);
     let plane = HealthPlane::new(cfg);
     fleet.dispatcher().set_health_plane(Rc::clone(&plane));
@@ -103,14 +76,14 @@ fn detector_probations_then_ejects_a_gray_replica() {
     let ok = Rc::new(Cell::new(0u64));
     // paced so the two healthy replicas stay stable even while they carry
     // the probationer's share (~15s service time per replica)
-    pump(&mut sim, &fleet, Duration::from_secs(15), until, Rc::clone(&ok));
+    pump(&mut sim, &audit.sink(), Duration::from_secs(15), until, Rc::clone(&ok));
     let victim = fleet.active_replica_names()[1].clone();
     let degrade_at = t0 + Duration::from_secs(90);
     let (f2, v2) = (Rc::clone(&fleet), victim.clone());
     sim.schedule(degrade_at - t0, move |sim| {
         assert!(f2.degrade_replica(sim, &v2, 3.0));
     });
-    sim.run();
+    audit.run(&mut sim);
 
     let events = detector.events();
     assert!(
@@ -149,8 +122,9 @@ fn detector_probations_then_ejects_a_gray_replica() {
 #[test]
 fn cleared_probation_restores_a_recovered_replica() {
     let mut sim = Sim::new(32);
-    let fleet = health_fleet(&mut sim, 3);
-    boot_and_publish(&mut sim, &fleet);
+    let fleet = common::fleet(&mut sim, 3, |_| {});
+    let audit = Audit::fleet(&fleet);
+    boot_and_publish(&mut sim, &fleet, &audit);
     // plenty of strike room: recovery must beat ejection
     let cfg = test_cfg(30);
     let plane = HealthPlane::new(cfg);
@@ -159,7 +133,7 @@ fn cleared_probation_restores_a_recovered_replica() {
     let until = t0 + Duration::from_secs(900);
     let detector = GrayFailureDetector::install(&mut sim, &fleet, &plane, until);
     let ok = Rc::new(Cell::new(0u64));
-    pump(&mut sim, &fleet, Duration::from_secs(6), until, Rc::clone(&ok));
+    pump(&mut sim, &audit.sink(), Duration::from_secs(6), until, Rc::clone(&ok));
     let victim = fleet.active_replica_names()[0].clone();
     let (f2, v2) = (Rc::clone(&fleet), victim.clone());
     sim.schedule(Duration::from_secs(90), move |sim| {
@@ -170,7 +144,7 @@ fn cleared_probation_restores_a_recovered_replica() {
     sim.schedule(Duration::from_secs(330), move |sim| {
         assert!(f3.degrade_replica(sim, &v3, 1.0));
     });
-    sim.run();
+    audit.run(&mut sim);
 
     let events = detector.events();
     assert!(events.iter().all(|e| e.replica == victim));
@@ -196,8 +170,9 @@ fn write_faults_surface_as_soap_faults_and_draw_probation() {
     use simkit::fault::FaultPlan;
 
     let mut sim = Sim::new(33);
-    let fleet = health_fleet(&mut sim, 3);
-    boot_and_publish(&mut sim, &fleet);
+    let fleet = common::fleet(&mut sim, 3, |_| {});
+    let audit = Audit::fleet(&fleet);
+    boot_and_publish(&mut sim, &fleet, &audit);
     let cfg = test_cfg(999); // probation is the claim; never escalate
     let plane = HealthPlane::new(cfg);
     fleet.dispatcher().set_health_plane(Rc::clone(&plane));
@@ -209,12 +184,12 @@ fn write_faults_surface_as_soap_faults_and_draw_probation() {
     let victim = monkey.write_faulted().expect("one replica armed");
     // steady invokes keep latency samples flowing on every replica …
     let ok = Rc::new(Cell::new(0u64));
-    pump(&mut sim, &fleet, Duration::from_secs(6), until, Rc::clone(&ok));
+    pump(&mut sim, &audit.sink(), Duration::from_secs(6), until, Rc::clone(&ok));
     // … while periodic uploads hit the broken write path
     let upload_faults = Rc::new(Cell::new(0u64));
     fn upload_every(
         sim: &mut Sim,
-        fleet: &Rc<Fleet>,
+        door: &Rc<SubmitFn>,
         until: SimTime,
         n: u64,
         faults: Rc<Cell<u64>>,
@@ -223,7 +198,7 @@ fn write_faults_surface_as_soap_faults_and_draw_probation() {
             return;
         }
         let f2 = Rc::clone(&faults);
-        fleet.dispatcher().clone().submit(
+        door(
             sim,
             fleet::Request::Upload {
                 file_name: format!("w{n}.exe"),
@@ -236,13 +211,13 @@ fn write_faults_surface_as_soap_faults_and_draw_probation() {
                 }
             }),
         );
-        let fl = Rc::clone(fleet);
+        let door = Rc::clone(door);
         sim.schedule(Duration::from_secs(30), move |sim| {
-            upload_every(sim, &fl, until, n + 1, faults)
+            upload_every(sim, &door, until, n + 1, faults)
         });
     }
-    upload_every(&mut sim, &fleet, until, 0, Rc::clone(&upload_faults));
-    sim.run();
+    upload_every(&mut sim, &audit.sink(), until, 0, Rc::clone(&upload_faults));
+    audit.run(&mut sim);
 
     // the broken store surfaced at the front door as SOAP faults
     assert!(
@@ -304,8 +279,9 @@ fn tenants_that_sanitize_alike_fold_into_other_and_the_exposition_validates() {
 fn health_plane_attachment_is_result_neutral() {
     let run = |attach: bool| {
         let mut sim = Sim::new(57);
-        let fleet = health_fleet(&mut sim, 2);
-        boot_and_publish(&mut sim, &fleet);
+        let fleet = common::fleet(&mut sim, 2, |_| {});
+        let audit = Audit::fleet(&fleet);
+        boot_and_publish(&mut sim, &fleet, &audit);
         if attach {
             fleet
                 .dispatcher()
@@ -313,14 +289,14 @@ fn health_plane_attachment_is_result_neutral() {
         }
         let until = sim.now() + Duration::from_secs(120);
         let ok = Rc::new(Cell::new(0u64));
-        pump(&mut sim, &fleet, Duration::from_millis(250), until, Rc::clone(&ok));
+        pump(&mut sim, &audit.sink(), Duration::from_millis(250), until, Rc::clone(&ok));
         // a gray failure mid-run exercises the stretch path under the plane
         let f2 = Rc::clone(&fleet);
         sim.schedule(Duration::from_secs(30), move |sim| {
             let name = f2.active_replica_names()[0].clone();
             assert!(f2.degrade_replica(sim, &name, 3.0));
         });
-        sim.run();
+        audit.run(&mut sim);
         (
             sim.now().ticks(),
             sim.events_executed(),

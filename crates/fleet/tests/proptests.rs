@@ -1,390 +1,195 @@
-//! Property-based invariants of the front-end dispatcher.
+//! Property-based invariants of the front door and the fleet behind it.
 //!
-//! The load-bearing property is *conservation*: every request submitted at
-//! the front door is answered exactly once — shed at the door, completed,
-//! or faulted — under arbitrary arrival schedules, replica counts, replica
-//! speeds, fault injection, admission limits, and mid-run scale-downs, for
-//! every routing policy.
+//! Every run here is an [`Audit`]ed run: the door and tenant ledgers,
+//! routing (rotation, severed sites, at-most-once uploads, the retry
+//! cap), pin validity, quota fairness and the rollout floor are checked at
+//! every event boundary by the one auditor. A property only sets the
+//! scene — arbitrary arrivals, replicas, faults and planes — and states
+//! what is particular to it. The last two properties and the soak put every
+//! plane on at once, on a real [`Fleet`], under one [`FaultPlan`].
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+mod common;
+
+use std::cell::Cell;
 use std::rc::Rc;
 
+use common::{invoke, unaudited, Echo};
 use fleet::{
-    Backend, Dispatcher, DispatcherConfig, Fleet, FleetSpec, GeoPlane, Policy, Request, Responder,
-    RetryConfig, SiteMap, StorageTopology,
+    AffinityConfig, Audit, Autoscaler, AutoscalerConfig, CanaryConfig, ChaosMonkey, Dispatcher,
+    DispatcherConfig, Fleet, FleetSpec, GeoPlane, GrayFailureDetector, HealthConfig, HealthPlane,
+    Policy, QosConfig, QosTier, Request, RetryConfig, RolloutConfig, RolloutController,
+    RolloutStrategy, SiteMap, StorageTopology, SubmitFn,
 };
 use onserve::profile::ExecutionProfile;
+use proptest::collection::vec;
 use proptest::prelude::*;
 use simkit::fault::FaultPlan;
-use simkit::{Duration, Sim, SimTime, SpanId, KB, MB};
-use vappliance::ApplianceImage;
-use wsstack::{SoapFault, SoapValue};
+use simkit::{Duration, Sim, SimTime, KB};
 
-/// Test double: serves after a fixed delay, optionally always faulting.
-struct Echo {
-    name: String,
-    delay: Duration,
-    fault: bool,
+/// Submit `req` through `door` at `at_ms`.
+fn arrive(sim: &mut Sim, door: &Rc<SubmitFn>, at_ms: u64, req: Request) {
+    let door = Rc::clone(door);
+    sim.schedule(Duration::from_millis(at_ms), move |sim| door(sim, req, Box::new(|_, _| {})));
 }
 
-impl Backend for Echo {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn serve(&self, sim: &mut Sim, _req: Request, done: Responder) {
-        let fault = self.fault;
-        sim.schedule(self.delay, move |sim| {
-            if fault {
-                done(sim, Err(SoapFault::server("echo fault")));
-            } else {
-                done(sim, Ok(SoapValue::Bool(true)));
-            }
-        });
+/// Take `r{idx}` out of rotation `at` from now: ejected, or drained.
+fn remove_at(sim: &mut Sim, d: &Rc<Dispatcher>, at: Duration, idx: u64, eject: bool) {
+    let (d, name) = (Rc::clone(d), format!("r{idx}"));
+    sim.schedule(at, move |sim| {
+        if eject {
+            d.eject_backend(sim, &name);
+        } else {
+            d.remove_backend(sim, &name);
+        }
+    });
+}
+
+/// Eject backends `r0..r{n}` on a seeded Poisson crash schedule.
+fn crash_schedule(sim: &mut Sim, d: &Rc<Dispatcher>, seed: u64, mean_gap_ms: u64, n: usize) {
+    let plan = FaultPlan::new(seed)
+        .poisson_crashes(Duration::from_millis(mean_gap_ms), Duration::from_secs(2));
+    let mut victims = plan.derived_rng(0xe1ec);
+    for offset in plan.crash_times() {
+        remove_at(sim, d, offset, victims.below(n as u64), true);
     }
 }
 
-/// One generated front-door submission: arrival offset and request kind.
-fn arb_arrival() -> impl Strategy<Value = (u64, bool)> {
-    (0u64..2_000, any::<bool>())
+/// `Echo` replicas `r0..` with the given `(delay_ms, fault)` behaviour.
+fn echoes(d: &Dispatcher, backends: &[(u64, bool)]) -> Vec<Rc<Echo>> {
+    let echo = |(i, &(ms, fault)): (usize, _)| Echo::new(&format!("r{i}"), ms, fault);
+    let echoes: Vec<Rc<Echo>> = backends.iter().enumerate().map(echo).collect();
+    for e in &echoes {
+        d.add_backend(e.clone());
+    }
+    echoes
+}
+
+fn dispatcher(policy: Policy, max_in_flight: usize, retry: Option<RetryConfig>) -> Rc<Dispatcher> {
+    let cfg = DispatcherConfig { policy, max_in_flight, retry, ..DispatcherConfig::default() };
+    Dispatcher::new(cfg)
+}
+
+/// Retry up to `max_retries` times from a 50 ms base backoff.
+fn retry(max_retries: u32) -> Option<RetryConfig> {
+    let (base_backoff, max_backoff) = (Duration::from_millis(50), Duration::from_millis(400));
+    Some(RetryConfig { max_retries, base_backoff, max_backoff, jitter: 0.2 })
+}
+
+fn upload(file_name: &str, len: usize) -> Request {
+    let payload = onserve::deployment::synth_executable(len);
+    Request::Upload { file_name: file_name.into(), payload, profile: ExecutionProfile::quick() }
 }
 
 proptest! {
-    /// Conservation: with `A` arrivals, the responder fires exactly `A`
-    /// times, `accepted + shed == A`, `accepted == completed + faulted`,
-    /// and nothing is left in flight once the simulation drains — for
-    /// every policy, over arbitrary fleets, faults, admission limits and
-    /// mid-run backend removals.
+    /// Conservation and the admission ceiling for every policy, over
+    /// arbitrary fleets, faults, admission limits and mid-run drains: a
+    /// drain racing the traffic loses and double-answers nothing, and
+    /// removing an unknown or already-draining name is a no-op.
     #[test]
     fn dispatcher_conserves_requests(
-        backends in proptest::collection::vec((1u64..400, any::<bool>()), 1..5),
-        arrivals in proptest::collection::vec(arb_arrival(), 1..40),
+        backends in vec((1u64..400, any::<bool>()), 1..5),
+        arrivals in vec((0u64..2_000, any::<bool>()), 1..40),
         max_in_flight in 1usize..9,
-        removals in proptest::collection::vec((0u64..2_000, 0usize..4), 0..3),
+        removals in vec((0u64..2_000, 0u64..4), 0..3),
     ) {
         for policy in Policy::ALL {
             let mut sim = Sim::new(0xd15);
-            let d = Dispatcher::new(DispatcherConfig {
-                policy,
-                max_in_flight,
-                ..DispatcherConfig::default()
-            });
-            for (i, &(delay_ms, fault)) in backends.iter().enumerate() {
-                d.add_backend(Rc::new(Echo {
-                    name: format!("r{i}"),
-                    delay: Duration::from_millis(delay_ms),
-                    fault,
-                }));
-            }
-            let answered = Rc::new(Cell::new(0u64));
+            let d = dispatcher(policy, max_in_flight, Some(RetryConfig::default()));
+            echoes(&d, &backends);
+            let audit = Audit::new(&d);
+            let door = audit.sink();
             for &(at_ms, is_upload) in &arrivals {
-                let d2 = Rc::clone(&d);
-                let a = Rc::clone(&answered);
-                sim.schedule(Duration::from_millis(at_ms), move |sim| {
-                    let req = if is_upload {
-                        Request::Upload {
-                            file_name: "f.exe".into(),
-                            payload: onserve::deployment::synth_executable(64),
-                            profile: ExecutionProfile::quick(),
-                        }
-                    } else {
-                        Request::Invoke { service: "svc".into(), args: Vec::new(), principal: None }
-                    };
-                    let fired = Cell::new(false);
-                    d2.submit(sim, req, Box::new(move |_, _| {
-                        assert!(!fired.replace(true), "responder fired twice");
-                        a.set(a.get() + 1);
-                    }));
-                });
+                let req = if is_upload { upload("f.exe", 64) } else { invoke("svc", None) };
+                arrive(&mut sim, &door, at_ms, req);
             }
-            // scale-downs racing the traffic must not lose or double-answer
-            // requests; removing an unknown/already-draining name is a no-op
             for &(at_ms, idx) in &removals {
-                let d2 = Rc::clone(&d);
-                let name = format!("r{}", idx % backends.len());
-                sim.schedule(Duration::from_millis(at_ms), move |sim| {
-                    let _ = d2.remove_backend(sim, &name);
-                });
+                let idx = idx % backends.len() as u64;
+                remove_at(&mut sim, &d, Duration::from_millis(at_ms), idx, false);
             }
-            sim.run();
-            let c = d.counters();
-            let total = arrivals.len() as u64;
-            prop_assert_eq!(answered.get(), total, "{}: answered != submitted", policy.label());
-            prop_assert_eq!(c.accepted + c.shed, total, "{}: door ledger", policy.label());
-            prop_assert_eq!(c.accepted, c.completed + c.faulted, "{}: outcome ledger", policy.label());
-            prop_assert_eq!(d.in_flight(), 0, "{}: in-flight after drain", policy.label());
+            audit.run(&mut sim);
         }
     }
 
-    /// The admission limit is a hard ceiling: at no instant do more than
-    /// `max_in_flight` requests sit past the front door.
+    /// The admission limit is a hard ceiling — the auditor holds the
+    /// in-flight count to the window after every event — on one slow
+    /// replica that keeps the window full.
     #[test]
     fn in_flight_never_exceeds_limit(
-        arrivals in proptest::collection::vec(arb_arrival(), 1..40),
+        arrivals in vec(0u64..2_000, 1..40),
         max_in_flight in 1usize..6,
         delay_ms in 1u64..1_000,
     ) {
         let mut sim = Sim::new(0xcab);
-        let d = Dispatcher::new(DispatcherConfig {
-            policy: Policy::LeastOutstanding,
-            max_in_flight,
-            ..DispatcherConfig::default()
-        });
-        d.add_backend(Rc::new(Echo {
-            name: "r0".into(),
-            delay: Duration::from_millis(delay_ms),
-            fault: false,
-        }));
-        let high_water = Rc::new(Cell::new(0usize));
-        for &(at_ms, _) in &arrivals {
-            let d2 = Rc::clone(&d);
-            let hw = Rc::clone(&high_water);
-            sim.schedule(Duration::from_millis(at_ms), move |sim| {
-                d2.submit(
-                    sim,
-                    Request::Invoke { service: "svc".into(), args: Vec::new(), principal: None },
-                    Box::new(|_, _| {}),
-                );
-                hw.set(hw.get().max(d2.in_flight()));
-            });
+        let d = dispatcher(Policy::LeastOutstanding, max_in_flight, Some(RetryConfig::default()));
+        echoes(&d, &[(delay_ms, false)]);
+        let audit = Audit::new(&d);
+        let door = audit.sink();
+        for &at_ms in &arrivals {
+            arrive(&mut sim, &door, at_ms, invoke("svc", None));
         }
-        sim.run();
-        prop_assert!(
-            high_water.get() <= max_in_flight,
-            "in-flight high water {} exceeded limit {}",
-            high_water.get(),
-            max_in_flight
-        );
-        prop_assert_eq!(d.in_flight(), 0);
+        audit.run(&mut sim);
     }
 
-    /// Under an arbitrary seeded fault plan (Poisson crash schedule mapped
-    /// onto backends) and every routing policy, with retry enabled:
-    ///
-    /// 1. the dispatcher never routes work to a backend after its eject —
-    ///    no serve call carries a timestamp past the crash instant;
-    /// 2. no request is retried more than `max_retries` times (counted per
-    ///    request span from the `dispatcher.retry` telemetry trail);
-    ///
-    /// and conservation still holds on top of the chaos.
+    /// Under an arbitrary seeded crash schedule mapped onto backends, for
+    /// every routing policy with retry on: nothing is routed to a backend
+    /// after its eject, and no request retries past `max_retries`.
     #[test]
     fn fault_plans_never_reach_ejected_backends_and_retries_stay_capped(
         seed in any::<u64>(),
         mean_gap_ms in 100u64..1_500,
         n_backends in 2usize..5,
-        arrivals in proptest::collection::vec(0u64..2_000, 1..40),
+        arrivals in vec(0u64..2_000, 1..40),
         max_retries in 0u32..4,
     ) {
         for policy in Policy::ALL {
             let mut sim = Sim::new(seed);
-            sim.enable_telemetry();
-            let d = Dispatcher::new(DispatcherConfig {
-                policy,
-                max_in_flight: 64,
-                retry: Some(RetryConfig {
-                    max_retries,
-                    base_backoff: Duration::from_millis(50),
-                    max_backoff: Duration::from_millis(400),
-                    jitter: 0.2,
-                }),
-                ..DispatcherConfig::default()
-            });
-            let serves: Vec<Rc<RefCell<Vec<SimTime>>>> =
-                (0..n_backends).map(|_| Rc::new(RefCell::new(Vec::new()))).collect();
-            for (i, log) in serves.iter().enumerate() {
-                d.add_backend(Rc::new(StampingEcho {
-                    name: format!("r{i}"),
-                    delay: Duration::from_millis(80),
-                    log: Rc::clone(log),
-                }));
-            }
-            // materialize the plan's crash schedule against backend indices
-            let plan = FaultPlan::new(seed)
-                .poisson_crashes(Duration::from_millis(mean_gap_ms), Duration::from_secs(2));
-            let mut victims = plan.derived_rng(0xe1ec);
-            let mut ejected_at: HashMap<usize, SimTime> = HashMap::new();
-            for offset in plan.crash_times() {
-                let idx = victims.below(n_backends as u64) as usize;
-                let d2 = Rc::clone(&d);
-                let name = format!("r{idx}");
-                sim.schedule(offset, move |sim| {
-                    let _ = d2.eject_backend(sim, &name);
-                });
-                // first eject of an index is the one that counts; later
-                // strikes on the same name are no-ops
-                ejected_at.entry(idx).or_insert(SimTime::ZERO + offset);
-            }
-            let answered = Rc::new(Cell::new(0u64));
+            let d = dispatcher(policy, 64, retry(max_retries));
+            echoes(&d, &vec![(80, false); n_backends]);
+            crash_schedule(&mut sim, &d, seed, mean_gap_ms, n_backends);
+            let audit = Audit::new(&d);
+            let door = audit.sink();
             for &at_ms in &arrivals {
-                let d2 = Rc::clone(&d);
-                let a = Rc::clone(&answered);
-                sim.schedule(Duration::from_millis(at_ms), move |sim| {
-                    d2.submit(
-                        sim,
-                        Request::Invoke { service: "svc".into(), args: Vec::new(), principal: None },
-                        Box::new(move |_, _| a.set(a.get() + 1)),
-                    );
-                });
+                arrive(&mut sim, &door, at_ms, invoke("svc", None));
             }
-            sim.run();
-            // 1. no serve after the backend's eject instant
-            for (idx, log) in serves.iter().enumerate() {
-                if let Some(&cutoff) = ejected_at.get(&idx) {
-                    for &t in log.borrow().iter() {
-                        prop_assert!(
-                            t <= cutoff,
-                            "{}: r{idx} served at {:?} after eject at {:?}",
-                            policy.label(), t, cutoff
-                        );
-                    }
-                }
-            }
-            // 2. per-request retry count never exceeds the cap
-            let t = sim.telemetry().expect("telemetry on");
-            let mut per_request: HashMap<SpanId, u32> = HashMap::new();
-            for id in t.spans_named("dispatcher.retry") {
-                let parent = t.span(id).expect("retry span").parent;
-                *per_request.entry(parent).or_insert(0) += 1;
-            }
-            for (req, n) in &per_request {
-                prop_assert!(
-                    *n <= max_retries,
-                    "{}: request span {:?} retried {} times, cap is {}",
-                    policy.label(), req, n, max_retries
-                );
-            }
-            // conservation still holds on top of the chaos
-            let c = d.counters();
-            let total = arrivals.len() as u64;
-            prop_assert_eq!(answered.get(), total, "{}: answered != submitted", policy.label());
-            prop_assert_eq!(c.accepted + c.shed, total, "{}: door ledger", policy.label());
-            prop_assert_eq!(c.accepted, c.completed + c.faulted, "{}: outcome ledger", policy.label());
-            prop_assert_eq!(d.in_flight(), 0, "{}: in-flight after drain", policy.label());
+            audit.run(&mut sim);
         }
     }
-}
 
-/// Test double: serves after a fixed delay, stamping the virtual time of
-/// every serve call so the fault-plan property can prove no work reached
-/// it after its eject.
-struct StampingEcho {
-    name: String,
-    delay: Duration,
-    log: Rc<RefCell<Vec<SimTime>>>,
-}
-
-impl Backend for StampingEcho {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn serve(&self, sim: &mut Sim, _req: Request, done: Responder) {
-        self.log.borrow_mut().push(sim.now());
-        sim.schedule(self.delay, move |sim| done(sim, Ok(SoapValue::Bool(true))));
-    }
-}
-
-proptest! {
-    /// Session affinity must never override liveness: under an arbitrary
-    /// seeded fault plan (ejects) plus arbitrary drains, a pinned request
-    /// is never routed to an ejected or draining replica — no serve call
-    /// lands on a replica after its first eject/drain instant. Every routed
-    /// attempt records exactly one affinity outcome, and conservation holds.
+    /// Session affinity never overrides liveness: under seeded ejects and
+    /// arbitrary drains a pinned request is never routed to an ejected or
+    /// draining replica, and every routed attempt records exactly one
+    /// affinity outcome.
     #[test]
     fn affinity_never_routes_to_ejected_or_draining_replicas(
         seed in any::<u64>(),
         mean_gap_ms in 100u64..1_500,
         n_backends in 2usize..5,
-        arrivals in proptest::collection::vec((0u64..2_000, 0usize..6), 1..40),
-        drains in proptest::collection::vec((0u64..2_000, 0usize..4), 0..3),
+        arrivals in vec((0u64..2_000, 0usize..6), 1..40),
+        drains in vec((0u64..2_000, 0u64..4), 0..3),
     ) {
         let mut sim = Sim::new(seed);
         let d = Dispatcher::new(DispatcherConfig {
             policy: Policy::RoundRobin,
-            max_in_flight: 64,
-            retry: Some(RetryConfig {
-                max_retries: 2,
-                base_backoff: Duration::from_millis(50),
-                max_backoff: Duration::from_millis(400),
-                jitter: 0.2,
-            }),
-            affinity: Some(fleet::AffinityConfig::default()),
+            retry: retry(2),
+            affinity: Some(AffinityConfig::default()),
             ..DispatcherConfig::default()
         });
-        let serves: Vec<Rc<RefCell<Vec<SimTime>>>> =
-            (0..n_backends).map(|_| Rc::new(RefCell::new(Vec::new()))).collect();
-        for (i, log) in serves.iter().enumerate() {
-            d.add_backend(Rc::new(StampingEcho {
-                name: format!("r{i}"),
-                delay: Duration::from_millis(80),
-                log: Rc::clone(log),
-            }));
-        }
-        // the cutoff for "no new work" per replica is its earliest eject or
-        // drain instant: both stop new serves (drain keeps only what was
-        // already dispatched, and those serve calls happened before it)
-        let mut cutoff: HashMap<usize, SimTime> = HashMap::new();
-        let plan = FaultPlan::new(seed)
-            .poisson_crashes(Duration::from_millis(mean_gap_ms), Duration::from_secs(2));
-        let mut victims = plan.derived_rng(0xe1ec);
-        for offset in plan.crash_times() {
-            let idx = victims.below(n_backends as u64) as usize;
-            let d2 = Rc::clone(&d);
-            let name = format!("r{idx}");
-            sim.schedule(offset, move |sim| {
-                let _ = d2.eject_backend(sim, &name);
-            });
-            let at = SimTime::ZERO + offset;
-            cutoff.entry(idx).and_modify(|t| *t = (*t).min(at)).or_insert(at);
-        }
+        let backends = echoes(&d, &vec![(80, false); n_backends]);
+        crash_schedule(&mut sim, &d, seed, mean_gap_ms, n_backends);
         for &(at_ms, idx) in &drains {
-            let idx = idx % n_backends;
-            let d2 = Rc::clone(&d);
-            let name = format!("r{idx}");
-            sim.schedule(Duration::from_millis(at_ms), move |sim| {
-                let _ = d2.remove_backend(sim, &name);
-            });
-            let at = SimTime::ZERO + Duration::from_millis(at_ms);
-            cutoff.entry(idx).and_modify(|t| *t = (*t).min(at)).or_insert(at);
+            remove_at(&mut sim, &d, Duration::from_millis(at_ms), idx % n_backends as u64, false);
         }
-        let answered = Rc::new(Cell::new(0u64));
+        let audit = Audit::new(&d);
+        let door = audit.sink();
         for &(at_ms, user) in &arrivals {
-            let d2 = Rc::clone(&d);
-            let a = Rc::clone(&answered);
-            sim.schedule(Duration::from_millis(at_ms), move |sim| {
-                d2.submit(
-                    sim,
-                    Request::Invoke {
-                        service: "svc".into(),
-                        args: Vec::new(),
-                        principal: Some(format!("u{user}")),
-                    },
-                    Box::new(move |_, _| a.set(a.get() + 1)),
-                );
-            });
+            arrive(&mut sim, &door, at_ms, invoke("svc", Some(&format!("u{user}"))));
         }
-        sim.run();
-        // the pinned-routing safety property: no serve past the cutoff
-        for (idx, log) in serves.iter().enumerate() {
-            if let Some(&at) = cutoff.get(&idx) {
-                for &t in log.borrow().iter() {
-                    prop_assert!(
-                        t <= at,
-                        "r{idx} served pinned work at {:?} after loss/drain at {:?}",
-                        t, at
-                    );
-                }
-            }
-        }
-        // every routed attempt (== every serve call) recorded exactly one
-        // affinity outcome, since every request here carries a principal
+        audit.run(&mut sim);
+        // every request carries a principal, so every routed attempt (==
+        // every serve call) recorded exactly one affinity outcome
         let c = d.counters();
-        let routed: u64 = serves.iter().map(|l| l.borrow().len() as u64).sum();
+        let routed: u64 = backends.iter().map(|b| b.served.get()).sum();
         prop_assert_eq!(c.affinity_hits + c.affinity_misses + c.affinity_repins, routed);
-        let total = arrivals.len() as u64;
-        prop_assert_eq!(answered.get(), total, "answered != submitted");
-        prop_assert_eq!(c.accepted + c.shed, total, "door ledger");
-        prop_assert_eq!(c.accepted, c.completed + c.faulted, "outcome ledger");
-        prop_assert_eq!(d.in_flight(), 0, "in-flight after drain");
     }
 }
 
@@ -397,12 +202,8 @@ fn grid_map(n_sites: usize) -> SiteMap {
     }
     for a in 0..n_sites {
         for b in (a + 1)..n_sites {
-            map.link(
-                &format!("s{a}"),
-                &format!("s{b}"),
-                Duration::from_millis(10 * (a + b + 1) as u64),
-                100.0 * KB,
-            );
+            let latency = Duration::from_millis(10 * (a + b + 1) as u64);
+            map.link(&format!("s{a}"), &format!("s{b}"), latency, 100.0 * KB);
         }
     }
     map
@@ -411,23 +212,16 @@ fn grid_map(n_sites: usize) -> SiteMap {
 proptest! {
     /// Geo routing treats a site outage as a routing fact, never a
     /// request killer: under arbitrary site maps, outage windows, spill
-    /// thresholds and pinned/unpinned arrival mixes,
-    ///
-    /// 1. no request is ever dispatched to a replica whose site is
-    ///    severed at that instant — for the first-sight, sticky-hit,
-    ///    federation-forward and repin paths alike;
-    /// 2. a request arriving while *every* placed site is dark sheds at
-    ///    the door instead of being fed into a partition;
-    /// 3. every federation forward the dispatcher counts is one the geo
-    ///    plane counts (the two ledgers agree);
-    ///
-    /// and conservation holds throughout.
+    /// thresholds and pinned/unpinned arrival mixes, nothing is dispatched
+    /// into a severed site — first sight, sticky hit, forward and repin
+    /// alike — arrivals while every site is dark shed at the door, and
+    /// every forward the dispatcher counts is one the geo plane counts.
     #[test]
     fn geo_routing_never_dispatches_into_a_severed_site(
         n_sites in 2usize..5,
         n_backends in 2usize..6,
-        outages in proptest::collection::vec((0usize..5, 0u64..2_500, 100u64..1_500), 0..4),
-        arrivals in proptest::collection::vec((0u64..3_000, 0usize..6, any::<bool>()), 1..40),
+        outages in vec((0usize..5, 0u64..2_500, 100u64..1_500), 0..4),
+        arrivals in vec((0u64..3_000, 0usize..6, any::<bool>()), 1..40),
         spill in 1usize..4,
         federation in any::<bool>(),
     ) {
@@ -436,247 +230,156 @@ proptest! {
         geo.set_spill_threshold(spill);
         geo.set_federation(federation);
         let d = Dispatcher::new(DispatcherConfig {
-            policy: Policy::LeastOutstanding,
-            max_in_flight: 64,
-            affinity: Some(fleet::AffinityConfig::default()),
+            affinity: Some(AffinityConfig::default()),
             ..DispatcherConfig::default()
         });
-        let serves: Vec<Rc<RefCell<Vec<SimTime>>>> =
-            (0..n_backends).map(|_| Rc::new(RefCell::new(Vec::new()))).collect();
-        for (i, log) in serves.iter().enumerate() {
-            d.add_backend(Rc::new(StampingEcho {
-                name: format!("r{i}"),
-                delay: Duration::from_millis(80),
-                log: Rc::clone(log),
-            }));
+        echoes(&d, &vec![(80, false); n_backends]);
+        for i in 0..n_backends {
             geo.assign(&format!("r{i}"), &format!("s{}", i % n_sites));
         }
         d.set_geo(Rc::clone(&geo));
-        for &(site_idx, from_ms, dur_ms) in &outages {
+        for &(site, from_ms, dur_ms) in &outages {
             let from = SimTime::ZERO + Duration::from_millis(from_ms);
-            geo.add_outage(
-                &format!("s{}", site_idx % n_sites),
-                from,
-                from + Duration::from_millis(dur_ms),
-            );
+            let to = from + Duration::from_millis(dur_ms);
+            geo.add_outage(&format!("s{}", site % n_sites), from, to);
         }
-        let answered = Rc::new(Cell::new(0u64));
+        let audit = Audit::new(&d);
+        let door = audit.sink();
         for &(at_ms, user, pinned) in &arrivals {
-            let d2 = Rc::clone(&d);
-            let a = Rc::clone(&answered);
-            sim.schedule(Duration::from_millis(at_ms), move |sim| {
-                d2.submit(
-                    sim,
-                    Request::Invoke {
-                        service: "svc".into(),
-                        args: Vec::new(),
-                        principal: pinned.then(|| format!("u{user}")),
-                    },
-                    Box::new(move |_, _| a.set(a.get() + 1)),
-                );
-            });
+            let user = format!("u{user}");
+            arrive(&mut sim, &door, at_ms, invoke("svc", pinned.then_some(user.as_str())));
         }
-        sim.run();
-        // 1. no dispatch lands inside an outage window of the replica's site
-        for (i, log) in serves.iter().enumerate() {
-            let site = format!("s{}", i % n_sites);
-            for &t in log.borrow().iter() {
-                prop_assert!(
-                    !geo.is_down(&site, t),
-                    "r{i} on {site} was dispatched work at {t:?} while the site was severed"
-                );
-            }
-        }
-        let c = d.counters();
-        let total = arrivals.len() as u64;
-        // 2 + conservation: all-dark arrivals shed at the door, nothing lost
-        prop_assert_eq!(answered.get(), total, "answered != submitted");
-        prop_assert_eq!(c.accepted + c.shed, total, "door ledger");
-        prop_assert_eq!(c.accepted, c.completed + c.faulted, "outcome ledger");
-        prop_assert_eq!(d.in_flight(), 0, "in-flight after drain");
-        // 3. the dispatcher's forward count and the plane's agree
-        prop_assert_eq!(c.forwarded, geo.counters().forwards, "forward ledgers disagree");
+        audit.run(&mut sim);
+        prop_assert_eq!(d.counters().forwarded, geo.counters().forwards, "forward ledgers");
     }
-}
-
-/// One full-fleet geo run; returns the run's observable signature so the
-/// replay-determinism property can compare two executions bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn geo_fleet_run(
-    seed: u64,
-    victim: usize,
-    offset_s: u64,
-    dur_s: u64,
-    drop_pct: u64,
-    jitter_ms: u64,
-    n_arrivals: u64,
-    gap_ms: u64,
-    federated: bool,
-) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64) {
-    let mut sim = Sim::new(seed);
-    let mut spec = FleetSpec::with_image(ApplianceImage {
-        name: "onserve".into(),
-        bytes: 600.0 * MB,
-        boot_services: vec!["mysqld".into(), "tomcat".into(), "juddi".into()],
-        recipe_fingerprint: 1,
-    });
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = 3;
-    spec.dispatcher.max_in_flight = 64;
-    spec.dispatcher.affinity = Some(fleet::AffinityConfig::default());
-    spec.dispatcher.request_timeout = Some(Duration::from_secs(60));
-    spec.dispatcher.retry = None;
-    let fleet = Fleet::new(&mut sim, spec);
-    // attach before the scheduled boots run so every replica activates
-    // with its site placement
-    let geo = GeoPlane::new(grid_map(3));
-    geo.set_payload_bytes(32.0 * KB);
-    geo.set_spill_threshold(1);
-    geo.set_federation(federated);
-    let inj = FaultPlan::new(seed)
-        .link_drop(drop_pct as f64 / 100.0)
-        .link_extra_delay(Duration::from_millis(jitter_ms))
-        .injector();
-    geo.set_injector(Rc::clone(&inj));
-    fleet.attach_geo(Rc::clone(&geo));
-    if federated {
-        fleet.dispatcher().set_geo(Rc::clone(&geo));
-    }
-    sim.run();
-    fleet.publish(&mut sim, "app.exe", 64 * 1024, ExecutionProfile::quick(), |_| {});
-    sim.run();
-    let t0 = sim.now();
-    let site = format!("s{}", victim % 3);
-    let from = t0 + Duration::from_secs(offset_s);
-    geo.add_outage(&site, from, from + Duration::from_secs(dur_s));
-    let (f2, s2) = (Rc::clone(&fleet), site.clone());
-    sim.schedule(Duration::from_secs(offset_s), move |sim| {
-        f2.sever_site(sim, &s2);
-    });
-    let f3 = Rc::clone(&fleet);
-    sim.schedule(Duration::from_secs(offset_s + dur_s), move |sim| {
-        f3.restore_site(sim, &site);
-    });
-    let answered = Rc::new(Cell::new(0u64));
-    let completed = Rc::new(Cell::new(0u64));
-    for i in 0..n_arrivals {
-        let d2 = Rc::clone(fleet.dispatcher());
-        let (a, c) = (Rc::clone(&answered), Rc::clone(&completed));
-        sim.schedule(Duration::from_millis(i * gap_ms), move |sim| {
-            d2.submit(
-                sim,
-                Request::Invoke {
-                    service: "app".into(),
-                    args: Vec::new(),
-                    principal: Some(format!("u{}", i % 5)),
-                },
-                Box::new(move |_, res| {
-                    a.set(a.get() + 1);
-                    if res.is_ok() {
-                        c.set(c.get() + 1);
-                    }
-                }),
-            );
-        });
-    }
-    sim.run(); // drain every answer, held result and watchdog
-    let c = fleet.dispatcher().counters();
-    let g = geo.counters();
-    (
-        answered.get(),
-        completed.get(),
-        c.accepted,
-        c.shed,
-        c.completed,
-        c.faulted,
-        fleet.dispatcher().in_flight() as u64,
-        g.blackholed,
-        g.wan_hops,
-        inj.counts().link_drops,
-    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-    /// The full fleet — real replica boots, WAN answer delivery, held
-    /// results, watchdogs — conserves requests under an arbitrary seeded
-    /// site outage stacked on arbitrary link faults, in both the
-    /// site-oblivious and federated arms; with geo routing on, nothing is
-    /// ever fed into the partition (zero blackholes); and the entire run
-    /// replays bit-identically from the same seed.
+    /// Per-tenant QoS under arbitrary tenant mixes, tier assignments,
+    /// quota knobs, and mid-run drains and ejects: every tenant's ledger
+    /// balances at every boundary — a request queued at the door and then
+    /// flushed when the last replica leaves counts once, as shed — and no
+    /// tenant ever waits under quota while the window has room.
     #[test]
-    fn fleet_conserves_requests_under_site_outages_and_link_faults(
-        seed in any::<u64>(),
-        victim in 0usize..3,
-        offset_s in 1u64..30,
-        dur_s in 2u64..40,
-        drop_pct in 0u64..40,
-        jitter_ms in 0u64..400,
-        n_arrivals in 4u64..20,
-        gap_ms in 500u64..3_000,
-        federated in any::<bool>(),
+    fn qos_conserves_per_tenant_and_never_starves_underquota_tenants(
+        backends in vec((1u64..400, any::<bool>()), 1..4),
+        arrivals in vec((0u64..2_000, 0usize..4), 1..60),
+        tiers in vec(0usize..3, 4),
+        max_in_flight in 1usize..9,
+        queue_depth in 1usize..6,
+        borrow in 0usize..3,
+        removals in vec((0u64..2_000, 0u64..4, any::<bool>()), 0..3),
     ) {
-        let run = || geo_fleet_run(
-            seed, victim, offset_s, dur_s, drop_pct, jitter_ms,
-            n_arrivals, gap_ms, federated,
-        );
-        let sig = run();
-        let (answered, _, accepted, shed, completed, faulted, in_flight, blackholed, _, _) = sig;
-        prop_assert_eq!(answered, n_arrivals, "answered != submitted");
-        prop_assert_eq!(accepted + shed, n_arrivals, "door ledger");
-        prop_assert_eq!(accepted, completed + faulted, "outcome ledger");
-        prop_assert_eq!(in_flight, 0, "in-flight after drain");
-        if federated {
-            // routing filters severed sites at dispatch time, so no
-            // request can vanish into the partition
-            prop_assert_eq!(blackholed, 0, "federated arm fed the partition");
+        let mut sim = Sim::new(0x905);
+        let d = dispatcher(Policy::RoundRobin, max_in_flight, Some(RetryConfig::default()));
+        let tier_of = |i: usize| QosTier::ALL[tiers[i] % QosTier::ALL.len()];
+        d.set_qos(QosConfig {
+            tiers: (0..4).map(|i| (format!("t{i}"), tier_of(i))).collect(),
+            queue_depth,
+            borrow,
+            ..QosConfig::default()
+        });
+        echoes(&d, &backends);
+        let audit = Audit::new(&d);
+        let door = audit.sink();
+        for &(at_ms, tenant) in &arrivals {
+            arrive(&mut sim, &door, at_ms, invoke("svc", Some(&format!("t{tenant}"))));
         }
-        // same seed, same knobs — same run, bit for bit
-        prop_assert_eq!(run(), sig, "replay diverged");
+        for &(at_ms, idx, eject) in &removals {
+            let idx = idx % backends.len() as u64;
+            remove_at(&mut sim, &d, Duration::from_millis(at_ms), idx, eject);
+        }
+        audit.run(&mut sim);
     }
 }
 
-/// One full-fleet rollout run — rolling or canary — under an arbitrary
-/// seeded crash schedule, returning the run's observable signature plus
-/// the invariant evidence (pin-audit violations and the retire log).
-#[allow(clippy::type_complexity)]
-fn rollout_fleet_run(
+/// Three replicated appliances on the sites of `grid_map(3)`, geo plane
+/// attached to the fleet, and to the dispatcher too when `federated`.
+fn geo_fleet(
+    sim: &mut Sim,
+    federated: bool,
+    spec: impl FnOnce(&mut FleetSpec),
+) -> (Rc<Fleet>, Rc<GeoPlane>) {
+    let mut s = FleetSpec::with_image(common::image());
+    s.topology = StorageTopology::Replicated;
+    s.initial_replicas = 3;
+    spec(&mut s);
+    let fleet = Fleet::new(sim, s);
+    let geo = GeoPlane::new(grid_map(3));
+    geo.set_federation(federated);
+    if federated {
+        fleet.dispatcher().set_geo(Rc::clone(&geo));
+    }
+    (fleet, geo)
+}
+
+/// How one all-planes run is driven.
+#[derive(Clone, Copy)]
+struct Drive {
     seed: u64,
     canary: bool,
     min_healthy: usize,
-    mean_gap_s: u64,
-    n_arrivals: u64,
+    federated: bool,
+    /// Paced invocations, `gap_ms` apart, principals `u0..u4`.
+    arrivals: u64,
     gap_ms: u64,
-) -> (
-    ((u64, u64, u64, u64, u64, u64), (u64, u64, i64), Vec<(u32, usize)>, (u64, u64, u64)),
-    Vec<String>,
-    Vec<fleet::RetireEvent>,
-) {
-    use fleet::{CanaryConfig, RolloutConfig, RolloutController, RolloutStrategy};
-    use fleet::{ChaosMonkey, HealthConfig, HealthPlane};
+    faults: Faults,
+}
 
-    let mut sim = Sim::new(seed);
-    let mut spec = FleetSpec::with_image(ApplianceImage {
-        name: "onserve".into(),
-        bytes: 600.0 * MB,
-        boot_services: vec!["mysqld".into(), "tomcat".into(), "juddi".into()],
-        recipe_fingerprint: 1,
+/// The fault plan's knobs: mean crash gap, site outage start (from the
+/// chaos start) and length, link drop rate and mean extra link delay.
+#[derive(Clone, Copy)]
+struct Faults { crash_gap_s: u64, outage_at_s: u64, outage_s: u64, drop_pct: u64, jitter_ms: u64 }
+
+/// The soak's plan; each property draws some knobs and holds the rest here.
+const FAULTS: Faults =
+    Faults { crash_gap_s: 60, outage_at_s: 20, outage_s: 30, drop_pct: 20, jitter_ms: 200 };
+
+/// What one all-planes run left behind.
+struct AllPlanes {
+    /// Everything two same-seed runs must agree on, rendered.
+    signature: String,
+    /// Paced invocations answered successfully.
+    ok: u64,
+    /// Requests swallowed by a severed site.
+    blackholed: u64,
+    /// Replicas lost to crashes and ejections.
+    lost: u64,
+}
+
+/// One run of a real fleet with every plane on: three replicated
+/// appliances on three sites, federated geo routing (or the site-oblivious
+/// control), affinity with session caching, retry plus a request timeout,
+/// the health plane with the gray-failure detector, QoS tiers with an
+/// unregistered flooder, the replacement-only autoscaler, and a rolling or
+/// canary rollout — under one [`FaultPlan`] of crashes, a slow replica, a
+/// site outage, lossy jittery WAN links and a failing disk, drained
+/// throughout by `drain`.
+fn all_planes(drive: Drive, drain: fn(&Audit, &mut Sim)) -> AllPlanes {
+    let mut sim = Sim::new(drive.seed);
+    let (fleet, geo) = geo_fleet(&mut sim, drive.federated, |spec| {
+        spec.dispatcher.affinity = Some(AffinityConfig::default());
+        spec.base.config.cache_grid_sessions = true;
+        let (base_backoff, max_backoff) = (Duration::from_millis(100), Duration::from_secs(1));
+        let retry = RetryConfig { max_retries: 2, base_backoff, max_backoff, jitter: 0.2 };
+        spec.dispatcher.retry = Some(retry);
+        spec.dispatcher.request_timeout = Some(Duration::from_secs(300));
     });
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = 3;
-    spec.dispatcher.max_in_flight = 64;
-    spec.dispatcher.affinity = Some(fleet::AffinityConfig::default());
-    spec.dispatcher.retry = Some(RetryConfig {
-        max_retries: 2,
-        base_backoff: Duration::from_millis(100),
-        max_backoff: Duration::from_secs(1),
-        jitter: 0.2,
-    });
-    let fleet = Fleet::new(&mut sim, spec);
-    sim.run();
-    fleet.publish(&mut sim, "app.exe", 64 * 1024, ExecutionProfile::quick(), |_| {});
-    sim.run();
-    let plane = HealthPlane::new(HealthConfig {
+    let audit = Audit::fleet(&fleet);
+    let span = Duration::from_millis(drive.arrivals * drive.gap_ms);
+    let f = drive.faults;
+    let plan = FaultPlan::new(drive.seed)
+        .poisson_crashes(Duration::from_secs(f.crash_gap_s), Duration::from_secs(240))
+        .slow_at(Duration::from_secs(50), 10.0)
+        .site_down(Duration::from_secs(f.outage_at_s), Duration::from_secs(f.outage_s))
+        .link_drop(f.drop_pct as f64 / 100.0)
+        .link_extra_delay(Duration::from_millis(f.jitter_ms))
+        .write_fail(0.8);
+
+    // planes go on before the boots run, so every replica activates placed
+    // on a site and with a site-labelled health series
+    let health = HealthPlane::new(HealthConfig {
         window: Duration::from_secs(30),
         ring: 16,
         lookback: Duration::from_secs(240),
@@ -684,37 +387,38 @@ fn rollout_fleet_run(
         min_samples: 2,
         ..HealthConfig::default()
     });
-    fleet.dispatcher().set_health_plane(Rc::clone(&plane));
-    let t0 = sim.now();
-
-    let answered = Rc::new(Cell::new(0u64));
-    for i in 0..n_arrivals {
-        let d2 = Rc::clone(fleet.dispatcher());
-        let a = Rc::clone(&answered);
-        sim.schedule(Duration::from_millis(i * gap_ms), move |sim| {
-            d2.submit(
-                sim,
-                Request::Invoke {
-                    service: "app".into(),
-                    args: Vec::new(),
-                    principal: Some(format!("u{}", i % 5)),
-                },
-                Box::new(move |_, _| a.set(a.get() + 1)),
-            );
-        });
-    }
-
-    // arbitrary crash schedule overlapping the roll
-    let plan = FaultPlan::new(seed)
-        .poisson_crashes(Duration::from_secs(mean_gap_s), Duration::from_secs(240));
-    let f2 = Rc::clone(&fleet);
-    let monkey: Rc<RefCell<Option<Rc<ChaosMonkey>>>> = Rc::new(RefCell::new(None));
-    let m2 = Rc::clone(&monkey);
-    sim.schedule(Duration::from_secs(10), move |sim| {
-        *m2.borrow_mut() = Some(ChaosMonkey::unleash(sim, &f2, &plan));
+    fleet.dispatcher().set_health_plane(Rc::clone(&health));
+    geo.set_payload_bytes(32.0 * KB);
+    geo.set_spill_threshold(1);
+    let links = plan.injector();
+    geo.set_injector(Rc::clone(&links));
+    fleet.attach_geo(Rc::clone(&geo));
+    use QosTier::{Batch, Gold, Standard};
+    let tiers = [Gold, Gold, Standard, Standard, Batch];
+    fleet.dispatcher().set_qos(QosConfig {
+        default_tier: Batch,
+        tiers: (0..5).map(|i| (format!("u{i}"), tiers[i])).collect(),
+        queue_depth: 8,
+        borrow: 1,
     });
+    drain(&audit, &mut sim);
+    fleet.publish(&mut sim, "app.exe", 64 * 1024, ExecutionProfile::quick(), |_| {});
+    drain(&audit, &mut sim);
 
-    let strategy = if canary {
+    let until = sim.now() + span + Duration::from_secs(300);
+    let detector = GrayFailureDetector::install(&mut sim, &fleet, &health, until);
+    let replace_only = AutoscalerConfig {
+        interval: Duration::from_secs(15),
+        cooldown: Duration::from_secs(60),
+        scale_up_load: f64::INFINITY,
+        scale_down_load: 0.0,
+        min_replicas: 3,
+        max_replicas: 6,
+        ..AutoscalerConfig::default()
+    };
+    Autoscaler::install(&mut sim, &fleet, replace_only, until);
+    let monkey = ChaosMonkey::unleash(&mut sim, &fleet, &plan);
+    let strategy = if drive.canary {
         RolloutStrategy::Canary(CanaryConfig {
             pin_fraction: 0.4,
             first_sight_pct: 30,
@@ -725,236 +429,167 @@ fn rollout_fleet_run(
     } else {
         RolloutStrategy::Rolling
     };
-    let ctl: Rc<RefCell<Option<Rc<RolloutController>>>> = Rc::new(RefCell::new(None));
-    let (f3, c3) = (Rc::clone(&fleet), Rc::clone(&ctl));
+    let (min_healthy, poll) = (drive.min_healthy, Duration::from_secs(5));
+    let rollout = RolloutConfig { to_version: 2, strategy, min_healthy, poll };
+    let ctl: Rc<Cell<Option<Rc<RolloutController>>>> = Rc::default();
+    let (f2, c2, a2) = (Rc::clone(&fleet), Rc::clone(&ctl), Rc::clone(&audit));
     sim.schedule(Duration::from_secs(10), move |sim| {
-        *c3.borrow_mut() = Some(RolloutController::start(
-            sim,
-            &f3,
-            RolloutConfig {
-                to_version: 2,
-                strategy,
-                min_healthy,
-                poll: Duration::from_secs(5),
-            },
-        ));
+        let started = RolloutController::start(sim, &f2, rollout);
+        a2.watch_rollout(&started);
+        c2.set(Some(started));
     });
 
-    // recurring pin audit: a live pin must never target a replica that
-    // is draining, retired, crashed, or still booting
-    let violations: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-    fn audit(sim: &mut Sim, fleet: Rc<Fleet>, v: Rc<RefCell<Vec<String>>>, until: SimTime) {
-        sim.schedule(Duration::from_secs(7), move |sim| {
-            if sim.now() > until {
-                return;
-            }
-            let active = fleet.active_replica_names();
-            for (key, target) in fleet.dispatcher().live_pins() {
-                if !active.contains(&target) {
-                    v.borrow_mut()
-                        .push(format!("{}: {key} -> non-active {target}", sim.now()));
-                }
-            }
-            audit(sim, fleet, v, until);
+    let door = audit.sink();
+    let ok = Rc::new(Cell::new(0u64));
+    for i in 0..drive.arrivals {
+        let (door, ok) = (Rc::clone(&door), Rc::clone(&ok));
+        sim.schedule(Duration::from_millis(i * drive.gap_ms), move |sim| {
+            let req = invoke("app", Some(&format!("u{}", i % 5)));
+            door(sim, req, Box::new(move |_, res| ok.set(ok.get() + u64::from(res.is_ok()))));
         });
     }
-    audit(&mut sim, Rc::clone(&fleet), Rc::clone(&violations), t0 + Duration::from_secs(1800));
-    sim.run();
+    // the flooder: 40 req/s for a second, far over a batch quota
+    for k in 0..40 {
+        arrive(&mut sim, &door, 15_000 + 25 * k, invoke("app", Some("flood")));
+    }
+    // uploads across the door, one of whose stores the plan breaks. Both
+    // miss the site outage, which every plan here places inside 8..70 s: a
+    // broadcast does not route, so one made during it feeds the partition
+    // even under federation (pinned on its own by
+    // `an_upload_during_a_federated_outage_feeds_the_partition_and_faults`)
+    arrive(&mut sim, &door, 5_000, upload("w0.exe", 16 * 1024));
+    arrive(&mut sim, &door, 70_000, upload("w1.exe", 16 * 1024));
+    drain(&audit, &mut sim);
 
-    let ctl = ctl.borrow().clone().expect("rollout started");
-    let c = fleet.dispatcher().counters();
-    let outcome = match ctl.outcome() {
-        None => -1,
-        Some(fleet::RolloutOutcome::Completed) => 0,
-        Some(fleet::RolloutOutcome::Promoted) => 1,
-        Some(fleet::RolloutOutcome::RolledBack) => 2,
-    };
-    let sig = (
-        (
-            answered.get(),
-            c.accepted,
-            c.shed,
-            c.completed,
-            c.faulted,
-            fleet.dispatcher().in_flight() as u64,
-        ),
-        (ctl.replaced(), ctl.rollbacks(), outcome),
-        fleet.version_counts().into_iter().collect::<Vec<_>>(),
-        (fleet.lost_total(), fleet.booted_total(), sim.now().ticks()),
+    let ctl = ctl.take().expect("rollout started");
+    let signature = format!(
+        "{:?} {:?} {:?} {:?} {:?} {:?} ok={} lost={} booted={} replaced={} rollbacks={} \
+         landed={} slowed={} detector={:?} events={} end={}",
+        fleet.dispatcher().counters(),
+        fleet.dispatcher().qos_tenants(),
+        geo.counters(),
+        links.counts(),
+        fleet.version_counts(),
+        ctl.outcome(),
+        ok.get(),
+        fleet.lost_total(),
+        fleet.booted_total(),
+        ctl.replaced(),
+        ctl.rollbacks(),
+        monkey.landed(),
+        monkey.slowed(),
+        detector.events(),
+        sim.events_executed(),
+        sim.now().ticks(),
     );
-    let v = violations.borrow().clone();
-    let log = ctl.retire_log();
-    (sig, v, log)
+    let (ok, blackholed, lost) = (ok.get(), geo.counters().blackholed, fleet.lost_total());
+    AllPlanes { signature, ok, blackholed, lost }
+}
+
+/// One all-planes case: audited (conservation, routing, live pins,
+/// fairness, the floor, a finished rollout), no blackhole when federated,
+/// and the same seed replays the run identically, unaudited.
+fn all_planes_case(drive: Drive) {
+    let run = all_planes(drive, Audit::run);
+    if drive.federated {
+        // routing filters severed sites at dispatch time
+        prop_assert_eq!(run.blackholed, 0, "the federated arm fed the partition");
+    }
+    let replay = all_planes(drive, unaudited).signature;
+    prop_assert_eq!(replay, run.signature, "replay diverged");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    /// Every plane on at once under an arbitrary site outage on arbitrarily
+    /// lossy, jittery WAN links: [`all_planes_case`] holds.
+    #[test]
+    fn fleet_conserves_requests_under_site_outages_and_link_faults(
+        seed in any::<u64>(),
+        canary in any::<bool>(),
+        min_healthy in 1usize..3,
+        federated in any::<bool>(),
+        arrivals in 4u64..24,
+        gap_ms in 500u64..3_000,
+        outage_at_s in 8u64..30,
+        outage_s in 2u64..40,
+        drop_pct in 0u64..40,
+        jitter_ms in 0u64..400,
+    ) {
+        let faults = Faults { outage_at_s, outage_s, drop_pct, jitter_ms, ..FAULTS };
+        all_planes_case(Drive { seed, canary, min_healthy, federated, arrivals, gap_ms, faults });
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-    /// Rollout invariants under arbitrary rolling/canary schedules
-    /// crossed with arbitrary crash faults:
-    ///
-    /// 1. the controller always finishes (completed, promoted, or rolled
-    ///    back) and voluntary retirement never cuts into the
-    ///    `min_healthy` floor — every retire left `> min_healthy`
-    ///    actives behind;
-    /// 2. no affinity pin ever targets a draining, retired, crashed, or
-    ///    mid-boot replica;
-    /// 3. conservation holds at the front door throughout;
-    /// 4. the same seed replays the entire run byte-identically.
+    /// Every plane on at once, rollouts racing crashes every 60 to 400 s
+    /// on average: [`all_planes_case`] holds.
     #[test]
     fn rollouts_hold_the_floor_keep_pins_live_and_replay(
         seed in any::<u64>(),
         canary in any::<bool>(),
         min_healthy in 1usize..3,
-        mean_gap_s in 60u64..400,
-        n_arrivals in 4u64..24,
+        federated in any::<bool>(),
+        arrivals in 4u64..24,
         gap_ms in 500u64..3_000,
+        crash_gap_s in 60u64..400,
     ) {
-        let run = || rollout_fleet_run(seed, canary, min_healthy, mean_gap_s, n_arrivals, gap_ms);
-        let (sig, violations, log) = run();
-        let (answered, accepted, shed, completed, faulted, in_flight) = sig.0;
-        prop_assert_eq!(answered, n_arrivals, "answered != submitted");
-        prop_assert_eq!(accepted + shed, n_arrivals, "door ledger");
-        prop_assert_eq!(accepted, completed + faulted, "outcome ledger");
-        prop_assert_eq!(in_flight, 0, "in-flight after drain");
-        prop_assert!(sig.1 .2 >= 0, "the rollout never finished");
-        for e in &log {
-            prop_assert!(
-                e.active_before > min_healthy,
-                "retire of {} at the floor: {} actives, min_healthy {}",
-                e.replica, e.active_before, min_healthy
-            );
-        }
-        prop_assert!(violations.is_empty(), "pin audit failed: {:?}", violations);
-        // same seed, same knobs — same run, bit for bit
-        let (sig2, ..) = run();
-        prop_assert_eq!(sig2, sig, "replay diverged");
+        let faults = Faults { crash_gap_s, ..FAULTS };
+        all_planes_case(Drive { seed, canary, min_healthy, federated, arrivals, gap_ms, faults });
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-    /// Per-tenant QoS invariants under arbitrary tenant mixes, tier
-    /// assignments, quota knobs, and mid-run replica drains/ejects
-    /// (the drain-window shed case: a request queued at the door and
-    /// then flushed when the last replica leaves must count exactly
-    /// once, as shed):
-    ///
-    /// 1. every tenant's ledger conserves — `issued == accepted + shed`
-    ///    once drained, with `queued` and per-tenant `in_flight` at 0;
-    /// 2. the per-tenant ledgers sum to the global door ledger, and
-    ///    every responder fires exactly once;
-    /// 3. fairness: at no audited instant does a tenant sit queued and
-    ///    under-quota while the admission window has room — an
-    ///    over-quota admission can only have happened when nobody
-    ///    under-quota was waiting.
-    #[test]
-    fn qos_conserves_per_tenant_and_never_starves_underquota_tenants(
-        backends in proptest::collection::vec((1u64..400, any::<bool>()), 1..4),
-        arrivals in proptest::collection::vec((0u64..2_000, 0usize..4), 1..60),
-        tiers in proptest::collection::vec(0usize..3, 4),
-        max_in_flight in 1usize..9,
-        queue_depth in 1usize..6,
-        borrow in 0usize..3,
-        removals in proptest::collection::vec((0u64..2_000, 0usize..4, any::<bool>()), 0..3),
-    ) {
-        use fleet::{QosConfig, QosTier};
-        let mut sim = Sim::new(0x905);
-        let d = Dispatcher::new(DispatcherConfig {
-            policy: Policy::RoundRobin,
-            max_in_flight,
-            ..DispatcherConfig::default()
-        });
-        let tier_of = |i: usize| QosTier::ALL[tiers[i] % QosTier::ALL.len()];
-        d.set_qos(QosConfig {
-            tiers: (0..4).map(|i| (format!("t{i}"), tier_of(i))).collect(),
-            queue_depth,
-            borrow,
-            ..QosConfig::default()
-        });
-        for (i, &(delay_ms, fault)) in backends.iter().enumerate() {
-            d.add_backend(Rc::new(Echo {
-                name: format!("r{i}"),
-                delay: Duration::from_millis(delay_ms),
-                fault,
-            }));
-        }
-        let answered = Rc::new(Cell::new(0u64));
-        let mut issued_by_tenant = HashMap::new();
-        for &(at_ms, tenant_idx) in &arrivals {
-            let tenant = format!("t{tenant_idx}");
-            *issued_by_tenant.entry(tenant.clone()).or_insert(0u64) += 1;
-            let d2 = Rc::clone(&d);
-            let a = Rc::clone(&answered);
-            sim.schedule(Duration::from_millis(at_ms), move |sim| {
-                let fired = Cell::new(false);
-                d2.submit(
-                    sim,
-                    Request::Invoke {
-                        service: "svc".into(),
-                        args: Vec::new(),
-                        principal: Some(tenant),
-                    },
-                    Box::new(move |_, _| {
-                        assert!(!fired.replace(true), "responder fired twice");
-                        a.set(a.get() + 1);
-                    }),
-                );
-            });
-        }
-        // scale-downs and crashes racing the queued traffic
-        for &(at_ms, idx, eject) in &removals {
-            let d2 = Rc::clone(&d);
-            let name = format!("r{}", idx % backends.len());
-            sim.schedule(Duration::from_millis(at_ms), move |sim| {
-                if eject {
-                    let _ = d2.eject_backend(sim, &name);
-                } else {
-                    let _ = d2.remove_backend(sim, &name);
-                }
-            });
-        }
-        // fairness audit on an off-cadence clock across the whole run
-        let violations: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-        for k in 0..30u64 {
-            let d2 = Rc::clone(&d);
-            let v = Rc::clone(&violations);
-            sim.schedule(Duration::from_millis(137 * k), move |_| {
-                let window_full = d2.in_flight() >= max_in_flight;
-                let dead = d2.live_backends() == 0;
-                for (t, s) in d2.qos_tenants() {
-                    if s.queued > 0 && s.in_flight < s.quota && !window_full && !dead {
-                        v.borrow_mut().push(format!(
-                            "{t}: queued {} under quota ({}/{}) with {} door slots free",
-                            s.queued, s.in_flight, s.quota,
-                            max_in_flight - d2.in_flight(),
-                        ));
-                    }
-                }
-            });
-        }
-        sim.run();
-        prop_assert!(violations.borrow().is_empty(), "fairness audit: {:?}", violations.borrow());
-        let total = arrivals.len() as u64;
-        prop_assert_eq!(answered.get(), total, "answered != submitted");
-        let c = d.counters();
-        prop_assert_eq!(c.accepted + c.shed, total, "door ledger");
-        prop_assert_eq!(c.accepted, c.completed + c.faulted, "outcome ledger");
-        prop_assert_eq!(d.in_flight(), 0, "in-flight after drain");
-        let snap = d.qos_tenants();
-        let (mut sum_accepted, mut sum_shed) = (0u64, 0u64);
-        for (t, s) in &snap {
-            let issued = issued_by_tenant.get(t).copied().unwrap_or(0);
-            prop_assert_eq!(s.issued, issued, "{}: issued ledger", t);
-            prop_assert_eq!(s.queued, 0, "{}: queue drained", t);
-            prop_assert_eq!(s.in_flight, 0, "{}: per-tenant in-flight", t);
-            prop_assert_eq!(
-                s.accepted + s.shed, s.issued,
-                "{}: queued-then-shed must count exactly once", t
-            );
-            sum_accepted += s.accepted;
-            sum_shed += s.shed;
-        }
-        prop_assert_eq!(sum_accepted, c.accepted, "tenant slices sum to the door ledger");
-        prop_assert_eq!(sum_shed, c.shed, "tenant shed slices sum to the door ledger");
-    }
+/// The all-planes harness as a soak: one seed, 5 000 invocations paced a
+/// second apart through a federated canary rollout, under the same fault
+/// plan, audited, then replayed identically.
+#[test]
+fn all_planes_soak_conserves_5k_requests_and_replays() {
+    let (seed, arrivals, gap_ms) = (0x50a5, 5_000, 1_000);
+    let (canary, min_healthy, federated, faults) = (true, 2, true, FAULTS);
+    let drive = Drive { seed, canary, min_healthy, federated, arrivals, gap_ms, faults };
+    let first = all_planes(drive, Audit::run);
+    assert_eq!(all_planes(drive, unaudited).signature, first.signature, "replay diverged");
+    assert!(first.lost > 0, "chaos actually happened: {}", first.signature);
+    // Measured at this seed: 4 614 of 5 000 complete. One a second keeps
+    // the fleet near its capacity while the slow replica, the outage and
+    // the crashes stretch latency, so the tenant stage sheds what would
+    // wait past a full door queue, and almost nothing is lost to faults.
+    // 90 % holds that result with a little headroom.
+    let ok = first.ok;
+    assert!(ok * 10 >= arrivals * 9, "goodput fell to {ok} of {arrivals}: {}", first.signature);
+}
+
+/// Finding, pinned: an upload broadcast does not route, so even with
+/// federation on, a broadcast made during a site outage sends its branch
+/// into the partition. The branch is swallowed, its watchdog ejects the
+/// severed replica from the rotation after `request_timeout`, and the
+/// join faults — uploads are at most once, and the ledgers close. The
+/// ejected replica stays active in the fleet: only a crash is replaced.
+#[test]
+fn an_upload_during_a_federated_outage_feeds_the_partition_and_faults() {
+    let mut sim = Sim::new(0xfed);
+    let (fleet, geo) = geo_fleet(&mut sim, true, |spec| {
+        spec.dispatcher.request_timeout = Some(Duration::from_secs(60));
+    });
+    fleet.attach_geo(Rc::clone(&geo));
+    let audit = Audit::fleet(&fleet);
+    let app = ("app.exe", 64 * 1024);
+    common::boot_and_publish(&mut sim, &fleet, &audit, app, ExecutionProfile::quick());
+    // replicas land on sites round-robin: replica1 is on s1
+    let from = sim.now() + Duration::from_secs(10);
+    geo.add_outage("s1", from, from + Duration::from_secs(30));
+    let f2 = Rc::clone(&fleet);
+    sim.schedule(Duration::from_secs(10), move |sim| f2.sever_site(sim, "s1"));
+    let (door, answer) = (audit.sink(), Rc::new(Cell::new(None)));
+    let a2 = Rc::clone(&answer);
+    sim.schedule(Duration::from_secs(20), move |sim| {
+        door(sim, upload("late.exe", 16 * 1024), Box::new(move |_, res| a2.set(Some(res.is_ok()))));
+    });
+    audit.run(&mut sim);
+    assert_eq!(answer.get(), Some(false), "the join faults");
+    assert_eq!(geo.counters().blackholed, 1, "one branch fed the partition");
+    assert_eq!(fleet.dispatcher().counters().ejected, 1, "its watchdog ejected replica1");
+    assert_eq!(fleet.dispatcher().live_backends(), 2);
+    assert_eq!(fleet.active_replicas(), 3, "the fleet still counts it");
 }

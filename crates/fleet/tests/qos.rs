@@ -10,66 +10,25 @@
 //!   target);
 //! * a door-queued request granted later by the DRR stage.
 //!
-//! Each scenario asserts the per-tenant conservation ledger
-//! (`issued == accepted + shed + queued`, in-flight returns to zero) and
-//! reads the `tenant`/`tier` span attributes off the telemetry to prove
-//! the identity rode along rather than being re-derived.
+//! Each scenario runs under the auditor, which holds the per-tenant
+//! ledgers at every event, and reads the `tenant`/`tier` span attributes
+//! off the telemetry to prove the identity rode along rather than being
+//! re-derived.
+
+mod common;
 
 use std::cell::Cell;
 use std::rc::Rc;
 
+use common::{invoke, BlackHole, Echo};
 use fleet::{
-    AffinityConfig, Backend, Dispatcher, DispatcherConfig, Policy, QosConfig, QosTier, Request,
-    Responder, RetryConfig,
+    AffinityConfig, Audit, Dispatcher, DispatcherConfig, Policy, QosConfig, QosTier, Request,
+    RetryConfig,
 };
 use simkit::{AttrValue, Duration, Sim};
-use wsstack::SoapValue;
-
-/// Serves after a fixed delay; counts what it saw.
-struct Echo {
-    name: String,
-    delay: Duration,
-    served: Cell<u64>,
-}
-
-impl Echo {
-    fn new(name: &str, delay_ms: u64) -> Rc<Echo> {
-        Rc::new(Echo {
-            name: name.into(),
-            delay: Duration::from_millis(delay_ms),
-            served: Cell::new(0),
-        })
-    }
-}
-
-impl Backend for Echo {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn serve(&self, sim: &mut Sim, _req: Request, done: Responder) {
-        self.served.set(self.served.get() + 1);
-        sim.schedule(self.delay, move |sim| done(sim, Ok(SoapValue::Bool(true))));
-    }
-}
-
-/// A backend that never answers — only an eject can resolve its ops.
-struct BlackHole {
-    name: String,
-}
-
-impl Backend for BlackHole {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn serve(&self, _sim: &mut Sim, _req: Request, _done: Responder) {}
-}
 
 fn invoke_as(principal: &str) -> Request {
-    Request::Invoke {
-        service: "svc".into(),
-        args: Vec::new(),
-        principal: Some(principal.into()),
-    }
+    invoke("svc", Some(principal))
 }
 
 fn qos_dispatcher(tiers: &[(&str, QosTier)], max_in_flight: usize) -> Rc<Dispatcher> {
@@ -102,15 +61,12 @@ fn str_attr<'a>(sim: &'a Sim, span: simkit::SpanId, key: &str) -> Option<&'a str
     }
 }
 
-/// Assert alice's ledger is fully conserved and drained.
-fn assert_clean_ledger(d: &Dispatcher, tenant: &str, issued: u64) {
+/// The tenant was admitted `issued` times and never shed; the auditor
+/// holds the rest of its ledger.
+fn assert_all_admitted(d: &Dispatcher, tenant: &str, issued: u64) {
     let snap = &d.qos_tenants()[tenant];
     assert_eq!(snap.issued, issued);
     assert_eq!(snap.accepted, issued, "nothing shed in this scenario");
-    assert_eq!(snap.shed, 0);
-    assert_eq!(snap.queued, 0);
-    assert_eq!(snap.in_flight, 0, "per-tenant in-flight returned to zero");
-    assert_eq!(snap.issued, snap.accepted + snap.shed + snap.queued as u64);
 }
 
 #[test]
@@ -118,14 +74,14 @@ fn tier_survives_crash_retry() {
     let mut sim = Sim::new(70);
     sim.enable_telemetry();
     let d = qos_dispatcher(&[("alice", QosTier::Gold)], 8);
-    let hole = Rc::new(BlackHole { name: "a".into() });
-    let b = Echo::new("b", 10);
-    d.add_backend(hole);
+    let b = Echo::new("b", 10, false);
+    d.add_backend(Rc::new(BlackHole("a")));
     d.add_backend(b.clone());
+    let audit = Audit::new(&d);
     let ok = Rc::new(Cell::new(false));
     let o = ok.clone();
     // round-robin sends alice's first request to the black hole "a"
-    d.submit(
+    audit.sink()(
         &mut sim,
         invoke_as("alice"),
         Box::new(move |_, r| o.set(r.is_ok())),
@@ -136,10 +92,10 @@ fn tier_survives_crash_retry() {
     sim.schedule(Duration::from_millis(50), move |sim| {
         assert!(d2.eject_backend(sim, "a"));
     });
-    sim.run();
+    audit.run(&mut sim);
     assert!(ok.get(), "retried onto the survivor");
     assert_eq!(b.served.get(), 1);
-    assert_clean_ledger(&d, "alice", 1);
+    assert_all_admitted(&d, "alice", 1);
     let snap = &d.qos_tenants()["alice"];
     assert_eq!(snap.tier, QosTier::Gold);
     // the retry span carries the admission-time tenant and tier
@@ -159,30 +115,32 @@ fn tier_survives_rendezvous_repin() {
     let mut sim = Sim::new(71);
     sim.enable_telemetry();
     let d = qos_dispatcher(&[("alice", QosTier::Batch)], 8);
-    let (a, b) = (Echo::new("a", 10), Echo::new("b", 10));
+    let (a, b) = (Echo::new("a", 10, false), Echo::new("b", 10, false));
     d.add_backend(a.clone());
     d.add_backend(b.clone());
+    let audit = Audit::new(&d);
+    let door = audit.sink();
     // request 1 pins alice to "a"
-    d.submit(
+    door(
         &mut sim,
         invoke_as("alice"),
         Box::new(|_, r| assert!(r.is_ok())),
     );
-    sim.run();
+    audit.run(&mut sim);
     assert_eq!(d.pin_target("alice").as_deref(), Some("a"));
     // the pinned replica leaves rotation; the orphaned pin reassigns by
     // rendezvous on alice's next request — at her original tier
     assert!(d.eject_backend(&mut sim, "a"));
-    d.submit(
+    door(
         &mut sim,
         invoke_as("alice"),
         Box::new(|_, r| assert!(r.is_ok())),
     );
-    sim.run();
+    audit.run(&mut sim);
     assert_eq!(d.pin_target("alice").as_deref(), Some("b"), "re-pinned");
     assert_eq!(d.counters().affinity_repins, 1);
     assert_eq!(b.served.get(), 1);
-    assert_clean_ledger(&d, "alice", 2);
+    assert_all_admitted(&d, "alice", 2);
     assert_eq!(d.qos_tenants()["alice"].tier, QosTier::Batch);
     let t = sim.telemetry().expect("telemetry on");
     let dispatches = t.spans_named("dispatcher.dispatch");
@@ -198,28 +156,30 @@ fn tier_survives_canary_shift_pins() {
     let mut sim = Sim::new(72);
     sim.enable_telemetry();
     let d = qos_dispatcher(&[("alice", QosTier::Gold)], 8);
-    let (a, b) = (Echo::new("a", 10), Echo::new("b", 10));
+    let (a, b) = (Echo::new("a", 10, false), Echo::new("b", 10, false));
     d.add_backend(a.clone());
     d.add_backend(b.clone());
-    d.submit(
+    let audit = Audit::new(&d);
+    let door = audit.sink();
+    door(
         &mut sim,
         invoke_as("alice"),
         Box::new(|_, r| assert!(r.is_ok())),
     );
-    sim.run();
+    audit.run(&mut sim);
     assert_eq!(d.pin_target("alice").as_deref(), Some("a"));
     // a canary deliberately moves every live pin onto "b"
     let shifted = d.shift_pins("b", 1.0);
     assert_eq!(shifted.len(), 1);
     assert_eq!(d.pin_target("alice").as_deref(), Some("b"));
-    d.submit(
+    door(
         &mut sim,
         invoke_as("alice"),
         Box::new(|_, r| assert!(r.is_ok())),
     );
-    sim.run();
+    audit.run(&mut sim);
     assert_eq!(b.served.get(), 1, "shifted pin routed to the canary");
-    assert_clean_ledger(&d, "alice", 2);
+    assert_all_admitted(&d, "alice", 2);
     assert_eq!(d.qos_tenants()["alice"].tier, QosTier::Gold);
     let t = sim.telemetry().expect("telemetry on");
     for span in t.spans_named("dispatcher.dispatch") {
@@ -237,16 +197,17 @@ fn door_queued_request_is_granted_at_its_tier() {
     sim.enable_telemetry();
     // window of 1: bob's request occupies the door, alice queues
     let d = qos_dispatcher(&[("alice", QosTier::Gold), ("bob", QosTier::Standard)], 1);
-    let a = Echo::new("a", 100);
-    d.add_backend(a.clone());
-    d.submit(
+    d.add_backend(Echo::new("a", 100, false));
+    let audit = Audit::new(&d);
+    let door = audit.sink();
+    door(
         &mut sim,
         invoke_as("bob"),
         Box::new(|_, r| assert!(r.is_ok())),
     );
     let finished_at = Rc::new(Cell::new(0u64));
     let f = finished_at.clone();
-    d.submit(
+    door(
         &mut sim,
         invoke_as("alice"),
         Box::new(move |sim, r| {
@@ -259,14 +220,14 @@ fn door_queued_request_is_granted_at_its_tier() {
         assert_eq!(snap["alice"].queued, 1, "alice queued behind the window");
         assert_eq!(snap["alice"].enqueued, 1);
     }
-    sim.run();
+    audit.run(&mut sim);
     assert_eq!(
         finished_at.get(),
         200,
         "granted when bob's slot freed, served for 100 ms"
     );
-    assert_clean_ledger(&d, "alice", 1);
-    assert_clean_ledger(&d, "bob", 1);
+    assert_all_admitted(&d, "alice", 1);
+    assert_all_admitted(&d, "bob", 1);
     let t = sim.telemetry().expect("telemetry on");
     let dispatches = t.spans_named("dispatcher.dispatch");
     // alice's span shows both the queue transit and the gold tier
@@ -279,35 +240,20 @@ fn door_queued_request_is_granted_at_its_tier() {
 #[test]
 fn queued_shed_and_admitted_requests_all_settle_their_responders() {
     // soak of the queue paths: every submitted request must resolve its
-    // responder exactly once whatever mix of grant/shed it hits
+    // responder exactly once whatever mix of grant/shed it hits — the
+    // auditor's door and tenant ledgers, checked after every event
     let mut sim = Sim::new(74);
     let d = qos_dispatcher(&[("alice", QosTier::Gold), ("bob", QosTier::Batch)], 2);
-    let a = Echo::new("a", 30);
-    d.add_backend(a.clone());
-    let answered = Rc::new(Cell::new(0u64));
+    d.add_backend(Echo::new("a", 30, false));
+    let audit = Audit::new(&d);
     for k in 0..40u64 {
         let tenant = if k % 2 == 0 { "alice" } else { "bob" };
-        let ans = answered.clone();
-        let d2 = Rc::clone(&d);
+        let door = audit.sink();
         sim.schedule(Duration::from_millis(10 * k), move |sim| {
-            d2.submit(
-                sim,
-                invoke_as(tenant),
-                Box::new(move |_, _| ans.set(ans.get() + 1)),
-            );
+            door(sim, invoke_as(tenant), Box::new(|_, _| {}));
         });
     }
-    sim.run();
-    assert_eq!(answered.get(), 40, "every responder fired exactly once");
+    audit.run(&mut sim);
     let snap = d.qos_tenants();
-    for tenant in ["alice", "bob"] {
-        let s = &snap[tenant];
-        assert_eq!(s.issued, 20);
-        assert_eq!(s.issued, s.accepted + s.shed + s.queued as u64);
-        assert_eq!(s.queued, 0, "drained");
-        assert_eq!(s.in_flight, 0);
-    }
-    let c = d.counters();
-    assert_eq!(c.accepted + c.shed, 40, "global ledger conserves too");
-    assert_eq!(c.accepted, c.completed + c.faulted);
+    assert_eq!((snap["alice"].issued, snap["bob"].issued), (20, 20));
 }

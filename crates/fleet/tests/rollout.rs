@@ -12,62 +12,47 @@
 //!   restored deterministically, the target version reverts, and no pin
 //!   ever points at the dead canary;
 //! * every scenario replays bit-identically from the same seed.
+//!
+//! Every scenario runs under the auditor, which also holds the floor, the
+//! pins and the ledgers at every event and requires each roll to finish.
+
+mod common;
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use common::invoke;
 use fleet::{
-    answer_version, AffinityConfig, CanaryConfig, ChaosMonkey, Fleet, FleetSpec, HealthConfig,
-    HealthPlane, Policy, Request, RetryConfig, RolloutConfig, RolloutController, RolloutOutcome,
-    RolloutStrategy, StorageTopology,
+    answer_version, AffinityConfig, Audit, CanaryConfig, ChaosMonkey, Fleet, HealthConfig,
+    HealthPlane, Request, RetryConfig, RolloutConfig, RolloutController, RolloutOutcome,
+    RolloutStrategy, SubmitFn,
 };
 use onserve::profile::ExecutionProfile;
 use simkit::fault::FaultPlan;
-use simkit::{Duration, Sim, SimTime, KB, MB};
-use vappliance::ApplianceImage;
-
-fn image() -> ApplianceImage {
-    ApplianceImage {
-        name: "onserve".into(),
-        bytes: 600.0 * MB,
-        boot_services: vec!["mysqld".into(), "tomcat".into(), "juddi".into()],
-        recipe_fingerprint: 1,
-    }
-}
+use simkit::{Duration, Sim, SimTime, KB};
 
 fn rollout_fleet(sim: &mut Sim, replicas: usize, retry: bool) -> Rc<Fleet> {
-    let mut spec = FleetSpec::with_image(image());
-    spec.topology = StorageTopology::Replicated;
-    spec.initial_replicas = replicas;
-    spec.dispatcher.policy = Policy::RoundRobin;
-    spec.dispatcher.max_in_flight = 256;
-    spec.dispatcher.affinity = Some(AffinityConfig::default());
-    spec.base.config.cache_grid_sessions = true;
-    if retry {
-        spec.dispatcher.retry = Some(RetryConfig {
-            max_retries: 2,
-            base_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_secs(1),
-            jitter: 0.2,
-        });
-    }
-    Fleet::new(sim, spec)
+    common::fleet(sim, replicas, |spec| {
+        spec.dispatcher.affinity = Some(AffinityConfig::default());
+        spec.base.config.cache_grid_sessions = true;
+        if retry {
+            spec.dispatcher.retry = Some(RetryConfig {
+                max_retries: 2,
+                base_backoff: Duration::from_millis(100),
+                max_backoff: Duration::from_secs(1),
+                jitter: 0.2,
+            });
+        }
+    })
 }
 
 /// Boot, publish the ~15.5 s end-to-end "app" service, drain.
-fn boot_and_publish(sim: &mut Sim, fleet: &Rc<Fleet>) {
-    sim.run();
-    fleet.publish(
-        sim,
-        "app.exe",
-        64 * 1024,
-        ExecutionProfile::quick()
-            .lasting(Duration::from_millis(200))
-            .producing(16.0 * KB),
-        |_| {},
-    );
-    sim.run();
+fn boot_and_publish(sim: &mut Sim, fleet: &Rc<Fleet>, audit: &Audit) {
+    let profile = ExecutionProfile::quick()
+        .lasting(Duration::from_millis(200))
+        .producing(16.0 * KB);
+    common::boot_and_publish(sim, fleet, audit, ("app.exe", 64 * 1024), profile);
 }
 
 /// Windowing tuned to the appliance's ~15.5 s invoke latency, wide
@@ -105,10 +90,6 @@ impl Traffic {
             versions: RefCell::new(BTreeMap::new()),
         })
     }
-
-    fn answered(&self) -> u64 {
-        self.ok.get() + self.bad.get()
-    }
 }
 
 /// One closed-loop user: think, invoke `app` as `principal`, repeat
@@ -116,7 +97,7 @@ impl Traffic {
 /// answered, so the recorded version sequence is the serve order.
 fn spawn_user(
     sim: &mut Sim,
-    fleet: Rc<Fleet>,
+    door: Rc<SubmitFn>,
     traffic: Rc<Traffic>,
     principal: String,
     think: Duration,
@@ -127,17 +108,12 @@ fn spawn_user(
             return;
         }
         traffic.issued.set(traffic.issued.get() + 1);
-        let dispatcher = Rc::clone(fleet.dispatcher());
-        let f2 = Rc::clone(&fleet);
+        let d2 = Rc::clone(&door);
         let t2 = Rc::clone(&traffic);
         let p2 = principal.clone();
-        dispatcher.submit(
+        door(
             sim,
-            Request::Invoke {
-                service: "app".into(),
-                args: Vec::new(),
-                principal: Some(principal.clone()),
-            },
+            invoke("app", Some(&principal)),
             Box::new(move |sim, res| {
                 match res {
                     Ok(v) => {
@@ -148,7 +124,7 @@ fn spawn_user(
                     }
                     Err(_) => t2.bad.set(t2.bad.get() + 1),
                 }
-                spawn_user(sim, f2, t2, p2, think, until);
+                spawn_user(sim, d2, t2, p2, think, until);
             }),
         );
     });
@@ -156,43 +132,19 @@ fn spawn_user(
 
 const USERS: usize = 6;
 
-fn spawn_population(sim: &mut Sim, fleet: &Rc<Fleet>, traffic: &Rc<Traffic>, until: SimTime) {
+fn spawn_population(sim: &mut Sim, door: &Rc<SubmitFn>, traffic: &Rc<Traffic>, until: SimTime) {
     for i in 0..USERS {
         // staggered starts so arrivals interleave without an RNG
         let think = Duration::from_secs(10) + Duration::from_millis(700 * i as u64);
         spawn_user(
             sim,
-            Rc::clone(fleet),
+            Rc::clone(door),
             Rc::clone(traffic),
             format!("user{i}"),
             think,
             until,
         );
     }
-}
-
-/// Recurring pin audit: every live pin must target an active replica —
-/// never one that is draining, retired, crashed, or still booting.
-fn audit_pins(
-    sim: &mut Sim,
-    fleet: Rc<Fleet>,
-    violations: Rc<RefCell<Vec<String>>>,
-    until: SimTime,
-) {
-    sim.schedule(Duration::from_secs(5), move |sim| {
-        if sim.now() > until {
-            return;
-        }
-        let active = fleet.active_replica_names();
-        for (key, target) in fleet.dispatcher().live_pins() {
-            if !active.contains(&target) {
-                violations
-                    .borrow_mut()
-                    .push(format!("{}: {key} pinned to non-active {target}", sim.now()));
-            }
-        }
-        audit_pins(sim, fleet, violations, until);
-    });
 }
 
 /// Everything a scenario measures; two same-seed runs must agree exactly.
@@ -236,33 +188,31 @@ fn fingerprint(
 fn rolling_run() -> (Fingerprint, BTreeMap<String, Vec<u32>>, bool, u64, String) {
     let mut sim = Sim::new(0x4011);
     let fleet = rollout_fleet(&mut sim, 3, false);
-    boot_and_publish(&mut sim, &fleet);
+    let audit = Audit::fleet(&fleet);
+    boot_and_publish(&mut sim, &fleet, &audit);
     let plane = HealthPlane::new(health_config());
     fleet.dispatcher().set_health_plane(Rc::clone(&plane));
     let t0 = sim.now();
     let until = t0 + Duration::from_secs(600);
     let traffic = Traffic::new();
-    spawn_population(&mut sim, &fleet, &traffic, until);
-
-    let ctl: Rc<RefCell<Option<Rc<RolloutController>>>> = Rc::new(RefCell::new(None));
-    let (f2, c2) = (Rc::clone(&fleet), Rc::clone(&ctl));
-    sim.schedule(Duration::from_secs(30), move |sim| {
-        let cfg = RolloutConfig {
-            min_healthy: 2,
-            ..RolloutConfig::rolling(2)
-        };
-        *c2.borrow_mut() = Some(RolloutController::start(sim, &f2, cfg));
-    });
+    let door = audit.sink();
+    spawn_population(&mut sim, &door, &traffic, until);
+    let cfg = RolloutConfig {
+        min_healthy: 2,
+        ..RolloutConfig::rolling(2)
+    };
+    let ctl = start_rollout(&mut sim, &fleet, &audit, cfg);
 
     // mid-roll upload: the broadcast must reach whatever mix of vN and
     // vN+1 replicas is live, and catalog replay hands it to later boots
     let both_versions_at_upload = Rc::new(Cell::new(false));
     let extra_published = Rc::new(Cell::new(false));
-    let (f3, b3, e3) = (Rc::clone(&fleet), Rc::clone(&both_versions_at_upload), Rc::clone(&extra_published));
+    let (f3, d3) = (Rc::clone(&fleet), Rc::clone(&door));
+    let (b3, e3) = (Rc::clone(&both_versions_at_upload), Rc::clone(&extra_published));
     sim.schedule(Duration::from_secs(150), move |sim| {
         b3.set(f3.version_counts().len() == 2);
         let e = Rc::clone(&e3);
-        f3.dispatcher().clone().submit(
+        d3(
             sim,
             Request::Upload {
                 file_name: "extra.exe".into(),
@@ -281,17 +231,13 @@ fn rolling_run() -> (Fingerprint, BTreeMap<String, Vec<u32>>, bool, u64, String)
     // after the roll: the mid-roll service must answer from the new
     // fleet, version-tagged with the target version
     let extra_ok = Rc::new(Cell::new(0u64));
-    let (f4, x4) = (Rc::clone(&fleet), Rc::clone(&extra_ok));
+    let (d4, x4) = (Rc::clone(&door), Rc::clone(&extra_ok));
     sim.schedule(Duration::from_secs(450), move |sim| {
         for i in 0..USERS {
             let x = Rc::clone(&x4);
-            f4.dispatcher().clone().submit(
+            d4(
                 sim,
-                Request::Invoke {
-                    service: "extra".into(),
-                    args: Vec::new(),
-                    principal: Some(format!("user{i}")),
-                },
+                invoke("extra", Some(&format!("user{i}"))),
                 Box::new(move |_, res| {
                     let v = res.expect("post-roll invoke of the mid-roll service");
                     assert_eq!(answer_version(&v), Some(2), "answer not tagged v2");
@@ -300,20 +246,35 @@ fn rolling_run() -> (Fingerprint, BTreeMap<String, Vec<u32>>, bool, u64, String)
             );
         }
     });
-    sim.run();
+    audit.run(&mut sim);
 
     let ctl = ctl.borrow().clone().expect("rollout started");
     let fp = fingerprint(&sim, &fleet, &traffic, &ctl);
-    // retirement floor: every retire left more than min_healthy behind
     let log = ctl.retire_log();
     assert_eq!(log.len(), 3, "three v1 replicas retired: {log:?}");
-    for e in &log {
-        assert!(e.active_before > 2, "retire at floor: {e:?}");
-    }
     assert!(extra_published.get(), "mid-roll upload never completed");
     let prom = plane.prometheus_text(sim.now());
     let versions = traffic.versions.borrow().clone();
     (fp, versions, both_versions_at_upload.get(), extra_ok.get(), prom)
+}
+
+/// The rollout controller started 30 s from now, watched by the auditor.
+type Started = Rc<RefCell<Option<Rc<RolloutController>>>>;
+
+fn start_rollout(
+    sim: &mut Sim,
+    fleet: &Rc<Fleet>,
+    audit: &Rc<Audit>,
+    cfg: RolloutConfig,
+) -> Started {
+    let ctl: Started = Rc::default();
+    let (f2, a2, c2) = (Rc::clone(fleet), Rc::clone(audit), Rc::clone(&ctl));
+    sim.schedule(Duration::from_secs(30), move |sim| {
+        let started = RolloutController::start(sim, &f2, cfg);
+        a2.watch_rollout(&started);
+        *c2.borrow_mut() = Some(started);
+    });
+    ctl
 }
 
 #[test]
@@ -360,64 +321,50 @@ fn rolling_upgrade_replays_byte_identical() {
 #[allow(clippy::type_complexity)]
 fn canary_run(
     seed: u64,
-    meddle: impl Fn(&mut Sim, &Rc<Fleet>, &Rc<RefCell<Option<Rc<RolloutController>>>>) + 'static,
-) -> (
-    Fingerprint,
-    Rc<Fleet>,
-    Rc<RolloutController>,
-    Vec<(String, String)>,
-    Vec<String>,
-    Sim,
-) {
+    meddle: impl Fn(&mut Sim, &Rc<Fleet>, &Started) + 'static,
+) -> (Fingerprint, Rc<Fleet>, Rc<RolloutController>, Vec<(String, String)>) {
     let mut sim = Sim::new(seed);
     let fleet = rollout_fleet(&mut sim, 3, true);
-    boot_and_publish(&mut sim, &fleet);
+    let audit = Audit::fleet(&fleet);
+    boot_and_publish(&mut sim, &fleet, &audit);
     let plane = HealthPlane::new(health_config());
     fleet.dispatcher().set_health_plane(Rc::clone(&plane));
     let t0 = sim.now();
     let until = t0 + Duration::from_secs(1200);
     let traffic = Traffic::new();
-    spawn_population(&mut sim, &fleet, &traffic, until);
+    spawn_population(&mut sim, &audit.sink(), &traffic, until);
 
-    let ctl: Rc<RefCell<Option<Rc<RolloutController>>>> = Rc::new(RefCell::new(None));
+    // the pin table the moment the roll starts, for the rollback's restore
     let pre_roll_pins: Rc<RefCell<Vec<(String, String)>>> = Rc::new(RefCell::new(Vec::new()));
-    let (f2, c2, p2) = (Rc::clone(&fleet), Rc::clone(&ctl), Rc::clone(&pre_roll_pins));
-    sim.schedule(Duration::from_secs(30), move |sim| {
+    let (f2, p2) = (Rc::clone(&fleet), Rc::clone(&pre_roll_pins));
+    sim.schedule(Duration::from_secs(30), move |_| {
         *p2.borrow_mut() = f2.dispatcher().live_pins();
-        let cfg = RolloutConfig {
-            to_version: 2,
-            strategy: RolloutStrategy::Canary(CanaryConfig {
-                pin_fraction: 0.5,
-                first_sight_pct: 50,
-                judgment: Duration::from_secs(240),
-                p99_factor: 3.0,
-                min_samples: 2,
-            }),
-            min_healthy: 2,
-            poll: Duration::from_secs(5),
-        };
-        *c2.borrow_mut() = Some(RolloutController::start(sim, &f2, cfg));
     });
+    let cfg = RolloutConfig {
+        to_version: 2,
+        strategy: RolloutStrategy::Canary(CanaryConfig {
+            pin_fraction: 0.5,
+            first_sight_pct: 50,
+            judgment: Duration::from_secs(240),
+            p99_factor: 3.0,
+            min_samples: 2,
+        }),
+        min_healthy: 2,
+        poll: Duration::from_secs(5),
+    };
+    let ctl = start_rollout(&mut sim, &fleet, &audit, cfg);
     meddle(&mut sim, &fleet, &ctl);
-    let violations: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-    audit_pins(&mut sim, Rc::clone(&fleet), Rc::clone(&violations), until);
-    sim.run();
+    audit.run(&mut sim);
 
     let ctl = ctl.borrow().clone().expect("rollout started");
     let fp = fingerprint(&sim, &fleet, &traffic, &ctl);
-    assert_eq!(
-        traffic.answered(),
-        traffic.issued.get(),
-        "closed loop lost a request"
-    );
     let pins = pre_roll_pins.borrow().clone();
-    let v = violations.borrow().clone();
-    (fp, fleet, ctl, pins, v, sim)
+    (fp, fleet, ctl, pins)
 }
 
 #[test]
 fn canary_promotes_and_completes_the_roll() {
-    let (fp, fleet, ctl, _, violations, _sim) = canary_run(0xca7a, |_, _, _| {});
+    let (fp, fleet, ctl, _) = canary_run(0xca7a, |_, _, _| {});
     assert_eq!(fp.outcome, Some(RolloutOutcome::Promoted), "{fp:?}");
     assert_eq!(fp.rollbacks, 0, "{fp:?}");
     assert_eq!(fp.replaced, 3, "{fp:?}");
@@ -429,7 +376,6 @@ fn canary_promotes_and_completes_the_roll() {
         "the canary took a pin share before judgment"
     );
     assert!(fleet.dispatcher().canary_target().is_none(), "share cleared");
-    assert!(violations.is_empty(), "pin audit: {violations:?}");
 }
 
 #[test]
@@ -439,7 +385,7 @@ fn degraded_canary_rolls_back_and_restores_pins() {
     // land back on its original replica
     let degraded = Rc::new(Cell::new(false));
     let d2 = Rc::clone(&degraded);
-    let (fp, fleet, ctl, pre_roll_pins, violations, _sim) =
+    let (fp, fleet, ctl, pre_roll_pins) =
         canary_run(0xca7b, move |sim, fleet, ctl| {
             watch_and_degrade(sim, Rc::clone(fleet), Rc::clone(ctl), Rc::clone(&d2));
         });
@@ -466,14 +412,13 @@ fn degraded_canary_rolls_back_and_restores_pins() {
             "{key} not restored to {target}: {now_pins:?}"
         );
     }
-    assert!(violations.is_empty(), "pin audit: {violations:?}");
 }
 
 /// Poll until the canary is in rotation, then degrade it once.
 fn watch_and_degrade(
     sim: &mut Sim,
     fleet: Rc<Fleet>,
-    ctl: Rc<RefCell<Option<Rc<RolloutController>>>>,
+    ctl: Started,
     done: Rc<Cell<bool>>,
 ) {
     sim.schedule(Duration::from_secs(5), move |sim| {
@@ -503,7 +448,7 @@ fn chaos_kill_of_canary_mid_judgment_rolls_back_cleanly() {
     const PLAN_SEED: u64 = 0;
     let monkey: Rc<RefCell<Option<Rc<ChaosMonkey>>>> = Rc::new(RefCell::new(None));
     let m2 = Rc::clone(&monkey);
-    let (fp, fleet, ctl, _, violations, _sim) = canary_run(0xca7c, move |sim, fleet, _| {
+    let (fp, fleet, ctl, _) = canary_run(0xca7c, move |sim, fleet, _| {
         let plan = FaultPlan::new(PLAN_SEED).crash_at(Duration::from_secs(205));
         let f = Rc::clone(fleet);
         let m = Rc::clone(&m2);
@@ -526,7 +471,6 @@ fn chaos_kill_of_canary_mid_judgment_rolls_back_cleanly() {
     assert_eq!(fp.shed, 0, "{fp:?}");
     // in-flight work on the killed canary was retried on survivors
     assert_eq!(fp.bad, 0, "retries absorbed the crash: {fp:?}");
-    assert!(violations.is_empty(), "a pin pointed at a dead/draining replica: {violations:?}");
 }
 
 #[test]

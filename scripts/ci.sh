@@ -20,8 +20,8 @@ echo "==> cargo test -q (with test-count floor)"
 cargo test -q --workspace 2>&1 | tee target/test-output.log
 total_passed=$(grep -Eo '[0-9]+ passed' target/test-output.log | awk '{s+=$1} END {print s}')
 echo "    total tests passed: ${total_passed}"
-if [ "${total_passed}" -lt 687 ]; then
-  echo "test-count floor: expected >= 687 passing tests, got ${total_passed}" >&2
+if [ "${total_passed}" -lt 704 ]; then
+  echo "test-count floor: expected >= 704 passing tests, got ${total_passed}" >&2
   exit 1
 fi
 
@@ -48,7 +48,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 #   name | bin args | extensions | extra `cargo test` filters (;-separated)
 bench_tiers=(
   "fleetscale    |      | csv      |"
-  "chaos         |      | csv      | -p onserve-fleet --test chaos; -p onserve-fleet --test door_all_planes"
+  "chaos         |      | csv      | -p onserve-fleet --test chaos; -p onserve-fleet --test door_all_planes; -p onserve-fleet --test proptests all_planes_soak"
   "affinity      |      | csv      |"
   "grayfail      |      | csv,prom | -p onserve-fleet --test health"
   "geo           |      | csv,prom | -p onserve-fleet --test proptests geo; -p onserve-fleet --test proptests fleet_conserves_requests_under_site_outages_and_link_faults"
@@ -56,6 +56,23 @@ bench_tiers=(
   "rollout       |      | csv,prom | -p onserve-fleet --test rollout; -p onserve-fleet --test proptests rollouts_hold_the_floor_keep_pins_live_and_replay"
   "noisyneighbor |      | csv,prom | -p onserve-fleet --test qos; -p onserve-fleet --test proptests qos_conserves_per_tenant_and_never_starves_underquota_tenants"
 )
+
+# `cargo test` with a filter that matches nothing passes: a tier must not.
+# Runs one filter (a word list) and fails unless it passed at least one test.
+run_filter() {
+  local out passed
+  # shellcheck disable=SC2086  # a filter is a word list on purpose
+  if ! out=$(cargo test -q $1 2>&1); then
+    echo "${out}"
+    exit 1
+  fi
+  echo "${out}"
+  passed=$({ grep -Eo '[0-9]+ passed' <<<"${out}" || true; } | awk '{s+=$1} END {print s+0}')
+  if [ "${passed}" -eq 0 ]; then
+    echo "filter '$1' matched no test" >&2
+    exit 1
+  fi
+}
 
 run_bench_tier() {
   local name args exts tests filters filter ext
@@ -68,10 +85,9 @@ run_bench_tier() {
   [ "$name" != millionuser ] || golden="millionuser_ci_matches_golden"
 
   echo "==> ${name} tier (golden + suites, then two same-seed runs: byte-identical ${exts[*]})"
-  cargo test -q -p onserve-bench --test golden_determinism "$golden"
+  run_filter "-p onserve-bench --test golden_determinism $golden"
   for filter in "${filters[@]}"; do
-    # shellcheck disable=SC2086  # a filter is a word list on purpose
-    cargo test -q $filter
+    run_filter "$filter"
   done
   # shellcheck disable=SC2086  # so are the bin's args
   cargo run --release -q -p onserve-bench --bin "$name" -- $args > /dev/null

@@ -181,6 +181,50 @@ fn reuse_staged_ablation_skips_second_upload() {
     );
 }
 
+/// Removing a service forgets where its binary was staged: a new binary
+/// uploaded under the same file name is shipped on its first invocation,
+/// not skipped because the site still holds the removed one.
+#[test]
+fn reupload_after_remove_restages_despite_the_reuse_cache() {
+    let mut sim = Sim::new(5);
+    sim.enable_telemetry();
+    let spec = DeploymentSpec {
+        config: OnServeConfig {
+            reuse_staged_files: true,
+            broker: gridsim::BrokerPolicy::Fixed("tacc".into()),
+            ..OnServeConfig::default()
+        },
+        ..DeploymentSpec::default()
+    };
+    let d = Deployment::build(&mut sim, &spec);
+    let invoke = |sim: &mut Sim, d: &Deployment| {
+        let ok = Rc::new(Cell::new(false));
+        let o = ok.clone();
+        d.invoke(sim, "tool", &[], move |_, r| {
+            r.expect("invoke");
+            o.set(true);
+        });
+        sim.run();
+        assert!(ok.get());
+    };
+    let stages = |sim: &Sim| sim.telemetry().expect("on").spans_named("agent.stage").len();
+    let shipped = |sim: &Sim| sim.recorder_ref().total("tacc.net.in.bytes");
+    let profile = ExecutionProfile::quick().producing(1.0 * KB);
+    upload_and_publish(&mut sim, &d, "tool.exe", 64 * 1024, profile, &[]);
+    invoke(&mut sim, &d);
+    assert_eq!(stages(&sim), 1);
+    assert!(d.onserve.remove_service("tool"));
+    upload_and_publish(&mut sim, &d, "tool.exe", 96 * 1024, profile, &[]);
+    let before = shipped(&sim);
+    invoke(&mut sim, &d);
+    assert_eq!(stages(&sim), 2, "the new binary was never staged");
+    assert!(
+        shipped(&sim) - before >= 96.0 * KB,
+        "shipped {} bytes, not the 96 KB binary",
+        shipped(&sim) - before
+    );
+}
+
 #[test]
 fn multiple_services_coexist_and_route_to_their_executables() {
     let mut sim = Sim::new(5);
