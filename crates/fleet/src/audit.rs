@@ -11,7 +11,8 @@
 //! | **door ledger**: `accepted + shed + parked == issued`, `accepted == completed + faulted + in flight`, the window never over-full | `check_door` |
 //! | **tenant ledger**: `issued == accepted + shed + queued` per tenant | `check_tenants` |
 //! | **routing**: into rotation, never a severed site; no retried upload; retries capped | `check_routes`, `Trail` |
-//! | **pins**: a live pin targets an active replica | `check_pins` |
+//! | **pins**: a live pin targets a replica in rotation | `check_pins` |
+//! | **rotation agreement** (fleet): the fleet's active replicas are the dispatcher's live slots | `check_rotation` |
 //! | **fairness**: nobody waits under quota beside a free slot | `check_fairness` |
 //! | **rollout floor**: no retirement at `min_healthy` | `check_floor` |
 //!
@@ -19,7 +20,9 @@
 //! drained — every request answered once; nothing in flight, outstanding
 //! on a replica, pending in the kernel, open on the trail or queued at a
 //! tenant — each tenant must have issued what its principal's callers
-//! issued, and every watched rollout must have finished.
+//! issued, every watched rollout must have finished, and a fleet's
+//! **replica ledger** must balance: every replica that reached the
+//! rotation is active, retired or lost (`check_replicas`).
 //!
 //! Nothing is hooked into the request path. [`Audit::run`] replaces
 //! `sim.run()`: it steps the simulation — `Sim::step` executes events in
@@ -32,10 +35,10 @@
 //! what they were answered.
 //!
 //! Everything is read from public state: the dispatcher's ledgers, pin
-//! tables and geo plane, the fleet's active replicas, the rollout
-//! controllers' retire logs, the kernel's pending count and the span
-//! trail. Each check is a function over such a snapshot or over the
-//! trail, and panics naming the invariant it found broken.
+//! tables and geo plane, the fleet's active replicas and replica ledger,
+//! the rollout controllers' retire logs, the kernel's pending count and
+//! the span trail. Each check is a function over such a snapshot or over
+//! the trail, and panics naming the invariant it found broken.
 //!
 //! **Known gap.** A check sees the state between events, not the order of
 //! things inside one. If a single event takes a replica out of rotation
@@ -68,8 +71,8 @@ type Tenants = BTreeMap<String, TenantQos>;
 /// The fleet's invariant auditor. See the module docs.
 pub struct Audit {
     dispatcher: Rc<Dispatcher>,
-    /// Set for a fleet run: live pins are then held to the fleet's active
-    /// replicas rather than to the dispatcher's rotation.
+    /// Set for a fleet run: the fleet's active replicas are then held to
+    /// the dispatcher's rotation, and its replica ledger closed.
     fleet: Option<Rc<Fleet>>,
     rollouts: RefCell<Vec<Rc<RolloutController>>>,
     client: RefCell<Client>,
@@ -92,8 +95,8 @@ impl Audit {
         Audit::build(dispatcher, None)
     }
 
-    /// Audit a fleet run: its dispatcher, with live pins held to the
-    /// fleet's active replicas. Create it before any traffic.
+    /// Audit a fleet run: its dispatcher, and the fleet's replicas against
+    /// it. Create it before any traffic.
     pub fn fleet(fleet: &Rc<Fleet>) -> Rc<Audit> {
         Audit::build(fleet.dispatcher(), Some(Rc::clone(fleet)))
     }
@@ -175,7 +178,11 @@ impl Audit {
         let tenants = d.qos_tenants();
         check_tenants(&tenants);
         check_tenants_closed(&tenants, &client.by_principal, &d.counters());
-        self.pins(&d.live_pin_counts());
+        self.rotation(&d.live_pin_counts());
+        if let Some(f) = &self.fleet {
+            let active = f.active_replicas() as u64;
+            check_replicas(f.booted_total(), active, f.retired_total(), f.lost_total());
+        }
         if let Some(t) = sim.telemetry() {
             check_trail_closed(t.spans());
         }
@@ -195,7 +202,7 @@ impl Audit {
         check_door(issued, &d.counters(), d.in_flight(), parked, window);
         check_tenants(&tenants);
         check_fairness(&tenants, d.in_flight(), window, !after.is_empty());
-        self.pins(after);
+        self.rotation(after);
         for ctl in self.rollouts.borrow().iter() {
             check_floor(&ctl.retire_log(), ctl.min_healthy());
         }
@@ -221,14 +228,13 @@ impl Audit {
         self.trail.borrow_mut().advance(t.spans(), max_retries)
     }
 
-    /// Live pins against the fleet's active replicas, or — auditing a bare
-    /// dispatcher — against `rotation`.
-    fn pins(&self, rotation: &Rotation) {
-        let pins = self.dispatcher.live_pins();
-        match &self.fleet {
-            Some(fleet) => check_pins(&pins, |r| fleet.replica_version(r).is_some()),
-            None => check_pins(&pins, |r| rotation.contains_key(r)),
+    /// The fleet's active replicas, if a fleet is audited, and every live
+    /// pin against the dispatcher's `rotation`.
+    fn rotation(&self, rotation: &Rotation) {
+        if let Some(fleet) = &self.fleet {
+            check_rotation(&fleet.active_replica_names(), rotation);
         }
+        check_pins(&self.dispatcher.live_pins(), |r| rotation.contains_key(r));
     }
 }
 
@@ -311,6 +317,29 @@ fn check_pins(pins: &[(String, String)], active: impl Fn(&str) -> bool) {
     for (key, target) in pins {
         assert!(active(target), "audit: pin: {key} is pinned to {target}, not an active replica");
     }
+}
+
+/// The fleet's `active` replicas are exactly the dispatcher's `rotation`:
+/// a replica leaves one only by leaving the other.
+fn check_rotation(active: &[String], rotation: &Rotation) {
+    let mut sorted: Vec<&String> = active.iter().collect();
+    sorted.sort();
+    assert!(
+        sorted.iter().copied().eq(rotation.keys()),
+        "audit: rotation: the fleet's active replicas {sorted:?} are not the dispatcher's live \
+         slots {:?}",
+        rotation.keys().collect::<Vec<_>>()
+    );
+}
+
+/// Every replica that reached the rotation is still active, or was
+/// retired or lost.
+fn check_replicas(booted: u64, active: u64, retired: u64, lost: u64) {
+    assert!(
+        booted == active + retired + lost,
+        "audit: replica ledger: booted {booted} != active {active} + retired {retired} + lost \
+         {lost}"
+    );
 }
 
 /// No retirement cut into the floor.
@@ -472,6 +501,19 @@ mod tests {
     #[should_panic(expected = "pin: k is pinned to gone")]
     fn a_pin_on_an_inactive_replica_is_caught() {
         check_pins(&[("k".into(), "gone".into())], |r| r == "r0");
+    }
+
+    #[test]
+    #[should_panic(expected = "rotation: the fleet's active replicas [\"r0\", \"r1\"]")]
+    fn an_active_replica_out_of_the_dispatcher_is_caught() {
+        let rotation = BTreeMap::from([("r0".to_owned(), 0)]);
+        check_rotation(&["r1".into(), "r0".into()], &rotation);
+    }
+
+    #[test]
+    #[should_panic(expected = "replica ledger: booted 3 != active 2 + retired 0 + lost 0")]
+    fn a_replica_counted_nowhere_is_caught() {
+        check_replicas(3, 2, 0, 0);
     }
 
     #[test]

@@ -33,6 +33,9 @@
 //!
 //! ## Failure model
 //!
+//! A backend leaves the rotation one way: its slot is dropped — drained
+//! ([`Dispatcher::remove_backend`], once idle) or ejected — and the exit
+//! hook ([`Dispatcher::set_exit_hook`]) hears which, whoever asked.
 //! Replicas can die without draining ([`Dispatcher::eject_backend`]). Every
 //! dispatched attempt is registered in the op table; ejecting a backend
 //! resolves its outstanding ops as `backend lost`, and any response the
@@ -270,9 +273,20 @@ struct Ticket {
     qos: Option<QosTag>,
 }
 
+/// How a backend's slot left the rotation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Exit {
+    /// Taken out by [`Dispatcher::remove_backend`] and dropped once its
+    /// last outstanding attempt answered.
+    Drained,
+    /// Thrown out with its outstanding work lost — by its owner
+    /// ([`Dispatcher::eject_backend`]) or by an attempt's watchdog.
+    Ejected,
+}
+
 /// An owner-installed callback cell.
 type Hook<F> = RefCell<Option<Box<F>>>;
-type DrainHook = dyn Fn(&mut Sim, &str);
+type ExitHook = dyn Fn(&mut Sim, &str, Exit);
 type UploadHook = dyn Fn(&mut Sim, &Request);
 
 /// Fire `hook` with its cell released, so the callback may re-enter the
@@ -329,7 +343,7 @@ pub struct Dispatcher {
     /// queue-depth and per-tenant series. Pure measurement — attaching it
     /// schedules nothing and draws no randomness.
     health: RefCell<Option<Rc<HealthPlane>>>,
-    drain_hook: Hook<DrainHook>,
+    exit_hook: Hook<ExitHook>,
     upload_hook: Hook<UploadHook>,
 }
 
@@ -344,7 +358,7 @@ impl Dispatcher {
             ops: RefCell::new(OpTable::new()),
             counters: RefCell::new(DispatchCounters::default()),
             health: RefCell::new(None),
-            drain_hook: RefCell::new(None),
+            exit_hook: RefCell::new(None),
             upload_hook: RefCell::new(None),
         })
     }
@@ -417,9 +431,11 @@ impl Dispatcher {
         self.routing.borrow().geo().cloned()
     }
 
-    /// Called once per drained (removed + idle) backend, with its name.
-    pub fn set_drain_hook(&self, f: impl Fn(&mut Sim, &str) + 'static) {
-        *self.drain_hook.borrow_mut() = Some(Box::new(f));
+    /// Called once per backend that leaves the rotation, with its name and
+    /// how it left, right after its slot is dropped and before any of its
+    /// lost work is resolved.
+    pub fn set_exit_hook(&self, f: impl Fn(&mut Sim, &str, Exit) + 'static) {
+        *self.exit_hook.borrow_mut() = Some(Box::new(f));
     }
 
     /// Called once per *accepted* upload broadcast, before any backend
@@ -445,8 +461,8 @@ impl Dispatcher {
 
     /// Take `name` out of rotation. New requests stop routing to it
     /// immediately; once its outstanding requests finish, the slot is
-    /// dropped and the drain hook fires. Returns `false` if no live
-    /// backend has that name.
+    /// dropped and the exit hook hears [`Exit::Drained`]. Returns `false`
+    /// if no live backend has that name.
     pub fn remove_backend(&self, sim: &mut Sim, name: &str) -> bool {
         let (id, idle) = {
             let mut slots = self.slots.borrow_mut();
@@ -459,23 +475,35 @@ impl Dispatcher {
         // a draining replica takes no new work, sticky or not
         self.routing.borrow_mut().orphan_replica(name);
         if idle {
-            self.retire(sim, id, name);
+            self.retire(sim, id);
         }
         true
     }
 
-    /// Drop a drained slot and notify the owner.
-    fn retire(&self, sim: &mut Sim, id: ReplicaId, name: &str) {
-        self.slots.borrow_mut().retain(|s| s.id != id);
-        fire(&self.drain_hook, |hook| hook(sim, name));
+    /// The one way out of the rotation: drop the first slot `which` picks
+    /// and tell the owner how it left.
+    fn leave(&self, sim: &mut Sim, which: impl Fn(&Slot) -> bool, exit: Exit) -> Option<Slot> {
+        let slot = {
+            let mut slots = self.slots.borrow_mut();
+            let i = slots.iter().position(which)?;
+            slots.remove(i)
+        };
+        fire(&self.exit_hook, |hook| hook(sim, slot.backend.name(), exit));
+        Some(slot)
+    }
+
+    /// Drop a drained slot.
+    fn retire(&self, sim: &mut Sim, id: ReplicaId) {
+        self.leave(sim, |s| s.id == id, Exit::Drained);
     }
 
     /// Throw a backend out of rotation *now*, no drain: the involuntary
-    /// loss path. Every op outstanding on it resolves as lost — retried
-    /// for invocations, faulted for upload branches — and any answer the
-    /// dead backend produces later is dropped. The drain hook does NOT
-    /// fire (nothing drained); the owner handles teardown itself. Returns
-    /// `false` if no backend has that name.
+    /// loss path. The exit hook hears [`Exit::Ejected`] — from here as
+    /// from a watchdog — before anything else happens. Then every op
+    /// outstanding on the backend resolves as lost — retried for
+    /// invocations, faulted for upload branches — and any answer the dead
+    /// backend produces later is dropped. A draining backend is ejected
+    /// too. Returns `false` if no backend has that name.
     pub fn eject_backend(self: &Rc<Self>, sim: &mut Sim, name: &str) -> bool {
         self.eject_where(sim, |s| s.backend.name() == name)
     }
@@ -483,12 +511,8 @@ impl Dispatcher {
     /// Eject the first slot `which` picks — by name for the owner, by
     /// replica id for a watchdog.
     fn eject_where(self: &Rc<Self>, sim: &mut Sim, which: impl Fn(&Slot) -> bool) -> bool {
-        let slot = {
-            let mut slots = self.slots.borrow_mut();
-            match slots.iter().position(which) {
-                None => return false,
-                Some(i) => slots.remove(i),
-            }
+        let Some(slot) = self.leave(sim, which, Exit::Ejected) else {
+            return false;
         };
         let name = slot.backend.name();
         self.count(sim, "dispatcher.ejected", |c| &mut c.ejected);
@@ -882,7 +906,7 @@ impl Dispatcher {
             (Rc::clone(&slot.backend), slot.draining && idle)
         };
         if retired {
-            self.retire(sim, op.replica, backend.name());
+            self.retire(sim, op.replica);
         }
         self.observe(|plane| {
             let latency = sim.now() - op.started;
@@ -1192,7 +1216,11 @@ mod tests {
         d.submit(&mut sim, invoke(), Box::new(|_, _| {})); // on a
         let drained: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
         let dr = drained.clone();
-        d.set_drain_hook(move |_, name| dr.borrow_mut().push(name.to_owned()));
+        d.set_exit_hook(move |_, name, exit| {
+            if exit == Exit::Drained {
+                dr.borrow_mut().push(name.to_owned());
+            }
+        });
         assert!(d.remove_backend(&mut sim, "a"));
         assert!(!d.remove_backend(&mut sim, "a"), "already draining");
         assert_eq!(d.live_backends(), 1);
@@ -1213,10 +1241,47 @@ mod tests {
         d.add_backend(Echo::new("b", 10));
         let drained = Rc::new(Cell::new(0u32));
         let dr = drained.clone();
-        d.set_drain_hook(move |_, _| dr.set(dr.get() + 1));
+        d.set_exit_hook(move |_, _, exit| dr.set(dr.get() + u32::from(exit == Exit::Drained)));
         assert!(d.remove_backend(&mut sim, "b"));
         assert_eq!(drained.get(), 1);
         assert_eq!(d.live_backends(), 1);
+    }
+
+    #[test]
+    fn the_exit_hook_hears_every_way_out_once_before_lost_work_resolves() {
+        let mut sim = Sim::new(9);
+        let d = Dispatcher::new(DispatcherConfig {
+            policy: Policy::RoundRobin,
+            request_timeout: Some(Duration::from_secs(10)),
+            ..DispatcherConfig::default()
+        });
+        let (silent, crashed) = (BlackHole::new("silent"), BlackHole::new("crashed"));
+        let (drained, good) = (Echo::new("drained", 10), Echo::new("good", 10));
+        for b in [silent.clone() as Rc<dyn Backend>, crashed.clone(), drained.clone(), good] {
+            d.add_backend(b);
+        }
+        let exits: Rc<RefCell<Vec<(String, Exit, u64)>>> = Rc::default();
+        let (ex, d2) = (Rc::clone(&exits), Rc::clone(&d));
+        // what each exit saw of the retry ledger: its own lost work is not
+        // yet retried
+        d.set_exit_hook(move |_, name, exit| {
+            ex.borrow_mut().push((name.to_owned(), exit, d2.counters().retried));
+        });
+        let audit = Audit::new(&d);
+        for _ in 0..3 {
+            audit.sink()(&mut sim, invoke(), Box::new(|_, r| assert!(r.is_ok())));
+        }
+        assert!(d.remove_backend(&mut sim, "drained"));
+        assert!(d.eject_backend(&mut sim, "crashed"));
+        // the silent backend's watchdog ejects it after 10 s
+        audit.run(&mut sim);
+        let want = [
+            ("crashed", Exit::Ejected, 0),
+            ("drained", Exit::Drained, 1),
+            ("silent", Exit::Ejected, 1),
+        ];
+        let want: Vec<_> = want.iter().map(|&(n, e, r)| (n.to_owned(), e, r)).collect();
+        assert_eq!(*exits.borrow(), want);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! database I/O serializes on its disk); [`StorageTopology::Replicated`]
 //! gives each replica its own store on its own appliance disk.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use blobstore::{Blob, BlobDb, TimedDb};
 use onserve::deployment::{synth_executable, Deployment, DeploymentSpec};
@@ -26,7 +26,7 @@ use simkit::{Duration, SpanId};
 use vappliance::{Appliance, ApplianceImage, DeploySpec};
 use wsstack::{BindingTemplate, SoapFault, UddiRegistry};
 
-use crate::dispatcher::{Backend, Dispatcher, DispatcherConfig, Request, Responder};
+use crate::dispatcher::{Backend, Dispatcher, DispatcherConfig, Exit, Request, Responder};
 use crate::geo::GeoPlane;
 
 /// Where the executable database lives relative to the replicas.
@@ -101,41 +101,81 @@ struct CatalogEntry {
     owner: Option<(String, String)>,
 }
 
+/// Where a replica is in its life. The dispatcher holds its slot exactly
+/// while it is `Active` or `Draining`.
+enum State {
+    /// Ordered: image copy, VM boot and catalog replay under way.
+    Booting,
+    /// In rotation and advertised.
+    Active(Rc<Deployment>),
+    /// Out of rotation and unadvertised, finishing the work it holds.
+    Draining(Rc<Deployment>),
+    /// Out of the dispatcher — drained, crashed or ejected — and its VM
+    /// destroyed.
+    Gone,
+}
+
+/// One replica: the fleet's record of it, and the [`Backend`] the
+/// dispatcher routes to.
 struct Replica {
     name: String,
     appliance: Rc<Appliance>,
-    deployment: Option<Rc<Deployment>>,
-    retired: bool,
     /// Artifact version this replica builds and serves — frozen at boot
     /// from [`Fleet::target_version`]; rollouts replace replicas rather
-    /// than mutate them.
+    /// than mutate them. Stamped into the top byte of every binary answer
+    /// digest (see [`answer_version`]).
     version: u32,
-    /// Shared with the [`ReplicaBackend`]; flipped by
-    /// [`Fleet::crash_replica`] so late responses read as a dead peer.
-    crashed: Rc<Cell<bool>>,
-    /// Shared with the [`ReplicaBackend`]; a gray-failure latency
-    /// multiplier set by [`Fleet::degrade_replica`] (1.0 = full speed).
-    slow_factor: Rc<Cell<f64>>,
     boot_span: SpanId,
+    state: RefCell<State>,
+    /// A gray-failure latency multiplier set by [`Fleet::degrade_replica`]
+    /// (1.0 = full speed), read by each answer as it completes.
+    slow_factor: Cell<f64>,
+    /// Set at activation when the fleet carries a geo plane: which site
+    /// this replica lives on. Requests then pay the WAN round trip back to
+    /// their origin, and a severed site swallows requests / holds answers
+    /// for its outage window.
+    geo: OnceCell<(Rc<GeoPlane>, String)>,
+    /// This record, for the answers in flight that read `slow_factor`.
+    me: Weak<Replica>,
 }
 
 impl Replica {
-    /// In rotation: booted and provisioned, neither retired nor crashed.
     fn is_active(&self) -> bool {
-        self.deployment.is_some() && !self.retired
+        matches!(*self.state.borrow(), State::Active(_))
+    }
+
+    fn is_booting(&self) -> bool {
+        matches!(*self.state.borrow(), State::Booting)
+    }
+
+    /// The middleware it serves from, while it holds a dispatcher slot.
+    fn deployment(&self) -> Option<Rc<Deployment>> {
+        match &*self.state.borrow() {
+            State::Active(d) | State::Draining(d) => Some(Rc::clone(d)),
+            State::Booting | State::Gone => None,
+        }
+    }
+
+    /// Active → draining; `false` from any other state.
+    fn start_draining(&self) -> bool {
+        let mut state = self.state.borrow_mut();
+        let State::Active(d) = &*state else {
+            return false;
+        };
+        *state = State::Draining(Rc::clone(d));
+        true
     }
 }
 
 struct Inner {
     next_id: usize,
-    replicas: Vec<Replica>,
+    replicas: Vec<Rc<Replica>>,
     /// Catalogued executables in upload order — the replay order for
     /// replicas that boot later.
     catalog: Vec<CatalogEntry>,
     /// File names in `catalog`: the front door asks "already catalogued?"
     /// on every upload.
     catalogued: BTreeSet<String>,
-    booting: usize,
     booted: u64,
     retired: u64,
     lost: u64,
@@ -145,19 +185,18 @@ struct Inner {
 
 impl Inner {
     /// Replicas in rotation, in boot order.
-    fn actives(&self) -> impl Iterator<Item = &Replica> {
+    fn actives(&self) -> impl Iterator<Item = &Rc<Replica>> {
         self.replicas.iter().filter(|r| r.is_active())
     }
 
     /// The replica in rotation under `name`.
-    fn active(&self, name: &str) -> Option<&Replica> {
+    fn active(&self, name: &str) -> Option<&Rc<Replica>> {
         self.actives().find(|r| r.name == name)
     }
 
-    fn active_mut(&mut self, name: &str) -> Option<&mut Replica> {
-        self.replicas
-            .iter_mut()
-            .find(|r| r.name == name && r.is_active())
+    /// The replica ever ordered under `name`.
+    fn replica(&self, name: &str) -> Option<&Rc<Replica>> {
+        self.replicas.iter().find(|r| r.name == name)
     }
 }
 
@@ -218,7 +257,6 @@ impl Fleet {
                 replicas: Vec::new(),
                 catalog: Vec::new(),
                 catalogued: BTreeSet::new(),
-                booting: 0,
                 booted: 0,
                 retired: 0,
                 lost: 0,
@@ -226,9 +264,9 @@ impl Fleet {
             }),
         });
         let weak = Rc::downgrade(&fleet);
-        fleet.dispatcher.set_drain_hook(move |sim, name| {
+        fleet.dispatcher.set_exit_hook(move |sim, name, exit| {
             if let Some(fleet) = weak.upgrade() {
-                fleet.on_backend_drained(sim, name);
+                fleet.on_exit(sim, name, exit);
             }
         });
         let weak = Rc::downgrade(&fleet);
@@ -271,7 +309,7 @@ impl Fleet {
             .borrow()
             .replicas
             .iter()
-            .filter(|r| !r.retired)
+            .filter(|r| r.is_booting() || r.is_active())
             .map(|r| r.name.clone())
             .collect();
         for name in names {
@@ -341,7 +379,7 @@ impl Fleet {
 
     /// Replicas still booting or provisioning.
     pub fn booting_replicas(&self) -> usize {
-        self.inner.borrow().booting
+        self.inner.borrow().replicas.iter().filter(|r| r.is_booting()).count()
     }
 
     /// Capacity already paid for: active plus booting. The autoscaler
@@ -356,14 +394,19 @@ impl Fleet {
         self.inner.borrow().booted
     }
 
-    /// Replicas drained and destroyed (voluntary scale-down only).
+    /// Replicas retired on purpose ([`Fleet::scale_down`],
+    /// [`Fleet::retire_replica`]) and destroyed once out of the
+    /// dispatcher — drained, or ejected by a watchdog while draining.
     pub fn retired_total(&self) -> u64 {
         self.inner.borrow().retired
     }
 
-    /// Replicas lost to crashes ([`Fleet::crash_replica`]) — disjoint from
+    /// Active replicas the dispatcher ejected: crashes
+    /// ([`Fleet::crash_replica`], which the gray-failure detector's
+    /// ejections reuse) and request-timeout watchdogs. Disjoint from
     /// [`Fleet::retired_total`], so the autoscaler can tell involuntary
-    /// loss from its own scale-downs.
+    /// loss from its own scale-downs; every replica that reached the
+    /// rotation is active, retired or lost.
     pub fn lost_total(&self) -> u64 {
         self.inner.borrow().lost
     }
@@ -382,7 +425,6 @@ impl Fleet {
             let mut inner = self.inner.borrow_mut();
             let id = inner.next_id;
             inner.next_id += 1;
-            inner.booting += 1;
             (id, format!("{}{}", self.base.appliance_name, id))
         };
         let boot_span = sim.span_begin("fleet.boot");
@@ -398,16 +440,17 @@ impl Fleet {
                 fleet.on_replica_running(sim, id, Rc::clone(app), boot_name);
             },
         );
-        self.inner.borrow_mut().replicas.push(Replica {
+        let replica = Rc::new_cyclic(|me| Replica {
             name: name.clone(),
             appliance,
-            deployment: None,
-            retired: false,
             version: self.target_version.get(),
-            crashed: Rc::new(Cell::new(false)),
-            slow_factor: Rc::new(Cell::new(1.0)),
             boot_span,
+            state: RefCell::new(State::Booting),
+            slow_factor: Cell::new(1.0),
+            geo: OnceCell::new(),
+            me: Weak::clone(me),
         });
+        self.inner.borrow_mut().replicas.push(replica);
         name
     }
 
@@ -442,11 +485,8 @@ impl Fleet {
     /// so a controller waiting on a boot can tell "not yet" from
     /// "never coming".
     pub fn replica_booting(&self, name: &str) -> bool {
-        self.inner
-            .borrow()
-            .replicas
-            .iter()
-            .any(|r| r.name == name && r.deployment.is_none() && !r.retired)
+        let inner = self.inner.borrow();
+        inner.replica(name).is_some_and(|r| r.is_booting())
     }
 
     /// Active replicas per artifact version — the rollout controller's
@@ -488,85 +528,51 @@ impl Fleet {
         inner.active(name).map(|r| r.slow_factor.get())
     }
 
-    /// Kill an active replica with no drain: the VM is hard-destroyed
-    /// ([`Appliance::destroy_now`]), its front-end bindings vanish, and the
-    /// dispatcher ejects it — resolving every in-flight request on it as a
-    /// backend loss (retried on survivors when retry is enabled). Returns
-    /// `false` if `name` is not an active replica.
+    /// Kill an active replica with no drain: the dispatcher ejects it,
+    /// resolving every in-flight request on it as a backend loss (retried
+    /// on survivors when retry is enabled), and the fleet tears it down
+    /// the way it tears down any ejected replica — the VM hard-destroyed
+    /// ([`Appliance::destroy_now`]), its front-end bindings gone, counted
+    /// in [`Fleet::lost_total`]. Returns `false` if `name` is not an
+    /// active replica.
     pub fn crash_replica(self: &Rc<Self>, sim: &mut Sim, name: &str) -> bool {
-        {
-            let mut inner = self.inner.borrow_mut();
-            let Some(replica) = inner.active_mut(name) else {
-                return false;
-            };
-            replica.retired = true;
-            replica.crashed.set(true);
-            replica.deployment = None;
-            let _ = replica.appliance.destroy_now();
-            inner.lost += 1;
-        }
-        let span = sim.span_begin("fleet.replica_lost");
-        sim.span_attr(span, "replica", name.to_owned());
-        sim.counter_add("fleet.replica_lost", 1);
-        self.unadvertise(name);
-        self.dispatcher.eject_backend(sim, name);
-        sim.span_end(span);
-        true
+        let active = self.inner.borrow().active(name).is_some();
+        active && self.dispatcher.eject_backend(sim, name)
     }
 
-    /// Take the cheapest active replica out of rotation: the one holding
-    /// the fewest affinity pins (orphaning the minimum number of
-    /// sessions), breaking ties on fewest outstanding attempts, then on
-    /// newest boot — so with no pins and no load the choice degrades to
-    /// the classic newest-first. Stops advertising it, lets its in-flight
-    /// work drain, then destroys the appliance. Refuses (returns `false`)
-    /// when it would leave no capacity at all.
+    /// Take the cheapest active replica out of rotation with
+    /// [`Fleet::retire_replica`]: the one holding the fewest affinity pins
+    /// (orphaning the minimum number of sessions), breaking ties on fewest
+    /// outstanding attempts, then on newest boot — so with no pins and no
+    /// load the choice degrades to the classic newest-first. Refuses
+    /// (returns `false`) when it would leave no capacity at all.
     pub fn scale_down(self: &Rc<Self>, sim: &mut Sim) -> bool {
-        if self.active_replicas() <= 1 {
-            return false;
-        }
         let pin_counts = self.dispatcher.live_pin_counts();
-        let name = {
-            let mut inner = self.inner.borrow_mut();
-            let victim_idx = inner
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.is_active())
-                .min_by_key(|(i, r)| {
-                    let pins = pin_counts.get(&r.name).copied().unwrap_or(0);
-                    let load = self.dispatcher.outstanding_on(&r.name);
-                    (pins, load, std::cmp::Reverse(*i))
-                })
-                .map(|(i, _)| i);
-            let Some(i) = victim_idx else {
-                return false;
-            };
-            let victim = &mut inner.replicas[i];
-            victim.retired = true;
-            victim.name.clone()
+        let victim = {
+            let inner = self.inner.borrow();
+            let ranked = inner.actives().enumerate().min_by_key(|(i, r)| {
+                let pins = pin_counts.get(&r.name).copied().unwrap_or(0);
+                let load = self.dispatcher.outstanding_on(&r.name);
+                (pins, load, std::cmp::Reverse(*i))
+            });
+            ranked.map(|(_, r)| r.name.clone())
         };
-        self.unadvertise(&name);
-        self.dispatcher.remove_backend(sim, &name);
-        true
+        victim.is_some_and(|name| self.retire_replica(sim, &name))
     }
 
     /// Take a *specific* active replica out of rotation with a full
-    /// drain, exactly like [`Fleet::scale_down`] but by name — the
-    /// rollout controller's retirement path: stop advertising, orphan
-    /// its affinity pins, let in-flight work finish, then destroy the
-    /// appliance. Refuses (returns `false`) when `name` is not an
-    /// active replica or when retiring it would leave no capacity.
+    /// drain — the rollout controller's retirement path, and
+    /// [`Fleet::scale_down`]'s: stop advertising, orphan its affinity
+    /// pins, let in-flight work finish, then destroy the appliance.
+    /// Refuses (returns `false`) when `name` is not an active replica or
+    /// when retiring it would leave no capacity.
     pub fn retire_replica(self: &Rc<Self>, sim: &mut Sim, name: &str) -> bool {
         if self.active_replicas() <= 1 {
             return false;
         }
-        {
-            let mut inner = self.inner.borrow_mut();
-            let Some(replica) = inner.active_mut(name) else {
-                return false;
-            };
-            replica.retired = true;
+        let draining = self.inner.borrow().replica(name).is_some_and(|r| r.start_draining());
+        if !draining {
+            return false;
         }
         self.unadvertise(name);
         self.dispatcher.remove_backend(sim, name);
@@ -585,10 +591,9 @@ impl Fleet {
         injector: Option<Rc<simkit::fault::FaultInjector>>,
     ) -> bool {
         let inner = self.inner.borrow();
-        let Some(replica) = inner.active(name) else {
+        let Some(deployment) = inner.active(name).and_then(|r| r.deployment()) else {
             return false;
         };
-        let deployment = replica.deployment.as_ref().expect("active replica");
         deployment.onserve.db().inject_faults(injector);
         true
     }
@@ -634,7 +639,7 @@ impl Fleet {
             .inner
             .borrow()
             .actives()
-            .filter_map(|r| r.deployment.clone())
+            .filter_map(|r| r.deployment())
             .collect();
         if targets.is_empty() {
             // replicas still booting will provision from the catalog
@@ -767,14 +772,7 @@ impl Fleet {
         let d = Rc::new(Deployment::build_with_host_and_db(sim, &rspec, host, db));
         // stamp the replica's frozen version before catalog replay so
         // every service it provisions is built at that version
-        let version = self
-            .inner
-            .borrow()
-            .replicas
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.version)
-            .unwrap_or(1);
+        let version = self.inner.borrow().replica(&name).map_or(1, |r| r.version);
         d.onserve.set_artifact_version(version);
         self.provision_next(sim, id, d, 0);
     }
@@ -812,69 +810,66 @@ impl Fleet {
     /// Put a provisioned replica into the rotation and advertise it.
     fn activate(self: Rc<Self>, sim: &mut Sim, id: usize, d: Rc<Deployment>) {
         let expected = format!("{}{}", self.base.appliance_name, id);
-        let (name, services, boot_span, crashed, slow_factor, version) = {
+        let (replica, services) = {
             let mut inner = self.inner.borrow_mut();
-            inner.booting -= 1;
             inner.booted += 1;
             let services: Vec<String> = inner
                 .catalog
                 .iter()
                 .map(|c| service_name(&c.file_name))
                 .collect();
-            let replica = inner
-                .replicas
-                .iter_mut()
-                .find(|r| r.name == expected)
-                .expect("booting replica present");
-            replica.deployment = Some(Rc::clone(&d));
-            (
-                replica.name.clone(),
-                services,
-                replica.boot_span,
-                Rc::clone(&replica.crashed),
-                Rc::clone(&replica.slow_factor),
-                replica.version,
-            )
+            let replica = inner.replica(&expected).cloned();
+            (replica.expect("booting replica present"), services)
         };
+        *replica.state.borrow_mut() = State::Active(d);
+        let name = &replica.name;
         sim.counter_add("fleet.booted", 1);
-        sim.span_end(boot_span);
+        sim.span_end(replica.boot_span);
         for service in services {
-            self.advertise(&service, &name);
+            self.advertise(&service, name);
         }
         if self.version_labels.get() {
             if let Some(health) = self.dispatcher.health_plane() {
-                health.set_version(&name, &format!("v{version}"));
+                health.set_version(name, &format!("v{}", replica.version));
             }
         }
-        let geo = self.geo.borrow().clone().map(|g| {
+        if let Some(g) = self.geo_plane() {
             // idempotent for replicas placed at attach time; a replacement
             // booted later gets the next site round-robin here
-            let site = g.place(&name);
+            let site = g.place(name);
             if let Some(health) = self.dispatcher.health_plane() {
-                health.set_site(&name, &site);
+                health.set_site(name, &site);
             }
-            (g, site)
-        });
-        self.dispatcher.add_backend(Rc::new(ReplicaBackend {
-            name,
-            deployment: d,
-            version,
-            crashed,
-            slow_factor,
-            geo,
-        }));
+            let _ = replica.geo.set((g, site));
+        }
+        self.dispatcher.add_backend(replica);
     }
 
-    /// A drained replica's last request finished: tear the VM down.
-    fn on_backend_drained(&self, sim: &mut Sim, name: &str) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(replica) = inner.replicas.iter_mut().find(|r| r.name == name) {
-            let _ = replica.appliance.destroy();
-            replica.deployment = None;
-            inner.retired += 1;
-            drop(inner);
+    /// A replica left the dispatcher's rotation — the one place a replica
+    /// is torn down and counted, whoever took it out. An ejection
+    /// hard-destroys the VM, a drain destroys it idle. A draining replica
+    /// was retiring by choice and counts as retired however it left; an
+    /// active one only leaves by ejection — a crash, or its watchdog — and
+    /// is a loss: unadvertised and counted for the autoscaler to replace.
+    fn on_exit(&self, sim: &mut Sim, name: &str, exit: Exit) {
+        let Some(replica) = self.inner.borrow().replica(name).cloned() else {
+            return;
+        };
+        let _ = match exit {
+            Exit::Drained => replica.appliance.destroy(),
+            Exit::Ejected => replica.appliance.destroy_now(),
+        };
+        if let State::Draining(_) = replica.state.replace(State::Gone) {
+            self.inner.borrow_mut().retired += 1;
             sim.counter_add("fleet.retired", 1);
+            return;
         }
+        self.inner.borrow_mut().lost += 1;
+        let span = sim.span_begin("fleet.replica_lost");
+        sim.span_attr(span, "replica", name.to_owned());
+        sim.counter_add("fleet.replica_lost", 1);
+        self.unadvertise(name);
+        sim.span_end(span);
     }
 }
 
@@ -916,7 +911,7 @@ fn access_point(replica: &str, service: &str) -> String {
 const ANSWER_DIGEST_MASK: u64 = 0x00ff_ffff_ffff_ffff;
 
 /// The artifact version a fleet-served invoke answer was tagged with by
-/// its [`ReplicaBackend`] (`None` for non-binary answers or answers
+/// the replica that served it (`None` for non-binary answers or answers
 /// that never passed through a fleet replica). The core digest is an
 /// invocation counter nowhere near 2^56, so the top byte is free.
 pub fn answer_version(value: &wsstack::SoapValue) -> Option<u32> {
@@ -929,23 +924,7 @@ pub fn answer_version(value: &wsstack::SoapValue) -> Option<u32> {
     }
 }
 
-/// [`Backend`] adapter over one replica's full onServe deployment.
-struct ReplicaBackend {
-    name: String,
-    deployment: Rc<Deployment>,
-    /// Artifact version stamped into the top byte of every binary
-    /// answer digest (see [`answer_version`]).
-    version: u32,
-    crashed: Rc<Cell<bool>>,
-    slow_factor: Rc<Cell<f64>>,
-    /// Set when the owning fleet carries a geo plane: which site this
-    /// replica lives on. Requests then pay the WAN round trip back to
-    /// their origin, and a severed site swallows requests / holds
-    /// answers for its outage window.
-    geo: Option<(Rc<GeoPlane>, String)>,
-}
-
-impl ReplicaBackend {
+impl Replica {
     /// Wrap `done` so a gray-degraded replica ([`Fleet::degrade_replica`])
     /// stretches the request's service time to `factor ×` normal: the real
     /// work completes as usual, then the response is held for the extra
@@ -953,9 +932,9 @@ impl ReplicaBackend {
     /// is invoked directly — no event is scheduled, so healthy runs are
     /// bit-for-bit unchanged.
     fn stretch(&self, start: simkit::SimTime, done: Responder) -> Responder {
-        let factor = Rc::clone(&self.slow_factor);
+        let me = Weak::clone(&self.me);
         Box::new(move |sim: &mut Sim, res| {
-            let f = factor.get();
+            let f = me.upgrade().map_or(1.0, |r| r.slow_factor.get());
             if f > 1.0 {
                 let elapsed = sim.now() - start;
                 let extra = Duration::from_secs_f64(elapsed.as_secs_f64() * (f - 1.0));
@@ -994,17 +973,17 @@ impl ReplicaBackend {
     }
 }
 
-impl Backend for ReplicaBackend {
+impl Backend for Replica {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn healthy(&self) -> bool {
-        !self.crashed.get()
+        !matches!(*self.state.borrow(), State::Gone)
     }
 
     fn serve(&self, sim: &mut Sim, req: Request, done: Responder) {
-        if self.crashed.get() {
+        let Some(deployment) = self.deployment() else {
             // connection refused: the VM behind this endpoint is gone
             let name = self.name.clone();
             done(
@@ -1012,8 +991,8 @@ impl Backend for ReplicaBackend {
                 Err(SoapFault::server(&format!("replica {name} unreachable"))),
             );
             return;
-        }
-        let done = match &self.geo {
+        };
+        let done = match self.geo.get() {
             Some((geo, site)) => {
                 if geo.is_down(site, sim.now()) {
                     // the partition swallows the request whole: no refusal,
@@ -1046,17 +1025,15 @@ impl Backend for ReplicaBackend {
                     });
                     done(sim, res)
                 });
-                self.deployment.invoke(sim, &service, &refs, done);
+                deployment.invoke(sim, &service, &refs, done);
             }
             Request::Upload {
                 file_name,
                 payload,
                 profile,
             } => {
-                let req = self
-                    .deployment
-                    .upload_request_of(&file_name, payload, profile, &[]);
-                self.deployment.portal.upload(sim, req, move |sim, res| {
+                let req = deployment.upload_request_of(&file_name, payload, profile, &[]);
+                deployment.portal.upload(sim, req, move |sim, res| {
                     done(
                         sim,
                         res.map(|_| wsstack::SoapValue::Bool(true))
@@ -1175,7 +1152,7 @@ mod tests {
     fn replica_rows(fleet: &Fleet, file: &str) -> Vec<Option<*const u8>> {
         let inner = fleet.inner.borrow();
         let rows = inner.actives().map(|replica| {
-            let d = replica.deployment.as_ref().unwrap();
+            let d = replica.deployment().unwrap();
             let db = d.onserve.db().db().borrow();
             db.stored_row(file).ok().map(|row| row.as_ptr())
         });
@@ -1260,7 +1237,7 @@ mod tests {
         sim.run();
         assert_eq!(fleet.active_replicas(), 2);
         for replica in fleet.inner.borrow().actives() {
-            let d = replica.deployment.as_ref().unwrap();
+            let d = replica.deployment().unwrap();
             assert_eq!(d.onserve.db().db().borrow().len(), 1, "{}", replica.name);
         }
         let mut registry = fleet.registry.borrow_mut();

@@ -677,7 +677,7 @@ impl GrayFailureDetector {
 }
 
 /// The lower median: element at index `(n-1)/2` of the sorted values.
-fn lower_median(values: impl Iterator<Item = f64>) -> f64 {
+pub(crate) fn lower_median(values: impl Iterator<Item = f64>) -> f64 {
     let mut v: Vec<f64> = values.collect();
     v.sort_by(|a, b| a.partial_cmp(b).expect("health stats are never NaN"));
     v[(v.len() - 1) / 2]

@@ -37,8 +37,9 @@
 //!   canary with judgment and auto-rollback, and the stop-the-world
 //!   baseline, never retiring through a `min_healthy` floor.
 //! * [`audit`] — every fleet invariant stated once (door and tenant
-//!   ledgers, routing, pins, fairness, the rollout floor) and checked at
-//!   every event boundary of a run, whichever planes are on.
+//!   ledgers, routing, pins, fairness, the rollout floor, the fleet's
+//!   rotation and replica ledger) and checked at every event boundary of
+//!   a run, whichever planes are on.
 //!
 //! ## Quick start
 //!
@@ -76,8 +77,8 @@ pub use audit::Audit;
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScaleAction, ScaleDecision};
 pub use chaos::ChaosMonkey;
 pub use dispatcher::{
-    AffinityConfig, Backend, DispatchCounters, Dispatcher, DispatcherConfig, Policy, QosConfig,
-    QosTier, Request, Responder, RetryConfig, TenantQos,
+    AffinityConfig, Backend, DispatchCounters, Dispatcher, DispatcherConfig, Exit, Policy,
+    QosConfig, QosTier, Request, Responder, RetryConfig, TenantQos,
 };
 pub use fleet::{answer_version, Fleet, FleetSpec, StorageTopology};
 pub use geo::{GeoCounters, GeoPlane, SiteMap, WanLink};

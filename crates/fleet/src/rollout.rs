@@ -34,7 +34,7 @@ use std::rc::Rc;
 use simkit::{Duration, Sim};
 
 use crate::fleet::Fleet;
-use crate::health::HealthPlane;
+use crate::health::{lower_median, HealthPlane};
 
 /// Canary judgment knobs.
 #[derive(Clone, Debug)]
@@ -415,7 +415,7 @@ impl RolloutController {
         if mine.samples < c.min_samples {
             return Verdict::Extend;
         }
-        let mut peers: Vec<f64> = self
+        let peers: Vec<f64> = self
             .fleet
             .active_replica_names()
             .into_iter()
@@ -427,8 +427,7 @@ impl RolloutController {
         if peers.is_empty() {
             return Verdict::Extend;
         }
-        peers.sort_by(|a, b| a.partial_cmp(b).expect("p99 is never NaN"));
-        let median = peers[(peers.len() - 1) / 2];
+        let median = lower_median(peers.into_iter());
         if mine.p99_s > c.p99_factor * median.max(f64::EPSILON) {
             Verdict::Fail
         } else {

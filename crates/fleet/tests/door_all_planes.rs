@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use fleet::{
-    AffinityConfig, Audit, Backend, Dispatcher, DispatcherConfig, GeoPlane, HealthConfig,
+    AffinityConfig, Audit, Backend, Dispatcher, DispatcherConfig, Exit, GeoPlane, HealthConfig,
     HealthPlane, Policy, QosConfig, QosTier, Request, Responder, RetryConfig, SiteMap, SubmitFn,
 };
 use onserve::profile::ExecutionProfile;
@@ -32,7 +32,7 @@ use wsstack::{SoapFault, SoapValue};
 
 /// A replica double: serves requests one at a time after a fixed service
 /// time, holds answers behind a severed site until it reconnects (the way
-/// `ReplicaBackend` does), and can be told to go silent or to fault.
+/// a fleet replica does), and can be told to go silent or to fault.
 struct Stub {
     name: String,
     site: String,
@@ -214,9 +214,11 @@ fn run_scenario() -> (String, String) {
 
     let drained: Rc<RefCell<Vec<String>>> = Rc::default();
     let dr = Rc::clone(&drained);
-    d.set_drain_hook(move |sim, name| {
-        dr.borrow_mut()
-            .push(format!("{name}@{:.3}", sim.now().as_secs_f64()));
+    d.set_exit_hook(move |sim, name, exit| {
+        if exit == Exit::Drained {
+            dr.borrow_mut()
+                .push(format!("{name}@{:.3}", sim.now().as_secs_f64()));
+        }
     });
     let cataloged: Rc<RefCell<Vec<String>>> = Rc::default();
     let cat = Rc::clone(&cataloged);

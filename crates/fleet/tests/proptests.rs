@@ -18,7 +18,7 @@ use fleet::{
     AffinityConfig, Audit, Autoscaler, AutoscalerConfig, CanaryConfig, ChaosMonkey, Dispatcher,
     DispatcherConfig, Fleet, FleetSpec, GeoPlane, GrayFailureDetector, HealthConfig, HealthPlane,
     Policy, QosConfig, QosTier, Request, RetryConfig, RolloutConfig, RolloutController,
-    RolloutStrategy, SiteMap, StorageTopology, SubmitFn,
+    RolloutStrategy, ScaleDecision, SiteMap, StorageTopology, SubmitFn,
 };
 use onserve::profile::ExecutionProfile;
 use proptest::collection::vec;
@@ -565,7 +565,7 @@ fn all_planes_soak_conserves_5k_requests_and_replays() {
 /// into the partition. The branch is swallowed, its watchdog ejects the
 /// severed replica from the rotation after `request_timeout`, and the
 /// join faults — uploads are at most once, and the ledgers close. The
-/// ejected replica stays active in the fleet: only a crash is replaced.
+/// fleet hears the eject and counts the replica lost.
 #[test]
 fn an_upload_during_a_federated_outage_feeds_the_partition_and_faults() {
     let mut sim = Sim::new(0xfed);
@@ -591,5 +591,72 @@ fn an_upload_during_a_federated_outage_feeds_the_partition_and_faults() {
     assert_eq!(geo.counters().blackholed, 1, "one branch fed the partition");
     assert_eq!(fleet.dispatcher().counters().ejected, 1, "its watchdog ejected replica1");
     assert_eq!(fleet.dispatcher().live_backends(), 2);
-    assert_eq!(fleet.active_replicas(), 3, "the fleet still counts it");
+    assert_eq!((fleet.active_replicas(), fleet.lost_total()), (2, 1), "the fleet lost it");
+}
+
+/// Three replicas on the sites of `grid_map(3)`, the fleet placed on them
+/// but the dispatcher site-blind and round-robin, with a 60 s watchdog and
+/// the `app` service published: a request routed to `replica1` while `s1`
+/// is severed is swallowed until its watchdog ejects the replica.
+fn oblivious_fleet(sim: &mut Sim) -> (Rc<Fleet>, Rc<GeoPlane>, Rc<Audit>) {
+    let (fleet, geo) = geo_fleet(sim, false, |spec| {
+        spec.dispatcher.policy = Policy::RoundRobin;
+        spec.dispatcher.request_timeout = Some(Duration::from_secs(60));
+    });
+    fleet.attach_geo(Rc::clone(&geo));
+    let audit = Audit::fleet(&fleet);
+    common::boot_and_publish(sim, &fleet, &audit, ("app.exe", 16 * 1024), ExecutionProfile::quick());
+    (fleet, geo, audit)
+}
+
+/// Sever `s1` for 30 s and send one invocation to each replica: the one
+/// routed to `replica1` is swallowed, then retried once its watchdog fires.
+fn sever_and_invoke(sim: &mut Sim, geo: &GeoPlane, audit: &Rc<Audit>) {
+    let from = sim.now();
+    geo.add_outage("s1", from, from + Duration::from_secs(30));
+    let door = audit.sink();
+    for _ in 0..3 {
+        door(sim, invoke("app", None), Box::new(|_, res| assert!(res.is_ok(), "{res:?}")));
+    }
+}
+
+/// A watchdog eject is a loss the fleet hears: the replace-only
+/// autoscaler answers it with a replacement, as it answers a crash.
+#[test]
+fn a_watchdog_eject_is_replaced_like_a_crash() {
+    let mut sim = Sim::new(0xe1ec7);
+    let (fleet, geo, audit) = oblivious_fleet(&mut sim);
+    let replace_only = AutoscalerConfig {
+        interval: Duration::from_secs(15),
+        scale_up_load: f64::INFINITY,
+        scale_down_load: 0.0,
+        min_replicas: 3,
+        max_replicas: 6,
+        ..AutoscalerConfig::default()
+    };
+    let until = sim.now() + Duration::from_secs(300);
+    let scaler = Autoscaler::install(&mut sim, &fleet, replace_only, until);
+    sever_and_invoke(&mut sim, &geo, &audit);
+    audit.run(&mut sim);
+    assert_eq!(fleet.dispatcher().counters().ejected, 1, "its watchdog ejected replica1");
+    let replaced = scaler.actions().iter().filter(|a| a.decision == ScaleDecision::Replace).count();
+    assert_eq!(replaced, 1, "the eject was replaced");
+    assert_eq!((fleet.booted_total(), fleet.lost_total(), fleet.active_replicas()), (4, 1, 3));
+}
+
+/// A replica retired while one of its attempts is swallowed by a severed
+/// site never drains: its watchdog ejects it. That exit reaches the fleet
+/// too — the replica is torn down and counted retired, not left running
+/// and counted nowhere.
+#[test]
+fn a_draining_replica_its_watchdog_ejects_is_torn_down_and_counted() {
+    let mut sim = Sim::new(0xd7a1);
+    let (fleet, geo, audit) = oblivious_fleet(&mut sim);
+    sever_and_invoke(&mut sim, &geo, &audit);
+    assert!(fleet.retire_replica(&mut sim, "replica1"));
+    audit.run(&mut sim);
+    assert_eq!(geo.counters().blackholed, 1, "one attempt fed the partition");
+    assert_eq!(fleet.dispatcher().counters().ejected, 1, "its watchdog ejected replica1");
+    let counts = (fleet.active_replicas(), fleet.retired_total(), fleet.lost_total());
+    assert_eq!(counts, (2, 1, 0), "retired by choice, whatever its way out");
 }

@@ -20,8 +20,8 @@ echo "==> cargo test -q (with test-count floor)"
 cargo test -q --workspace 2>&1 | tee target/test-output.log
 total_passed=$(grep -Eo '[0-9]+ passed' target/test-output.log | awk '{s+=$1} END {print s}')
 echo "    total tests passed: ${total_passed}"
-if [ "${total_passed}" -lt 704 ]; then
-  echo "test-count floor: expected >= 704 passing tests, got ${total_passed}" >&2
+if [ "${total_passed}" -lt 715 ]; then
+  echo "test-count floor: expected >= 715 passing tests, got ${total_passed}" >&2
   exit 1
 fi
 
@@ -36,6 +36,21 @@ done)
 if [ -n "${eager}" ]; then
   echo "${eager}" >&2
   echo "use ok_or_else, or a &'static str name, so the String is only built when it is used" >&2
+  exit 1
+fi
+
+# A ratchet on panics: unwrap() / expect( / panic! / unreachable! sites in
+# production code outside crates/bench, counted the scripts/loc.sh way (each
+# file up to its first top-level #[cfg(test)], comment lines left out). When
+# a change removes some, lower the ceiling with it; never raise it.
+panic_ceiling=58
+echo "==> panic sites in production code (ceiling ${panic_ceiling})"
+panic_sites=$(find crates/*/src -name '*.rs' -not -path 'crates/bench/*' | sort | while IFS= read -r f; do
+  awk '/^#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f"
+done | { grep -oE 'unwrap\(\)|expect\(|panic!|unreachable!' || true; } | wc -l)
+echo "    panic sites: ${panic_sites}"
+if [ "${panic_sites}" -gt "${panic_ceiling}" ]; then
+  echo "panic sites rose to ${panic_sites} (ceiling ${panic_ceiling}): return an error, or name the invariant in an expect you remove elsewhere" >&2
   exit 1
 fi
 
