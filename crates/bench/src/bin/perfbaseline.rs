@@ -410,10 +410,23 @@ impl Backend for InlineStub {
 /// before timing. One op = one keyed invocation admitted, routed,
 /// answered and settled.
 fn bench_door_all_planes() -> Entry {
+    bench_door("fleet.door_all_planes", 4096)
+}
+
+/// [`bench_door_all_planes`] with a pin table too small for the 240
+/// tenants: the oldest pin is evicted before its tenant comes round
+/// again, so every keyed route is a first sight and walks the geo
+/// nearest-site path the pinned door barely runs.
+fn bench_door_first_sight() -> Entry {
+    bench_door("fleet.door_first_sight", 128)
+}
+
+/// The all-planes door with a pin table of `capacity` keys.
+fn bench_door(name: &'static str, capacity: usize) -> Entry {
     let dispatcher = Dispatcher::new(DispatcherConfig {
         policy: Policy::RoundRobin,
         max_in_flight: 512,
-        affinity: Some(AffinityConfig { capacity: 4096 }),
+        affinity: Some(AffinityConfig { capacity }),
         ..DispatcherConfig::default()
     });
     let health = HealthPlane::new(HealthConfig::default());
@@ -443,6 +456,7 @@ fn bench_door_all_planes() -> Entry {
         borrow: 1,
     });
     let mut sim = Sim::new(13);
+    let door = Rc::clone(&dispatcher);
     let round = move |sim: &mut Sim| {
         for tenant in &tenants {
             let req = Request::Invoke {
@@ -458,7 +472,11 @@ fn bench_door_all_planes() -> Entry {
         tenants.len() as u64
     };
     round(&mut sim);
-    measure("fleet.door_all_planes", 20, move || round(&mut sim))
+    round(&mut sim);
+    // the second round hits every pin the table kept and none it evicted
+    let kept = if capacity >= 240 { 240 } else { 0 };
+    assert_eq!(door.counters().affinity_hits, kept, "{name}: pin hits");
+    measure(name, 20, move || round(&mut sim))
 }
 
 /// An exact-name inquiry against a front-end registry of 2000 services —
@@ -594,6 +612,7 @@ fn main() {
         bench_load_for_use,
         bench_upload_fanout,
         bench_door_all_planes,
+        bench_door_first_sight,
         bench_uddi_find_exact,
         bench_wire_size_paper,
         bench_retrieve_validate,

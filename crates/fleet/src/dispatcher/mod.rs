@@ -22,8 +22,9 @@
 //! 1. **Admission** (`admission`): the in-flight window and, when
 //!    [`Dispatcher::set_qos`] attached it, the per-tenant quota / door
 //!    queue / deficit-round-robin stage. Let in, park, or shed.
-//! 2. **Routing** (`routing`): base policy, probation probe window, canary
-//!    share, affinity pins and the geo plane. Picks a replica per attempt.
+//! 2. **Routing** (`routing`): the rotation itself, base policy, probation
+//!    probe window, canary share, affinity pins and the geo plane. Picks a
+//!    replica per attempt.
 //! 3. **Op table** (`ops`): one entry per outstanding attempt with its
 //!    watchdog, keyed by a stable replica id. Resolves each attempt once.
 //!
@@ -68,8 +69,8 @@ pub use admission::{QosConfig, QosTier, TenantQos};
 pub use routing::{AffinityConfig, Policy};
 
 use admission::{Admission, Offer, QosTag, NO_REPLICAS};
-use ops::{OpTable, ReplicaId};
-use routing::{Candidate, RouteOutcome, Routing};
+use ops::{OpId, OpTable, ReplicaId};
+use routing::{RouteOutcome, Routing};
 
 /// One front-door request.
 #[derive(Clone, Debug)]
@@ -237,27 +238,6 @@ pub struct DispatchCounters {
     pub forwarded: u64,
 }
 
-/// One replica in (or draining out of) rotation.
-struct Slot {
-    id: ReplicaId,
-    backend: Rc<dyn Backend>,
-    draining: bool,
-    /// Probation-weighted by the gray-failure detector: the slot stays in
-    /// rotation but only receives probe traffic until the detector clears
-    /// or ejects it.
-    probation: bool,
-    /// The backend's `<name>.cpu.busy` recorder key, precomputed for the
-    /// utilization-weighted policy.
-    busy_key: String,
-}
-
-impl Slot {
-    /// Is this the in-rotation slot of the backend called `name`?
-    fn live_as(&self, name: &str) -> bool {
-        !self.draining && self.backend.name() == name
-    }
-}
-
 /// One front-door request on its way through: parked by admission until
 /// granted, then — an invocation — carried from attempt to attempt until
 /// it settles, or — an upload — held by the join of its broadcast. Boxed
@@ -333,7 +313,10 @@ fn stamp_qos(sim: &mut Sim, span: SpanId, tag: &QosTag) {
 /// The front-end request router.
 pub struct Dispatcher {
     cfg: DispatcherConfig,
-    slots: RefCell<Vec<Slot>>,
+    /// Every backend that joined, indexed by its [`ReplicaId`]; `None`
+    /// once it has left. Routing holds the rotation itself: which slots
+    /// are in it, draining or on probation.
+    backends: RefCell<Vec<Option<Rc<dyn Backend>>>>,
     admission: RefCell<Admission<Box<Ticket>>>,
     routing: RefCell<Routing>,
     ops: RefCell<OpTable<Work>>,
@@ -352,7 +335,7 @@ impl Dispatcher {
     pub fn new(cfg: DispatcherConfig) -> Rc<Dispatcher> {
         Rc::new(Dispatcher {
             cfg,
-            slots: RefCell::new(Vec::new()),
+            backends: RefCell::new(Vec::new()),
             admission: RefCell::new(Admission::new(cfg.max_in_flight)),
             routing: RefCell::new(Routing::new(cfg.policy, cfg.affinity)),
             ops: RefCell::new(OpTable::new()),
@@ -447,16 +430,21 @@ impl Dispatcher {
 
     // -- replicas ------------------------------------------------------------
 
-    /// Put a backend into rotation.
+    /// Put a backend into rotation. Its name must not be in rotation
+    /// already.
     pub fn add_backend(&self, backend: Rc<dyn Backend>) {
-        let busy_key = format!("{}.cpu.busy", backend.name());
-        self.slots.borrow_mut().push(Slot {
-            id: self.ops.borrow_mut().add_replica(),
-            backend,
-            draining: false,
-            probation: false,
-            busy_key,
-        });
+        let id = self.ops.borrow_mut().add_replica();
+        self.routing.borrow_mut().add_slot(id, backend.name());
+        // ids are handed out densely, so the new one is the next index
+        self.backends.borrow_mut().push(Some(backend));
+    }
+
+    /// The backend behind `id`, which must be in rotation or still have
+    /// work outstanding.
+    fn backend(&self, id: ReplicaId) -> Rc<dyn Backend> {
+        let backends = self.backends.borrow();
+        let backend = backends[id.index()].as_ref();
+        Rc::clone(backend.expect("a replica leaves only once idle or ejected"))
     }
 
     /// Take `name` out of rotation. New requests stop routing to it
@@ -464,37 +452,28 @@ impl Dispatcher {
     /// dropped and the exit hook hears [`Exit::Drained`]. Returns `false`
     /// if no live backend has that name.
     pub fn remove_backend(&self, sim: &mut Sim, name: &str) -> bool {
-        let (id, idle) = {
-            let mut slots = self.slots.borrow_mut();
-            let Some(slot) = slots.iter_mut().find(|s| s.live_as(name)) else {
-                return false;
-            };
-            slot.draining = true;
-            (slot.id, self.ops.borrow().outstanding(slot.id) == 0)
-        };
         // a draining replica takes no new work, sticky or not
-        self.routing.borrow_mut().orphan_replica(name);
-        if idle {
+        let Some(id) = self.routing.borrow_mut().drain(name) else {
+            return false;
+        };
+        if self.ops.borrow().outstanding(id) == 0 {
             self.retire(sim, id);
         }
         true
     }
 
-    /// The one way out of the rotation: drop the first slot `which` picks
-    /// and tell the owner how it left.
-    fn leave(&self, sim: &mut Sim, which: impl Fn(&Slot) -> bool, exit: Exit) -> Option<Slot> {
-        let slot = {
-            let mut slots = self.slots.borrow_mut();
-            let i = slots.iter().position(which)?;
-            slots.remove(i)
-        };
-        fire(&self.exit_hook, |hook| hook(sim, slot.backend.name(), exit));
-        Some(slot)
+    /// The one way out of the rotation: drop `id`'s slot and tell the
+    /// owner how it left. `None` if it had already left.
+    fn leave(&self, sim: &mut Sim, id: ReplicaId, exit: Exit) -> Option<Rc<dyn Backend>> {
+        let backend = self.backends.borrow_mut().get_mut(id.index())?.take()?;
+        self.routing.borrow_mut().remove(id);
+        fire(&self.exit_hook, |hook| hook(sim, backend.name(), exit));
+        Some(backend)
     }
 
     /// Drop a drained slot.
     fn retire(&self, sim: &mut Sim, id: ReplicaId) {
-        self.leave(sim, |s| s.id == id, Exit::Drained);
+        self.leave(sim, id, Exit::Drained);
     }
 
     /// Throw a backend out of rotation *now*, no drain: the involuntary
@@ -505,21 +484,21 @@ impl Dispatcher {
     /// backend produces later is dropped. A draining backend is ejected
     /// too. Returns `false` if no backend has that name.
     pub fn eject_backend(self: &Rc<Self>, sim: &mut Sim, name: &str) -> bool {
-        self.eject_where(sim, |s| s.backend.name() == name)
+        let id = self.routing.borrow().find(name);
+        id.is_some_and(|id| self.eject(sim, id))
     }
 
-    /// Eject the first slot `which` picks — by name for the owner, by
-    /// replica id for a watchdog.
-    fn eject_where(self: &Rc<Self>, sim: &mut Sim, which: impl Fn(&Slot) -> bool) -> bool {
-        let Some(slot) = self.leave(sim, which, Exit::Ejected) else {
+    /// Eject `id`'s slot — named by the owner, or by a watchdog.
+    fn eject(self: &Rc<Self>, sim: &mut Sim, id: ReplicaId) -> bool {
+        let Some(backend) = self.leave(sim, id, Exit::Ejected) else {
             return false;
         };
-        let name = slot.backend.name();
+        let name = backend.name();
         self.count(sim, "dispatcher.ejected", |c| &mut c.ejected);
         // pins to the dead replica die with it; the keys reassign by
         // rendezvous hash on their next request
         self.routing.borrow_mut().orphan_replica(name);
-        let lost = self.ops.borrow_mut().lose_replica(sim, slot.id);
+        let lost = self.ops.borrow_mut().lose_replica(sim, id);
         // borrows dropped: completions may re-enter the dispatcher
         for op in lost {
             self.observe(|plane| {
@@ -534,28 +513,24 @@ impl Dispatcher {
     /// receives only probe traffic (one route window in eight) until
     /// cleared. Returns `false` if no live backend has that name.
     pub fn set_probation(&self, name: &str, on: bool) -> bool {
-        let mut slots = self.slots.borrow_mut();
-        let slot = slots.iter_mut().find(|s| s.live_as(name));
-        slot.map(|s| s.probation = on).is_some()
+        self.routing.borrow_mut().set_probation(name, on)
     }
 
     /// Live backends currently on probation.
     pub fn probation_count(&self) -> usize {
-        let slots = self.slots.borrow();
-        slots.iter().filter(|s| !s.draining && s.probation).count()
+        self.routing.borrow().probation_count()
     }
 
     /// Backends still in rotation.
     pub fn live_backends(&self) -> usize {
-        self.slots.borrow().iter().filter(|s| !s.draining).count()
+        self.routing.borrow().live_count()
     }
 
     /// Attempts currently outstanding on the named backend (0 if it is
     /// not in rotation).
     pub fn outstanding_on(&self, name: &str) -> usize {
-        let slots = self.slots.borrow();
-        let slot = slots.iter().find(|s| s.backend.name() == name);
-        slot.map_or(0, |s| self.ops.borrow().outstanding(s.id))
+        let id = self.routing.borrow().find(name);
+        id.map_or(0, |id| self.ops.borrow().outstanding(id))
     }
 
     /// Attempts outstanding across all backends (queued + being served).
@@ -721,25 +696,16 @@ impl Dispatcher {
     /// One routing attempt for an admitted invocation (first try or retry).
     fn attempt(self: &Rc<Self>, sim: &mut Sim, ticket: Box<Ticket>) {
         let routed = {
-            let (slots, ops) = (self.slots.borrow(), self.ops.borrow());
-            let view: Vec<Candidate<'_>> = slots
-                .iter()
-                .map(|s| Candidate {
-                    name: s.backend.name(),
-                    outstanding: ops.outstanding(s.id),
-                    draining: s.draining,
-                    probation: s.probation,
-                    busy_key: &s.busy_key,
-                })
-                .collect();
+            let ops = self.ops.borrow();
+            let outstanding = |id| ops.outstanding(id);
             let mut routing = self.routing.borrow_mut();
-            let routed = routing.route(sim, &view, ticket.req.principal());
-            routed.map(|(i, outcome)| (slots[i].id, Rc::clone(&slots[i].backend), outcome))
+            routing.route(sim, outstanding, ticket.req.principal())
         };
-        let Some((replica, backend, outcome)) = routed else {
+        let Some((replica, outcome)) = routed else {
             // every backend is gone: re-shed to the client as a SOAP fault
             return self.fail(sim, *ticket, NO_REPLICAS);
         };
+        let backend = self.backend(replica);
         let (span, attempt_no) = (ticket.span, ticket.retries);
         if let Some(outcome) = outcome {
             let mut c = self.counters.borrow_mut();
@@ -808,9 +774,11 @@ impl Dispatcher {
     /// any replica faulted.
     fn broadcast(self: &Rc<Self>, sim: &mut Sim, ticket: Ticket) {
         let targets: Vec<(ReplicaId, Rc<dyn Backend>)> = {
-            let slots = self.slots.borrow();
-            let live = slots.iter().filter(|s| !s.draining);
-            live.map(|s| (s.id, Rc::clone(&s.backend))).collect()
+            let routing = self.routing.borrow();
+            routing
+                .live_ids()
+                .map(|id| (id, self.backend(id)))
+                .collect()
         };
         let (span, req) = (ticket.span, ticket.req.clone());
         sim.span_attr(span, "fanout", targets.len() as u64);
@@ -886,7 +854,7 @@ impl Dispatcher {
     }
 
     /// Schedule the watchdog of `op_id` to fire `after` from now.
-    fn arm_watchdog(self: &Rc<Self>, sim: &mut Sim, op_id: u64, after: Duration) -> EventId {
+    fn arm_watchdog(self: &Rc<Self>, sim: &mut Sim, op_id: OpId, after: Duration) -> EventId {
         let this = Rc::clone(self);
         sim.schedule(after, move |sim| this.op_timed_out(sim, op_id))
     }
@@ -894,17 +862,13 @@ impl Dispatcher {
     /// A backend's `done` fired. Stale ops (already resolved by an eject)
     /// are dropped here — this is what makes a dead replica's late answer
     /// a no-op instead of a double-settle.
-    fn op_answered(self: &Rc<Self>, sim: &mut Sim, op_id: u64, res: Answer) {
+    fn op_answered(self: &Rc<Self>, sim: &mut Sim, op_id: OpId, res: Answer) {
         let taken = self.ops.borrow_mut().take(sim, op_id);
         let Some((op, idle)) = taken else {
             return; // zombie response from an ejected backend
         };
-        let (backend, retired) = {
-            let slots = self.slots.borrow();
-            let slot = slots.iter().find(|s| s.id == op.replica);
-            let slot = slot.expect("a pending op's replica is still in the table");
-            (Rc::clone(&slot.backend), slot.draining && idle)
-        };
+        let backend = self.backend(op.replica);
+        let retired = idle && self.routing.borrow().is_draining(op.replica);
         if retired {
             self.retire(sim, op.replica);
         }
@@ -923,12 +887,12 @@ impl Dispatcher {
     /// Watchdog: an attempt went unanswered for `request_timeout`. The
     /// whole backend is suspect — eject it, which resolves this op and
     /// every other op outstanding on it as lost.
-    fn op_timed_out(self: &Rc<Self>, sim: &mut Sim, op_id: u64) {
+    fn op_timed_out(self: &Rc<Self>, sim: &mut Sim, op_id: OpId) {
         let Some(replica) = self.ops.borrow().replica_of(op_id) else {
             return;
         };
         sim.counter_add("dispatcher.timeout", 1);
-        self.eject_where(sim, |s| s.id == replica);
+        self.eject(sim, replica);
     }
 
     /// Park every op outstanding on `site`'s replicas across an outage:
@@ -943,13 +907,7 @@ impl Dispatcher {
         let Some(grace) = self.cfg.request_timeout else {
             return 0;
         };
-        let on_site: Vec<ReplicaId> = {
-            let (slots, routing) = (self.slots.borrow(), self.routing.borrow());
-            let placed = slots
-                .iter()
-                .filter(|s| routing.on_site(s.backend.name(), site));
-            placed.map(|s| s.id).collect()
-        };
+        let on_site = self.routing.borrow().on_site(site);
         let wait = (reconnect_at - sim.now()) + grace;
         let parked = self.ops.borrow_mut().park(sim, &on_site, |sim, op_id| {
             self.arm_watchdog(sim, op_id, wait)
@@ -967,11 +925,7 @@ impl Dispatcher {
     /// scale-down victim choice keys on this: evicting the least-pinned
     /// replica orphans the fewest sessions.
     pub fn live_pin_counts(&self) -> BTreeMap<String, usize> {
-        let slots = self.slots.borrow();
-        let live = slots.iter().filter(|s| !s.draining);
-        self.routing
-            .borrow()
-            .live_pin_counts(live.map(|s| s.backend.name()))
+        self.routing.borrow().live_pin_counts()
     }
 
     /// Divert `share_pct`% of first-sight routes to `target` for a
@@ -1012,11 +966,7 @@ impl Dispatcher {
     /// longer on `target` — orphaned by a canary crash, evicted, or
     /// re-pinned — are left alone. Returns how many pins were restored.
     pub fn restore_pins(&self, target: &str, shifted: &[(String, String)]) -> usize {
-        let slots = self.slots.borrow();
-        let in_rotation = |name: &str| slots.iter().any(|s| s.live_as(name));
-        self.routing
-            .borrow_mut()
-            .restore_pins(target, shifted, in_rotation)
+        self.routing.borrow_mut().restore_pins(target, shifted)
     }
 
     /// The replica `key`'s live affinity pin targets, if any (orphaned

@@ -199,6 +199,9 @@ pub struct GeoPlane {
     /// Replica → site, filled by [`GeoPlane::place`] /
     /// [`GeoPlane::assign`].
     placement: RefCell<BTreeMap<String, usize>>,
+    /// Moves whenever `placement` does, so a reader that resolved sites
+    /// at one epoch knows when to look again.
+    placement_epoch: Cell<u64>,
     /// Round-robin placement cursor.
     cursor: Cell<usize>,
     /// Outage windows: `(site, from, to)`.
@@ -236,6 +239,7 @@ impl GeoPlane {
             map,
             nearest,
             placement: RefCell::new(BTreeMap::new()),
+            placement_epoch: Cell::new(0),
             cursor: Cell::new(0),
             outages: RefCell::new(Vec::new()),
             origin: Cell::new(0),
@@ -307,6 +311,7 @@ impl GeoPlane {
         let site = *placement.entry(replica.to_owned()).or_insert_with(|| {
             let k = self.cursor.get();
             self.cursor.set(k + 1);
+            self.bump_placement_epoch();
             k % self.map.sites().len()
         });
         self.map.sites()[site].clone()
@@ -316,6 +321,11 @@ impl GeoPlane {
     pub fn assign(&self, replica: &str, site: &str) {
         let site = self.declared(site);
         self.placement.borrow_mut().insert(replica.to_owned(), site);
+        self.bump_placement_epoch();
+    }
+
+    fn bump_placement_epoch(&self) {
+        self.placement_epoch.set(self.placement_epoch.get() + 1);
     }
 
     /// The site `replica` lives on, if placed. Placements survive the
@@ -361,6 +371,13 @@ impl GeoPlane {
     }
 
     // -- by declaration index: what routing reads per request ----------------
+
+    /// Which placement the plane holds: moves on every [`GeoPlane::place`]
+    /// of a new replica and every [`GeoPlane::assign`], so a
+    /// [`GeoPlane::site_index`] read stays good until it moves.
+    pub(crate) fn placement_epoch(&self) -> u64 {
+        self.placement_epoch.get()
+    }
 
     /// The site `replica` lives on, as a declaration index.
     pub(crate) fn site_index(&self, replica: &str) -> Option<usize> {
@@ -499,6 +516,27 @@ mod tests {
         assert_eq!(geo.place("replica4"), "central");
         assert_eq!(geo.site_of("replica0").as_deref(), Some("east"));
         assert_eq!(geo.site_of("ghost"), None);
+    }
+
+    #[test]
+    fn the_placement_epoch_moves_only_when_a_placement_can_have() {
+        let geo = GeoPlane::new(three_sites());
+        let epoch = geo.placement_epoch();
+        geo.place("replica0");
+        let placed = geo.placement_epoch();
+        assert_ne!(placed, epoch, "a new placement");
+        geo.place("replica0");
+        assert_eq!(geo.placement_epoch(), placed, "re-placing moves nothing");
+        geo.assign("replica0", "west");
+        let assigned = geo.placement_epoch();
+        assert_ne!(assigned, placed, "an assignment may move a replica");
+        geo.add_outage("west", SimTime::ZERO, SimTime::from_secs(1));
+        geo.set_origin("west");
+        assert_eq!(
+            geo.placement_epoch(),
+            assigned,
+            "outages and origins are not placement"
+        );
     }
 
     #[test]
