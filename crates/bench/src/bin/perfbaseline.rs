@@ -6,7 +6,8 @@
 //! exact-name UDDI inquiry), the two of the invocation path (sizing a
 //! SOAP request, delegating and validating a proxy chain), the two
 //! byte-work floors (reloading a stored row, fanning one upload out to
-//! four replicas) and the front door with every plane on, and writes the results as machine-readable JSON to
+//! four replicas), the front door with every plane on and its health
+//! samples alone, and writes the results as machine-readable JSON to
 //! `BENCH_kernel.json` at the repo root. CI and future optimisation PRs
 //! diff this file to catch regressions.
 //!
@@ -35,6 +36,7 @@ use std::rc::Rc;
 use std::time::{Duration as WallDuration, Instant};
 
 use blobstore::{BlobDb, TimedDb, WriteStrategy};
+use fleet::health::Owner;
 use fleet::{
     AffinityConfig, Backend, Dispatcher, DispatcherConfig, Fleet, FleetSpec, GeoPlane,
     HealthConfig, HealthPlane, Policy, QosConfig, QosTier, Request, Responder, SiteMap,
@@ -140,9 +142,9 @@ fn bench_wheel_push_pop() -> Entry {
     })
 }
 
-/// Worst-case wheel traffic: entries spread 65536 ticks apart land on
-/// levels 2–4 and must cascade down level by level before level 0 can
-/// stage them. One op = one entry pushed, cascaded, and popped.
+/// Far wheel traffic: entries spread 65536 ticks apart land on levels
+/// 2–4, each alone in its slot, and are staged straight from there. One
+/// op = one entry pushed, cascaded, and popped.
 fn bench_wheel_cascade() -> Entry {
     const EVENTS: u64 = 512;
     measure("engine.wheel_cascade", 20, || {
@@ -152,6 +154,29 @@ fn bench_wheel_cascade() -> Entry {
         }
         while w.pop_next(u64::MAX, |_| true).is_some() {}
         EVENTS
+    })
+}
+
+/// Timers at `door_planes`' delays: eight in flight, each one popped
+/// re-armed 16–25 ms on (a fixed stride through that range), so every
+/// push lands two levels up, sometimes sharing its slot with another.
+/// One op = one timer pushed and popped.
+fn bench_wheel_far_timers() -> Entry {
+    const TIMERS: u64 = 1024;
+    const IN_FLIGHT: u64 = 8;
+    measure("engine.wheel_far_timers", 20, || {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        for seq in 0..IN_FLIGHT {
+            w.push(seq * 2_500, seq, 0);
+        }
+        let mut seq = IN_FLIGHT;
+        while let Some(e) = w.pop_next(u64::MAX, |_| true) {
+            if seq < TIMERS {
+                w.push(e.at + 16_000 + (seq * 7_919) % 9_000, seq, 0);
+                seq += 1;
+            }
+        }
+        TIMERS
     })
 }
 
@@ -479,6 +504,44 @@ fn bench_door(name: &'static str, capacity: usize) -> Entry {
     measure(name, 20, move || round(&mut sim))
 }
 
+/// One door request's health samples, by handle, into a plane that
+/// knows nine replicas and 240 tenants: the samples a QoS-admitted
+/// `door_planes` request feeds — in-flight, queue depth and its tenant at
+/// admission, accepted, the routed replica's depth, the attempt's latency
+/// (replica and fleet-wide) and the tenant's door-to-answer latency. The
+/// clock moves 16.7 ms a request, so windows turn over as they do at the
+/// door. One op = one request.
+fn bench_health_sample_by_handle() -> Entry {
+    const REPLICAS: usize = 9;
+    const TENANTS: usize = 240;
+    let plane = HealthPlane::new(HealthConfig::default());
+    let replicas: Vec<String> = (0..REPLICAS).map(|i| format!("r{i}")).collect();
+    let tenants: Vec<String> = (0..TENANTS).map(|i| format!("t{i:03}")).collect();
+    let mut now = SimTime::ZERO;
+    let mut k = 0;
+    let mut request = move || {
+        now += Duration::from_micros(16_667);
+        let (r, t) = (k % REPLICAS, k % TENANTS);
+        k += 1;
+        let (replica, tenant) = (Owner::handle(r, &replicas[r]), Owner::handle(t, &tenants[t]));
+        plane.submit(now, 3, 1, Some(tenant));
+        plane.tenant_accepted(now, tenant);
+        plane.depth(now, replica, 1);
+        plane.attempt(now, replica, Duration::from_millis(25), false);
+        plane.tenant_latency(now, tenant, Duration::from_millis(31), false);
+    };
+    // every owner has had its first sample before timing
+    for _ in 0..REPLICAS * TENANTS {
+        request();
+    }
+    measure("health.sample_by_handle", 20, move || {
+        for _ in 0..TENANTS {
+            request();
+        }
+        TENANTS as u64
+    })
+}
+
 /// An exact-name inquiry against a front-end registry of 2000 services —
 /// the discovery step of a consumer, on the registry shape
 /// `benchmark/src/probes.rs` times as `wsstack.uddi_find_ns`. One op =
@@ -596,6 +659,7 @@ fn main() {
         bench_event_queue,
         bench_wheel_push_pop,
         bench_wheel_cascade,
+        bench_wheel_far_timers,
         bench_same_tick_batch,
         bench_cancel_rearm,
         bench_ps_flows_1,
@@ -613,6 +677,7 @@ fn main() {
         bench_upload_fanout,
         bench_door_all_planes,
         bench_door_first_sight,
+        bench_health_sample_by_handle,
         bench_uddi_find_exact,
         bench_wire_size_paper,
         bench_retrieve_validate,

@@ -18,10 +18,12 @@
 //! the virtual clock — no randomness — so same-seed runs replay
 //! byte-identically.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use simkit::SimTime;
+
+use super::FnvMap;
 
 /// Why a request is refused when nothing is in rotation to serve it.
 pub(super) const NO_REPLICAS: &str = "no replicas in rotation";
@@ -142,8 +144,9 @@ pub struct TenantQos {
 /// bumps a refcount.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(super) struct QosTag {
-    /// The tenant's index in the stage's table: how admission finds it.
-    index: usize,
+    /// The tenant's index in the stage's table: how admission finds it,
+    /// and the tenant's handle on the health plane.
+    pub index: usize,
     /// The tenant's name, shared with the table: how everyone else does.
     pub tenant: Rc<str>,
     pub tier: QosTier,
@@ -186,7 +189,7 @@ pub(super) struct Admission<T> {
     /// points here.
     tenants: Vec<Tenant<T>>,
     /// Tenant name → index into `tenants`, filled by `register`.
-    index: HashMap<Rc<str>, usize>,
+    index: FnvMap<Rc<str>, usize>,
     /// Sum of tier weights over all registered tenants (the quota
     /// denominator). Grows monotonically as tenants are first seen.
     total_weight: u64,
@@ -203,7 +206,7 @@ impl<T> Admission<T> {
             in_flight: 0,
             qos: None,
             tenants: Vec::new(),
-            index: HashMap::new(),
+            index: FnvMap::default(),
             total_weight: 0,
             ring: VecDeque::new(),
         }

@@ -53,7 +53,8 @@ mod ops;
 mod routing;
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use blobstore::Blob;
@@ -63,7 +64,7 @@ use simkit::{Duration, Sim, SimTime, SpanId};
 use wsstack::{SoapFault, SoapValue};
 
 use crate::geo::GeoPlane;
-use crate::health::HealthPlane;
+use crate::health::{HealthPlane, Owner};
 
 pub use admission::{QosConfig, QosTier, TenantQos};
 pub use routing::{AffinityConfig, Policy};
@@ -71,6 +72,36 @@ pub use routing::{AffinityConfig, Policy};
 use admission::{Admission, Offer, QosTag, NO_REPLICAS};
 use ops::{OpId, OpTable, ReplicaId};
 use routing::{RouteOutcome, Routing};
+
+/// FNV-1a: the door's hasher, behind the pin table and the admission
+/// tenant index. Principals are short and neither table's iteration order
+/// reaches any output, so a fixed, cheap hash serves where `std`'s seeded
+/// SipHash bought nothing. It gives up SipHash's resistance to keys
+/// crafted to collide: principals here come from the simulation's own
+/// workloads, but a door facing real clients would want the seeded hasher
+/// back.
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// A map hashed with [`Fnv`].
+type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv>>;
 
 /// One front-door request.
 #[derive(Clone, Debug)]
@@ -304,6 +335,16 @@ type Answer = Result<SoapValue, SoapFault>;
 /// unhealthy).
 type Fate<'a> = Result<Answer, &'a str>;
 
+/// A replica as the health plane knows it: by its id.
+fn replica(id: ReplicaId, name: &str) -> Owner<'_> {
+    Owner::handle(id.index(), name)
+}
+
+/// A QoS tenant as the health plane knows it: by its admission index.
+fn tenant(tag: &QosTag) -> Owner<'_> {
+    Owner::handle(tag.index, &tag.tenant)
+}
+
 /// Stamp a span with the QoS identity of the request it follows.
 fn stamp_qos(sim: &mut Sim, span: SpanId, tag: &QosTag) {
     sim.span_attr(span, "tenant", &*tag.tenant);
@@ -502,7 +543,7 @@ impl Dispatcher {
         // borrows dropped: completions may re-enter the dispatcher
         for op in lost {
             self.observe(|plane| {
-                plane.record_attempt(sim.now(), name, sim.now() - op.started, true)
+                plane.attempt(sim.now(), replica(id, name), sim.now() - op.started, true)
             });
             self.resolve(sim, op.work, Err(name));
         }
@@ -591,7 +632,7 @@ impl Dispatcher {
                 sim.span_attr(span, "qos", "queued");
                 sim.counter_add("dispatcher.qos_enqueued", 1);
                 self.observe(|plane| {
-                    plane.record_tenant_queue_depth(sim.now(), &tag.tenant, depth as u64)
+                    plane.tenant_queue_depth(sim.now(), tenant(&tag), depth as u64)
                 });
                 self.admission.borrow_mut().park(tag, ticket);
             }
@@ -619,9 +660,14 @@ impl Dispatcher {
         sim.span_attr(ticket.span, "in_flight", in_flight);
         self.observe(|plane| {
             let queued = self.queued_depth() as u64;
-            plane.record_submit(sim.now(), in_flight, queued, ticket.req.principal());
+            // a QoS-admitted request's tenant is its principal, by handle
+            let who = match &ticket.qos {
+                Some(tag) => Some(tenant(tag)),
+                None => ticket.req.principal().map(Owner::named),
+            };
+            plane.submit(sim.now(), in_flight, queued, who);
             if let Some(tag) = &ticket.qos {
-                plane.record_tenant_accepted(sim.now(), &tag.tenant);
+                plane.tenant_accepted(sim.now(), tenant(tag));
             }
         });
         self.attempt(sim, ticket);
@@ -638,7 +684,7 @@ impl Dispatcher {
     /// Per-tenant accounting for a request the tenant stage refused.
     fn tenant_shed(&self, sim: &mut Sim, tag: &QosTag) {
         sim.counter_add("dispatcher.qos_shed", 1);
-        self.observe(|plane| plane.record_tenant_shed(sim.now(), &tag.tenant));
+        self.observe(|plane| plane.tenant_shed(sim.now(), tenant(tag)));
     }
 
     /// Resolve an admitted request exactly once: close its front-door
@@ -648,7 +694,7 @@ impl Dispatcher {
         if let Some(tag) = &ticket.qos {
             self.observe(|plane| {
                 let waited = sim.now() - tag.submitted_at;
-                plane.record_tenant_latency(sim.now(), &tag.tenant, waited, res.is_err())
+                plane.tenant_latency(sim.now(), tenant(tag), waited, res.is_err())
             });
         }
         if res.is_ok() {
@@ -807,24 +853,24 @@ impl Dispatcher {
 
     // -- the request path: the op table --------------------------------------
 
-    /// Register one attempt on `replica` and arm its watchdog. Returns the
+    /// Register one attempt on replica `id` and arm its watchdog. Returns the
     /// responder that answers the op, and whether the attempt queued
     /// behind other work on that replica.
     fn register_op(
         self: &Rc<Self>,
         sim: &mut Sim,
-        replica: ReplicaId,
+        id: ReplicaId,
         name: &str,
         work: Work,
     ) -> (Responder, bool) {
         let (op_id, depth) = self
             .ops
             .borrow_mut()
-            .register(sim, replica, work, |sim, op_id| {
+            .register(sim, id, work, |sim, op_id| {
                 let after = self.cfg.request_timeout?;
                 Some(self.arm_watchdog(sim, op_id, after))
             });
-        self.observe(|plane| plane.record_depth(sim.now(), name, depth as u64));
+        self.observe(|plane| plane.depth(sim.now(), replica(id, name), depth as u64));
         let this = Rc::clone(self);
         let answer = Box::new(move |sim: &mut Sim, res| this.op_answered(sim, op_id, res));
         (answer, depth > 1)
@@ -874,7 +920,8 @@ impl Dispatcher {
         }
         self.observe(|plane| {
             let latency = sim.now() - op.started;
-            plane.record_attempt(sim.now(), backend.name(), latency, res.is_err())
+            let who = replica(op.replica, backend.name());
+            plane.attempt(sim.now(), who, latency, res.is_err())
         });
         // fault-signal detection: an error from a backend that reports
         // unhealthy — or that this very answer just retired — is a loss,

@@ -27,13 +27,13 @@
 //! reassignment is a pure function of (key, live names).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use simkit::{Sim, SimTime};
 
 use super::ops::ReplicaId;
+use super::FnvMap;
 use crate::geo::GeoPlane;
 
 /// Replica-selection policy.
@@ -155,32 +155,6 @@ struct CanaryShare {
     cursor: u64,
 }
 
-/// FNV-1a: the pin table's hasher. Principals are short and the table's
-/// iteration order reaches no output, so a fixed, cheap hash serves where
-/// `std`'s seeded SipHash bought nothing. It gives up SipHash's resistance
-/// to keys crafted to collide: principals here come from the simulation's
-/// own workloads and the table is capacity-bounded, but a door facing
-/// real clients would want the seeded hasher back.
-struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// Candidate lists a route fills, kept between routes: once they have
 /// grown to the rotation's size a route allocates nothing.
 #[derive(Default)]
@@ -235,7 +209,7 @@ pub(super) struct Routing {
     /// The rotation, in the order replicas joined.
     slots: Vec<RouteSlot>,
     /// The bounded `principal → replica` pin table…
-    pins: HashMap<Rc<str>, Pin, BuildHasherDefault<Fnv>>,
+    pins: FnvMap<Rc<str>, Pin>,
     /// …and its keys in insertion order, for capacity eviction.
     pin_order: VecDeque<Rc<str>>,
     geo: Option<Rc<GeoPlane>>,
@@ -254,7 +228,7 @@ impl Routing {
             canary: None,
             affinity,
             slots: Vec::new(),
-            pins: HashMap::default(),
+            pins: FnvMap::default(),
             pin_order: VecDeque::new(),
             geo: None,
             placed_at: None,

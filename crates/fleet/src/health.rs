@@ -160,23 +160,64 @@ fn resolve(
     })
 }
 
+/// Who a per-owner sample is about: a name, or a handle the caller keeps
+/// for it — the dispatcher's replica id or admission tenant index — with
+/// the name it stands for. A handle's first sample resolves its name, as
+/// a named sample does; every later sample is an index, with no hash and
+/// no string compare. A plane takes one caller's handles: a handle must
+/// stand for the same name for the plane's lifetime.
+#[derive(Clone, Copy, Debug)]
+pub struct Owner<'a> {
+    handle: Option<usize>,
+    name: &'a str,
+}
+
+impl<'a> Owner<'a> {
+    /// An owner resolved by name on every sample.
+    pub fn named(name: &'a str) -> Owner<'a> {
+        Owner { handle: None, name }
+    }
+
+    /// An owner known by a dense `handle` (small integers: the plane keeps
+    /// a `Vec` indexed by them), which stands for `name`.
+    pub fn handle(handle: usize, name: &'a str) -> Owner<'a> {
+        Owner {
+            handle: Some(handle),
+            name,
+        }
+    }
+}
+
 /// A tenant cap: at most `max` tenants get series of their own; every
-/// other tenant writes under `other` and leaves no entry behind (tenants
-/// are request principals — outside input).
+/// other tenant writes under `other` and leaves no entry of its own
+/// behind (tenants are request principals — outside input).
 struct Cap {
     max: usize,
     /// The sanitized `<prefix><tenant>` of every granted tenant: a
     /// newcomer whose series would land in a granted tenant's Prometheus
     /// family folds into `other` too.
     families: HashSet<String>,
-    other: Slots,
 }
+
+/// The entry of `other`, where a capped tenant's samples go.
+const OTHER: usize = 0;
+
+/// A handle whose owner has not sampled yet.
+const UNSEEN: usize = usize::MAX;
 
 /// Series ids of named owners under one prefix, each owner's entry made
 /// on its first sample.
 struct Owners {
     prefix: &'static str,
-    ids: HashMap<String, Slots>,
+    /// Each owner's name and series ids, in first-sample order after
+    /// [`OTHER`].
+    entries: Vec<(Box<str>, Slots)>,
+    /// Owners with an entry of their own, by name.
+    by_name: HashMap<Box<str>, usize>,
+    /// Entry per handle, filled at the handle's first sample. A capped
+    /// tenant's handle points at [`OTHER`]: one word per tenant the
+    /// caller's own table already holds.
+    by_handle: Vec<usize>,
     /// Tenants only; replicas are named by the fleet and never capped.
     cap: Option<Cap>,
 }
@@ -186,29 +227,68 @@ impl Owners {
         let cap = cap.map(|max| Cap {
             max,
             families: HashSet::new(),
-            other: Slots::default(),
         });
         Owners {
             prefix,
-            ids: HashMap::new(),
+            entries: vec![("other".into(), Slots::default())],
+            by_name: HashMap::new(),
+            by_handle: Vec::new(),
             cap,
         }
     }
 
-    /// `owner`'s `kind` series: one hash lookup once it has an entry.
-    fn id(&mut self, reg: &mut WindowedRegistry, owner: &str, kind: Kind) -> WindowedId {
+    /// `owner`'s `kind` series: an index once its handle has sampled, one
+    /// hash lookup for a named owner.
+    fn id(&mut self, reg: &mut WindowedRegistry, owner: Owner<'_>, kind: Kind) -> WindowedId {
+        let entry = match owner.handle {
+            Some(handle) => self.by_handle(handle, owner.name),
+            None => self.by_name(owner.name),
+        };
         let prefix = self.prefix;
-        if let Some(slots) = self.ids.get_mut(owner) {
-            return kind.id(reg, slots, prefix, owner);
+        let (name, slots) = &mut self.entries[entry];
+        kind.id(reg, slots, prefix, name)
+    }
+
+    /// The entry behind `handle`, resolved by `name` on its first sample.
+    fn by_handle(&mut self, handle: usize, name: &str) -> usize {
+        if let Some(&entry) = self.by_handle.get(handle).filter(|&&e| e != UNSEEN) {
+            debug_assert!(
+                entry == OTHER || *self.entries[entry].0 == *name,
+                "handle {handle} stands for {name:?} and another owner"
+            );
+            return entry;
+        }
+        let entry = self.by_name(name);
+        if self.by_handle.len() <= handle {
+            self.by_handle.resize(handle + 1, UNSEEN);
+        }
+        self.by_handle[handle] = entry;
+        entry
+    }
+
+    /// `name`'s entry, made on its first sample unless the cap folds it
+    /// into [`OTHER`].
+    fn by_name(&mut self, name: &str) -> usize {
+        if let Some(&entry) = self.by_name.get(name) {
+            return entry;
         }
         if let Some(cap) = &mut self.cap {
-            let family = || sanitize_metric_name(&format!("{prefix}{owner}"));
-            if self.ids.len() >= cap.max || !cap.families.insert(family()) {
-                return kind.id(reg, &mut cap.other, prefix, "other");
+            let family = || sanitize_metric_name(&format!("{}{name}", self.prefix));
+            if self.by_name.len() >= cap.max || !cap.families.insert(family()) {
+                return OTHER;
             }
         }
-        let slots = self.ids.entry(owner.to_owned()).or_default();
-        kind.id(reg, slots, prefix, owner)
+        let entry = self.entries.len();
+        self.entries.push((name.into(), Slots::default()));
+        self.by_name.insert(name.into(), entry);
+        entry
+    }
+
+    /// The series ids of the owner called `name`, if it has an entry of
+    /// its own.
+    fn slots_of(&self, name: &str) -> Option<&Slots> {
+        let &entry = self.by_name.get(name)?;
+        Some(&self.entries[entry].1)
     }
 }
 
@@ -235,7 +315,8 @@ type Tags = BTreeMap<String, BTreeMap<&'static str, String>>;
 /// [`crate::Dispatcher::set_health_plane`].
 ///
 /// Each series name is formatted once, at the series' first sample; the
-/// plane keeps its id, so a later sample costs one hash lookup.
+/// plane keeps its id, so a later sample costs one hash lookup — or, for
+/// an [`Owner`] with a handle, one index.
 pub struct HealthPlane {
     cfg: HealthConfig,
     reg: RefCell<WindowedRegistry>,
@@ -315,6 +396,11 @@ impl HealthPlane {
     /// One finished attempt on `replica`: its latency (and whether it was
     /// an error) lands in the replica's series and the fleet-wide series.
     pub fn record_attempt(&self, now: SimTime, replica: &str, latency: Duration, error: bool) {
+        self.attempt(now, Owner::named(replica), latency, error);
+    }
+
+    /// [`HealthPlane::record_attempt`] for an [`Owner`].
+    pub fn attempt(&self, now: SimTime, replica: Owner<'_>, latency: Duration, error: bool) {
         let micros = latency.ticks().max(1);
         self.record(now, micros, |reg, ids| {
             ids.replicas.id(reg, replica, Kind::Latency)
@@ -333,6 +419,11 @@ impl HealthPlane {
     /// Outstanding-attempt depth on `replica` right after an attempt was
     /// routed to it.
     pub fn record_depth(&self, now: SimTime, replica: &str, depth: u64) {
+        self.depth(now, Owner::named(replica), depth);
+    }
+
+    /// [`HealthPlane::record_depth`] for an [`Owner`].
+    pub fn depth(&self, now: SimTime, replica: Owner<'_>, depth: u64) {
         self.record(now, depth, |reg, ids| {
             ids.replicas.id(reg, replica, Kind::Depth)
         });
@@ -343,6 +434,11 @@ impl HealthPlane {
     /// [`HealthConfig::max_tenants`] distinct series; the overflow folds
     /// into `tenant.other.requests`).
     pub fn record_submit(&self, now: SimTime, in_flight: u64, queued: u64, tenant: Option<&str>) {
+        self.submit(now, in_flight, queued, tenant.map(Owner::named));
+    }
+
+    /// [`HealthPlane::record_submit`] for an [`Owner`].
+    pub fn submit(&self, now: SimTime, in_flight: u64, queued: u64, tenant: Option<Owner<'_>>) {
         self.record(now, in_flight, |reg, ids| {
             let name = || "dispatcher.in_flight".into();
             resolve(reg, &mut ids.in_flight, true, name)
@@ -360,8 +456,7 @@ impl HealthPlane {
     /// when it has produced no latency sample in the lookback.
     pub fn replica_health(&self, now: SimTime, replica: &str) -> Option<ReplicaHealth> {
         let (reg, ids) = (self.reg.borrow(), self.ids.borrow());
-        let slots = ids.replicas.ids.get(replica)?;
-        let [latency, errors, ..] = *slots;
+        let [latency, errors, ..] = *ids.replicas.slots_of(replica)?;
         let agg = reg.range(latency?, now, self.cfg.lookback);
         if agg.count() == 0 {
             return None;
@@ -384,18 +479,33 @@ impl HealthPlane {
 
     /// One request admitted past the QoS stage for `tenant`.
     pub fn record_tenant_accepted(&self, now: SimTime, tenant: &str) {
+        self.tenant_accepted(now, Owner::named(tenant));
+    }
+
+    /// [`HealthPlane::record_tenant_accepted`] for an [`Owner`].
+    pub fn tenant_accepted(&self, now: SimTime, tenant: Owner<'_>) {
         self.record(now, 1, |reg, ids| ids.qos.id(reg, tenant, Kind::Accepted));
     }
 
     /// One request shed at the QoS stage (quota + queue full, or no
     /// replicas) for `tenant`.
     pub fn record_tenant_shed(&self, now: SimTime, tenant: &str) {
+        self.tenant_shed(now, Owner::named(tenant));
+    }
+
+    /// [`HealthPlane::record_tenant_shed`] for an [`Owner`].
+    pub fn tenant_shed(&self, now: SimTime, tenant: Owner<'_>) {
         self.record(now, 1, |reg, ids| ids.qos.id(reg, tenant, Kind::Shed));
     }
 
     /// `tenant`'s door-queue depth right after one of its requests was
     /// queued.
     pub fn record_tenant_queue_depth(&self, now: SimTime, tenant: &str, depth: u64) {
+        self.tenant_queue_depth(now, Owner::named(tenant), depth);
+    }
+
+    /// [`HealthPlane::record_tenant_queue_depth`] for an [`Owner`].
+    pub fn tenant_queue_depth(&self, now: SimTime, tenant: Owner<'_>, depth: u64) {
         self.record(now, depth, |reg, ids| {
             ids.qos.id(reg, tenant, Kind::QueueDepth)
         });
@@ -404,6 +514,11 @@ impl HealthPlane {
     /// One finished QoS-admitted request for `tenant`: door-to-answer
     /// latency (including any time spent queued at the door).
     pub fn record_tenant_latency(&self, now: SimTime, tenant: &str, latency: Duration, error: bool) {
+        self.tenant_latency(now, Owner::named(tenant), latency, error);
+    }
+
+    /// [`HealthPlane::record_tenant_latency`] for an [`Owner`].
+    pub fn tenant_latency(&self, now: SimTime, tenant: Owner<'_>, latency: Duration, error: bool) {
         let micros = latency.ticks().max(1);
         self.record(now, micros, |reg, ids| {
             ids.qos.id(reg, tenant, Kind::Latency)
@@ -749,7 +864,7 @@ mod tests {
         let ids = plane.ids.borrow();
         let cap = plane.config().max_tenants;
         for owners in [&ids.tenants, &ids.qos] {
-            assert_eq!(owners.ids.len(), cap);
+            assert_eq!(owners.by_name.len(), cap);
             assert_eq!(owners.cap.as_ref().map(|c| c.families.len()), Some(cap));
         }
         let csv = plane.timeseries_csv();
@@ -1057,12 +1172,16 @@ mod equivalence {
     use proptest::prelude::*;
 
     const REPLICAS: [&str; 3] = ["replica0", "replica1", "replica2"];
+    /// Replica handles: `h` stands for `REPLICAS[h % 3]`, so handles 3–5
+    /// are replacements that reuse a name.
+    const REPLICA_HANDLES: usize = 6;
     /// More tenants than the cap below, `other` among them, and no two
-    /// that sanitize onto one Prometheus family.
+    /// that sanitize onto one Prometheus family. A tenant's handle is its
+    /// index here.
     const TENANTS: [&str; 6] = ["alice", "other", "bob", "carol", "dave", "erin"];
 
     /// One call of the plane's seven recording methods.
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Copy, Debug)]
     enum Op {
         Attempt(usize, u64, bool),
         Depth(usize, u64),
@@ -1074,7 +1193,7 @@ mod equivalence {
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        let (r, t) = (0..REPLICAS.len(), 0..TENANTS.len());
+        let (r, t) = (0..REPLICA_HANDLES, 0..TENANTS.len());
         prop_oneof![
             (r.clone(), 1u64..2_000_000, any::<bool>())
                 .prop_map(|(r, us, e)| Op::Attempt(r, us, e)),
@@ -1092,15 +1211,45 @@ mod equivalence {
         h.map(|h| (h.samples, h.p99_s, h.error_rate))
     }
 
+    /// Apply `op` to the plane by handle, or through its by-name API.
+    fn apply(plane: &HealthPlane, now: SimTime, op: &Op, by_handle: bool) {
+        let us = Duration::from_micros;
+        let replica = |r: usize| Owner::handle(r, REPLICAS[r % REPLICAS.len()]);
+        let tenant = |t: usize| Owner::handle(t, TENANTS[t]);
+        match (*op, by_handle) {
+            (Op::Attempt(r, d, e), true) => plane.attempt(now, replica(r), us(d), e),
+            (Op::Attempt(r, d, e), false) => {
+                plane.record_attempt(now, REPLICAS[r % REPLICAS.len()], us(d), e)
+            }
+            (Op::Depth(r, d), true) => plane.depth(now, replica(r), d),
+            (Op::Depth(r, d), false) => plane.record_depth(now, REPLICAS[r % REPLICAS.len()], d),
+            (Op::Submit(f, q, t), true) => plane.submit(now, f, q, t.map(tenant)),
+            (Op::Submit(f, q, t), false) => plane.record_submit(now, f, q, t.map(|t| TENANTS[t])),
+            (Op::Accepted(t), true) => plane.tenant_accepted(now, tenant(t)),
+            (Op::Accepted(t), false) => plane.record_tenant_accepted(now, TENANTS[t]),
+            (Op::Shed(t), true) => plane.tenant_shed(now, tenant(t)),
+            (Op::Shed(t), false) => plane.record_tenant_shed(now, TENANTS[t]),
+            (Op::QueueDepth(t, d), true) => plane.tenant_queue_depth(now, tenant(t), d),
+            (Op::QueueDepth(t, d), false) => plane.record_tenant_queue_depth(now, TENANTS[t], d),
+            (Op::Latency(t, d, e), true) => plane.tenant_latency(now, tenant(t), us(d), e),
+            (Op::Latency(t, d, e), false) => {
+                plane.record_tenant_latency(now, TENANTS[t], us(d), e)
+            }
+        }
+    }
+
     proptest! {
         /// The id-keeping plane and the name-formatting recorder it
         /// replaced agree on every query after every call, and on both
         /// exports at the end: series appear on their first sample, and
-        /// each tenant cap counts tenants, not calls. Four 1 s windows
-        /// against steps of up to 1.5 s wrap the ring many times over.
+        /// each tenant cap counts tenants, not calls. Each call goes by
+        /// handle or by name at random, so an owner's first sample may
+        /// come either way, and replacement replicas reuse a name under a
+        /// new handle. Four 1 s windows against steps of up to 1.5 s wrap
+        /// the ring many times over.
         #[test]
         fn id_keeping_plane_matches_the_name_formatting_recorder(
-            steps in proptest::collection::vec((0u64..1_500_000, op()), 1..160),
+            steps in proptest::collection::vec((0u64..1_500_000, op(), any::<bool>()), 1..160),
         ) {
             let cfg = HealthConfig {
                 window: Duration::from_secs(1),
@@ -1111,38 +1260,20 @@ mod equivalence {
             };
             let (plane, model) = (HealthPlane::new(cfg), NamePlane::new(cfg));
             let mut now = SimTime::ZERO;
-            for (step, op) in &steps {
+            for (step, op, by_handle) in &steps {
                 now += Duration::from_micros(*step);
+                apply(&plane, now, op, *by_handle);
                 let us = Duration::from_micros;
                 match *op {
                     Op::Attempt(r, d, e) => {
-                        plane.record_attempt(now, REPLICAS[r], us(d), e);
-                        model.record_attempt(now, REPLICAS[r], us(d), e);
+                        model.record_attempt(now, REPLICAS[r % REPLICAS.len()], us(d), e)
                     }
-                    Op::Depth(r, d) => {
-                        plane.record_depth(now, REPLICAS[r], d);
-                        model.record_depth(now, REPLICAS[r], d);
-                    }
-                    Op::Submit(f, q, t) => {
-                        plane.record_submit(now, f, q, t.map(|t| TENANTS[t]));
-                        model.record_submit(now, f, q, t.map(|t| TENANTS[t]));
-                    }
-                    Op::Accepted(t) => {
-                        plane.record_tenant_accepted(now, TENANTS[t]);
-                        model.record_tenant_accepted(now, TENANTS[t]);
-                    }
-                    Op::Shed(t) => {
-                        plane.record_tenant_shed(now, TENANTS[t]);
-                        model.record_tenant_shed(now, TENANTS[t]);
-                    }
-                    Op::QueueDepth(t, d) => {
-                        plane.record_tenant_queue_depth(now, TENANTS[t], d);
-                        model.record_tenant_queue_depth(now, TENANTS[t], d);
-                    }
-                    Op::Latency(t, d, e) => {
-                        plane.record_tenant_latency(now, TENANTS[t], us(d), e);
-                        model.record_tenant_latency(now, TENANTS[t], us(d), e);
-                    }
+                    Op::Depth(r, d) => model.record_depth(now, REPLICAS[r % REPLICAS.len()], d),
+                    Op::Submit(f, q, t) => model.record_submit(now, f, q, t.map(|t| TENANTS[t])),
+                    Op::Accepted(t) => model.record_tenant_accepted(now, TENANTS[t]),
+                    Op::Shed(t) => model.record_tenant_shed(now, TENANTS[t]),
+                    Op::QueueDepth(t, d) => model.record_tenant_queue_depth(now, TENANTS[t], d),
+                    Op::Latency(t, d, e) => model.record_tenant_latency(now, TENANTS[t], us(d), e),
                 }
                 for r in REPLICAS {
                     prop_assert_eq!(

@@ -197,7 +197,60 @@ impl ProductionGrid {
         now: SimTime,
         excluded: &[String],
     ) -> Result<Rc<GridSite>, GridError> {
-        let capable: Vec<&Rc<GridSite>> = self
+        let capable = || {
+            self.sites.iter().filter(move |s| {
+                s.scheduler().borrow().total_cores() >= cores
+                    && !excluded.iter().any(|e| e == s.name())
+            })
+        };
+        let chosen = match policy {
+            BrokerPolicy::Fixed(name) => {
+                if capable().next().is_none() || excluded.iter().any(|e| e == name) {
+                    return Err(GridError::NoCapableSite);
+                }
+                let site = self.site(name)?;
+                if site.scheduler().borrow().total_cores() < cores {
+                    return Err(GridError::NoCapableSite);
+                }
+                Some(site)
+            }
+            // `max_by_key` keeps the last of equal maxima, `min_by_key`
+            // the first of equal minima
+            BrokerPolicy::MostFreeCores => {
+                capable().max_by_key(|s| s.scheduler().borrow().free_cores())
+            }
+            BrokerPolicy::ShortestWait => {
+                capable().min_by_key(|s| s.scheduler().borrow().estimate_wait(now, cores))
+            }
+            BrokerPolicy::RoundRobin => {
+                let n = capable().count();
+                if n == 0 {
+                    return Err(GridError::NoCapableSite);
+                }
+                let idx = self.rr_next.get() % n;
+                self.rr_next.set(self.rr_next.get().wrapping_add(1));
+                capable().nth(idx)
+            }
+        };
+        chosen.map(Rc::clone).ok_or(GridError::NoCapableSite)
+    }
+}
+
+/// The broker as it was before it picked without collecting: gather the
+/// capable sites into a `Vec`, then choose. Kept as an executable
+/// reference for the property below.
+#[cfg(test)]
+mod collecting_model {
+    use super::*;
+
+    pub fn select_excluding(
+        grid: &ProductionGrid,
+        policy: &BrokerPolicy,
+        cores: u32,
+        now: SimTime,
+        excluded: &[String],
+    ) -> Result<Rc<GridSite>, GridError> {
+        let capable: Vec<&Rc<GridSite>> = grid
             .sites
             .iter()
             .filter(|s| s.scheduler().borrow().total_cores() >= cores)
@@ -211,7 +264,7 @@ impl ProductionGrid {
                 if excluded.iter().any(|e| e == name) {
                     return Err(GridError::NoCapableSite);
                 }
-                let site = self.site(name)?;
+                let site = grid.site(name)?;
                 if site.scheduler().borrow().total_cores() < cores {
                     return Err(GridError::NoCapableSite);
                 }
@@ -230,12 +283,79 @@ impl ProductionGrid {
                     .expect("non-empty"),
             ),
             BrokerPolicy::RoundRobin => {
-                let idx = self.rr_next.get() % capable.len();
-                self.rr_next.set(self.rr_next.get().wrapping_add(1));
+                let idx = grid.rr_next.get() % capable.len();
+                grid.rr_next.set(grid.rr_next.get().wrapping_add(1));
                 Rc::clone(capable[idx])
             }
         };
         Ok(chosen)
+    }
+}
+
+#[cfg(test)]
+mod broker_equivalence {
+    use super::*;
+    use crate::scheduler::{ClusterScheduler, SchedRequest};
+    use proptest::prelude::*;
+    use simkit::Sim;
+
+    /// A grid of small sites, so equal free cores and equal waits — the
+    /// tie-breaks — come up often, loaded by long jobs.
+    fn loaded_grid(sizes: &[(usize, u32)], jobs: &[(usize, u32)]) -> (ProductionGrid, Sim) {
+        let specs = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &(nodes, per_node))| SiteSpec::teragrid_like(&format!("s{i}"), nodes, per_node))
+            .collect();
+        let grid = ProductionGrid::new("appliance", 1, specs);
+        let mut sim = Sim::new(0);
+        for &(site, cores) in jobs {
+            let Some(site) = grid.sites().get(site) else {
+                continue;
+            };
+            let total = site.scheduler().borrow().total_cores();
+            let req = SchedRequest {
+                cores: cores.min(total),
+                walltime_limit: Duration::from_secs(1000),
+                actual_runtime: Duration::from_secs(1000),
+            };
+            ClusterScheduler::submit(site.scheduler(), &mut sim, req, |_, _| {});
+        }
+        (grid, sim)
+    }
+
+    proptest! {
+        /// Every policy picks the site the collecting broker picked, or
+        /// fails the same way, call after call — round-robin's cursor
+        /// included.
+        #[test]
+        fn select_matches_the_collecting_broker(
+            sizes in proptest::collection::vec((1usize..4, 1u32..5), 1..6),
+            jobs in proptest::collection::vec((0usize..6, 1u32..8), 0..10),
+            calls in proptest::collection::vec(
+                (0u8..4, 0usize..7, 1u32..14, proptest::collection::vec(0usize..7, 0..3)),
+                1..30,
+            ),
+        ) {
+            let (grid, sim) = loaded_grid(&sizes, &jobs);
+            let (reference, _) = loaded_grid(&sizes, &jobs);
+            for (policy, fixed, cores, excluded) in &calls {
+                let policy = match policy {
+                    0 => BrokerPolicy::Fixed(format!("s{fixed}")),
+                    1 => BrokerPolicy::MostFreeCores,
+                    2 => BrokerPolicy::ShortestWait,
+                    _ => BrokerPolicy::RoundRobin,
+                };
+                let excluded: Vec<String> = excluded.iter().map(|i| format!("s{i}")).collect();
+                let name = |s: Rc<GridSite>| s.name().to_owned();
+                let got = grid.select_excluding(&policy, *cores, sim.now(), &excluded).map(name);
+                let want = collecting_model::select_excluding(
+                    &reference, &policy, *cores, sim.now(), &excluded,
+                )
+                .map(name);
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }
 

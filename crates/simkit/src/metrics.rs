@@ -312,15 +312,6 @@ impl WindowAgg {
         }
     }
 
-    fn reset(&mut self) {
-        self.count = 0;
-        self.sum = 0;
-        self.max = 0;
-        for b in &mut self.buckets {
-            *b = 0;
-        }
-    }
-
     /// Record one observation.
     pub fn record(&mut self, v: u64) {
         self.count += 1;
@@ -400,8 +391,44 @@ impl WindowAgg {
     }
 }
 
+/// The indices of the set bits of `mask`, lowest first.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let b = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (b < 64).then_some(b)
+    })
+}
+
 /// Sentinel epoch for a ring slot that has never been written.
 const EMPTY_EPOCH: u64 = u64::MAX;
+
+/// Cells of one flat window ahead of its log₂ buckets: epoch, count,
+/// sum, max, and a mask of the buckets that are not zero.
+const HEAD: usize = 5;
+
+impl WindowAgg {
+    /// The aggregate one flat window holds (see [`WindowedSeries`]).
+    fn from_cells(w: &[u64]) -> WindowAgg {
+        WindowAgg {
+            count: w[1],
+            sum: w[2],
+            max: w[3],
+            buckets: w[HEAD..].to_vec(),
+        }
+    }
+
+    /// [`WindowAgg::merge`] of one flat window, read in place: only its
+    /// non-zero buckets are visited.
+    fn merge_cells(&mut self, w: &[u64]) {
+        self.count += w[1];
+        self.sum = self.sum.saturating_add(w[2]);
+        self.max = self.max.max(w[3]);
+        for b in set_bits(w[4]) {
+            self.buckets[b] += w[HEAD + b];
+        }
+    }
+}
 
 /// A ring of fixed-width windows over the virtual clock.
 ///
@@ -410,11 +437,27 @@ const EMPTY_EPOCH: u64 = u64::MAX;
 /// with zero steady-state allocation. Range queries merge every live
 /// window overlapping the lookback, which is exact (not an approximation)
 /// for count/sum/max and log₂-bucket-exact for quantiles.
+///
+/// The ring is one flat buffer: each window is its epoch, count, sum,
+/// max and a mask of its non-zero buckets, then (for a histogram) its
+/// log₂ buckets, back to back. The series remembers the window it last
+/// wrote, so a sample inside that window — a live feed's usual case —
+/// indexes it directly, with no division. A lapped window is reset by
+/// zeroing its head and the buckets its mask names, not all 64: a sparse
+/// series (one tenant's latency) opens a new window on most samples.
 #[derive(Clone, Debug)]
 pub struct WindowedSeries {
     width: Duration,
-    slots: Vec<(u64, WindowAgg)>,
     histo: bool,
+    /// Cells per window: [`HEAD`], plus [`LOG2_BUCKETS`] for a histogram.
+    stride: usize,
+    /// Windows in the ring.
+    ring: usize,
+    /// `ring` windows of `stride` cells, laid out as described above.
+    cells: Vec<u64>,
+    /// The window last written: its tick span `[lo, hi)` and the offset
+    /// of its first cell.
+    last: (u64, u64, usize),
     life_count: u64,
     life_sum: u64,
 }
@@ -423,15 +466,18 @@ impl WindowedSeries {
     fn new(width: Duration, ring: usize, histo: bool) -> Self {
         assert!(!width.is_zero(), "window width must be nonzero");
         assert!(ring > 0, "window ring must hold at least one window");
-        let proto = if histo {
-            WindowAgg::histogram()
-        } else {
-            WindowAgg::counter()
-        };
+        let stride = HEAD + if histo { LOG2_BUCKETS } else { 0 };
+        let mut cells = vec![0; ring * stride];
+        for w in cells.chunks_exact_mut(stride) {
+            w[0] = EMPTY_EPOCH;
+        }
         WindowedSeries {
             width,
-            slots: vec![(EMPTY_EPOCH, proto); ring],
             histo,
+            stride,
+            ring,
+            cells,
+            last: (0, 0, 0),
             life_count: 0,
             life_sum: 0,
         }
@@ -459,17 +505,45 @@ impl WindowedSeries {
     }
 
     /// Record `v` at instant `t`.
+    #[inline]
     pub fn record(&mut self, t: SimTime, v: u64) {
-        let epoch = t.ticks() / self.width.ticks();
-        let idx = (epoch % self.slots.len() as u64) as usize;
-        let slot = &mut self.slots[idx];
-        if slot.0 != epoch {
-            slot.0 = epoch;
-            slot.1.reset();
+        let tick = t.ticks();
+        let (lo, hi, at) = self.last;
+        let at = if lo <= tick && tick < hi {
+            at
+        } else {
+            self.open(tick)
+        };
+        let w = &mut self.cells[at..at + self.stride];
+        w[1] += 1;
+        w[2] = w[2].saturating_add(v);
+        w[3] = w[3].max(v);
+        if self.histo {
+            let b = log2_bucket(v);
+            w[4] |= 1 << b;
+            w[HEAD + b] += 1;
         }
-        slot.1.record(v);
         self.life_count += 1;
         self.life_sum = self.life_sum.saturating_add(v);
+    }
+
+    /// The offset of `tick`'s window, reset first if its slot holds an
+    /// older epoch; it becomes the window last written.
+    fn open(&mut self, tick: u64) -> usize {
+        let width = self.width.ticks();
+        let epoch = tick / width;
+        let at = (epoch % self.ring as u64) as usize * self.stride;
+        let w = &mut self.cells[at..at + self.stride];
+        if w[0] != epoch {
+            for b in set_bits(w[4]) {
+                w[HEAD + b] = 0;
+            }
+            w[..HEAD].fill(0);
+            w[0] = epoch;
+        }
+        let lo = epoch * width;
+        self.last = (lo, lo.saturating_add(width), at);
+        at
     }
 
     /// Merge every live window whose span overlaps `[now - lookback, now]`.
@@ -482,21 +556,22 @@ impl WindowedSeries {
         } else {
             WindowAgg::counter()
         };
-        for (epoch, agg) in &self.slots {
-            if *epoch != EMPTY_EPOCH && *epoch >= start_epoch && *epoch <= now_epoch {
-                out.merge(agg);
+        for w in self.cells.chunks_exact(self.stride) {
+            let epoch = w[0];
+            if epoch != EMPTY_EPOCH && epoch >= start_epoch && epoch <= now_epoch {
+                out.merge_cells(w);
             }
         }
         out
     }
 
     /// Live `(window_start, agg)` pairs in time order (for CSV export).
-    pub fn windows(&self) -> Vec<(SimTime, &WindowAgg)> {
-        let mut out: Vec<(SimTime, &WindowAgg)> = self
-            .slots
-            .iter()
-            .filter(|(e, _)| *e != EMPTY_EPOCH)
-            .map(|(e, agg)| (SimTime::from_ticks(e * self.width.ticks()), agg))
+    pub fn windows(&self) -> Vec<(SimTime, WindowAgg)> {
+        let mut out: Vec<(SimTime, WindowAgg)> = self
+            .cells
+            .chunks_exact(self.stride)
+            .filter(|w| w[0] != EMPTY_EPOCH)
+            .map(|w| (SimTime::from_ticks(w[0] * self.width.ticks()), WindowAgg::from_cells(w)))
             .collect();
         out.sort_by_key(|(t, _)| *t);
         out
@@ -1068,6 +1143,149 @@ mod tests {
         r.intern("m.middle");
         let keys: Vec<_> = r.keys().collect();
         assert_eq!(keys, vec!["a.first", "m.middle", "z.last"]);
+    }
+}
+
+/// The windowed series as it was before the ring went flat: one
+/// [`WindowAgg`] per window, each with its own bucket `Vec`, and two
+/// divisions per sample. Kept as an executable reference, so the
+/// property below can hold the flat ring to it bit for bit.
+#[cfg(test)]
+mod nested_model {
+    use super::{WindowAgg, EMPTY_EPOCH};
+    use crate::time::{Duration, SimTime};
+
+    pub struct NestedSeries {
+        width: Duration,
+        slots: Vec<(u64, WindowAgg)>,
+        histo: bool,
+        pub life_count: u64,
+        pub life_sum: u64,
+    }
+
+    impl NestedSeries {
+        pub fn new(width: Duration, ring: usize, histo: bool) -> Self {
+            let proto = if histo {
+                WindowAgg::histogram()
+            } else {
+                WindowAgg::counter()
+            };
+            NestedSeries {
+                width,
+                slots: vec![(EMPTY_EPOCH, proto); ring],
+                histo,
+                life_count: 0,
+                life_sum: 0,
+            }
+        }
+
+        pub fn record(&mut self, t: SimTime, v: u64) {
+            let epoch = t.ticks() / self.width.ticks();
+            let idx = (epoch % self.slots.len() as u64) as usize;
+            let slot = &mut self.slots[idx];
+            if slot.0 != epoch {
+                slot.0 = epoch;
+                let buckets = vec![0; slot.1.buckets.len()];
+                slot.1 = WindowAgg { buckets, ..WindowAgg::default() };
+            }
+            slot.1.record(v);
+            self.life_count += 1;
+            self.life_sum = self.life_sum.saturating_add(v);
+        }
+
+        pub fn range(&self, now: SimTime, lookback: Duration) -> WindowAgg {
+            let width = self.width.ticks();
+            let now_epoch = now.ticks() / width;
+            let start_epoch = now.ticks().saturating_sub(lookback.ticks()) / width;
+            let mut out = if self.histo {
+                WindowAgg::histogram()
+            } else {
+                WindowAgg::counter()
+            };
+            for (epoch, agg) in &self.slots {
+                if *epoch != EMPTY_EPOCH && *epoch >= start_epoch && *epoch <= now_epoch {
+                    out.merge(agg);
+                }
+            }
+            out
+        }
+
+        pub fn windows(&self) -> Vec<(SimTime, &WindowAgg)> {
+            let mut out: Vec<(SimTime, &WindowAgg)> = self
+                .slots
+                .iter()
+                .filter(|(e, _)| *e != EMPTY_EPOCH)
+                .map(|(e, agg)| (SimTime::from_ticks(e * self.width.ticks()), agg))
+                .collect();
+            out.sort_by_key(|(t, _)| *t);
+            out
+        }
+    }
+}
+
+#[cfg(test)]
+mod flat_ring_equivalence {
+    use super::nested_model::NestedSeries;
+    use super::WindowedSeries;
+    use crate::time::{Duration, SimTime};
+    use proptest::prelude::*;
+
+    /// One step: move the clock (forward, or back before the window last
+    /// written), then record, or query a lookback.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Record { back: bool, step: u64, v: u64 },
+        Range { lookback: u64 },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..2_500, 0u64..1 << 40).prop_map(|(step, v)| Op::Record { back: false, step, v }),
+            (0u64..40, 0u64..4_096).prop_map(|(step, v)| Op::Record { back: false, step, v }),
+            // earlier than the cached window, sometimes by more than the ring
+            (0u64..6_000, 0u64..1 << 20).prop_map(|(step, v)| Op::Record { back: true, step, v }),
+            (0u64..6_000).prop_map(|lookback| Op::Range { lookback }),
+        ]
+    }
+
+    proptest! {
+        /// The flat ring and the nested one it replaced agree bit for bit
+        /// on every range query and, at the end, on every window and the
+        /// lifetime totals — through samples earlier than the cached
+        /// window and clock jumps that lap the ring.
+        #[test]
+        fn flat_ring_matches_the_nested_windows(
+            histo in any::<bool>(),
+            ring in 1usize..6,
+            width in 1u64..400,
+            ops in proptest::collection::vec(op(), 1..200),
+        ) {
+            let width = Duration::from_micros(width);
+            let mut flat = WindowedSeries::new(width, ring, histo);
+            let mut nested = NestedSeries::new(width, ring, histo);
+            let mut now = 10_000u64;
+            for op in &ops {
+                match *op {
+                    Op::Record { back, step, v } => {
+                        now = if back { now.saturating_sub(step) } else { now + step };
+                        flat.record(SimTime::from_ticks(now), v);
+                        nested.record(SimTime::from_ticks(now), v);
+                    }
+                    Op::Range { lookback } => {
+                        let (t, lb) = (SimTime::from_ticks(now), Duration::from_micros(lookback));
+                        prop_assert_eq!(flat.range(t, lb), nested.range(t, lb));
+                    }
+                }
+            }
+            let windows: Vec<_> = flat.windows();
+            let reference: Vec<_> =
+                nested.windows().into_iter().map(|(t, a)| (t, a.clone())).collect();
+            prop_assert_eq!(windows, reference);
+            prop_assert_eq!(
+                (flat.lifetime_count(), flat.lifetime_sum()),
+                (nested.life_count, nested.life_sum)
+            );
+        }
     }
 }
 

@@ -7,9 +7,12 @@
 //! wheels): [`LEVELS`] rings of [`SLOTS`] slots each, where a level-`k`
 //! slot spans `64^k` microsecond ticks. An entry at absolute tick `t` is
 //! parked at the *lowest* level whose current rotation contains `t` —
-//! computed in a handful of bit operations from `t ^ cursor` — and
-//! cascades down one level at a time as the cursor reaches its slot, so
-//! every entry is touched at most [`LEVELS`] times end to end.
+//! computed in a handful of bit operations from `t ^ cursor`. When its
+//! slot becomes the earliest occupied one, the cursor jumps to the slot's
+//! earliest live tick: that tick's entries are staged straight from the
+//! slot, and the rest re-park at a lower level. A timer alone in its slot
+//! is therefore moved once between push and pop, whatever its level; one
+//! that shares a slot with earlier ticks re-parks once per such slot.
 //!
 //! ## Ordering contract
 //!
@@ -20,17 +23,22 @@
 //! monotonically increasing seqs and cascades preserve the relative order
 //! of everything they move. Draining a level-0 slot therefore yields a
 //! whole tick's entries FIFO in one pass, which is what the kernel's
-//! same-tick batch execution rides on.
+//! same-tick batch execution rides on. A tick staged straight from a
+//! higher slot comes out in that slot's order, which is `seq` order for
+//! the same reason.
 //!
 //! ## Cursor invariants
 //!
 //! `cursor` is the wheel's private read head, distinct from the
 //! simulator's clock:
 //!
-//! * `cursor <= at` for every parked entry — enforced by only advancing
-//!   the cursor to a slot that still holds at least one *live* entry
-//!   (slots holding only cancelled entries are discarded in place, without
-//!   moving the cursor).
+//! * The cursor advances to the earliest live entry of the earliest
+//!   occupied slot — or, when that entry is past the pop's `limit`, to
+//!   the slot's start. Every lower level is empty at that moment, so
+//!   nothing parked is earlier. Slots holding only cancelled entries are
+//!   discarded in place, without moving the cursor.
+//! * Hence `cursor <= at` for every parked entry: an entry behind the
+//!   earliest live one in its slot is dead, and drops as the slot empties.
 //! * `cursor <= limit` for the `limit` passed to the pop that moved it —
 //!   so a bounded drain (`run_until`) can never strand the cursor past
 //!   the deadline the caller is about to advance the clock to.
@@ -97,6 +105,9 @@ pub struct TimerWheel<T> {
     staged: VecDeque<Entry<T>>,
     /// Tick shared by every staged entry.
     staged_tick: u64,
+    /// The seq of every entry a cascade re-parked, in order.
+    #[cfg(test)]
+    reparked: Vec<u64>,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -116,6 +127,8 @@ impl<T> TimerWheel<T> {
             overflow: BTreeMap::new(),
             staged: VecDeque::new(),
             staged_tick: 0,
+            #[cfg(test)]
+            reparked: Vec::new(),
         }
     }
 
@@ -167,6 +180,8 @@ impl<T> TimerWheel<T> {
     #[inline]
     fn repark(&mut self, e: Entry<T>) {
         debug_assert!(e.at >= self.cursor && (e.at ^ self.cursor) <= SPAN_MASK);
+        #[cfg(test)]
+        self.reparked.push(e.seq);
         let (level, slot) = self.level_slot(e.at);
         self.occupied[level] |= 1 << slot;
         self.slots[level * SLOTS + slot].push(e);
@@ -251,7 +266,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// Advance to the next tick holding a live entry (due at or before
-    /// `limit`) and stage that tick's slot. Cascades higher-level slots
+    /// `limit`) and stage that tick's entries. Cascades higher-level slots
     /// and sweeps all-cancelled slots in place as it goes. Returns `false`
     /// without staging when nothing live is due by `limit`.
     fn stage_next_tick(&mut self, limit: u64, is_live: &impl Fn(&Entry<T>) -> bool) -> bool {
@@ -267,34 +282,55 @@ impl<T> TimerWheel<T> {
                 return false;
             }
             let idx = level * SLOTS + slot;
-            if !self.slots[idx].iter().any(is_live) {
-                // Only cancelled entries: discard without moving the
-                // cursor, so an all-cancelled far slot can never strand
-                // the cursor ahead of a future (earlier) push.
-                self.len -= self.slots[idx].len();
-                self.slots[idx].clear();
-                self.occupied[level] &= !(1 << slot);
-                continue;
-            }
-            self.cursor = start;
-            self.occupied[level] &= !(1 << slot);
             if level == 0 {
+                self.occupied[0] &= !(1 << slot);
+                if !self.slots[idx].iter().any(is_live) {
+                    // Only cancelled entries: discard without moving the
+                    // cursor, so an all-cancelled slot can never strand
+                    // the cursor ahead of a future (earlier) push.
+                    self.len -= self.slots[idx].len();
+                    self.slots[idx].clear();
+                    continue;
+                }
                 // One tick's entries, FIFO — stage them.
+                self.cursor = start;
                 self.staged_tick = start;
                 self.staged.extend(self.slots[idx].drain(..));
                 return true;
             }
-            // Cascade one level down (dead entries drop here; the bucket
-            // keeps its allocation).
+            // Cascade. Dead entries drop first, noting the earliest live
+            // tick on the way; the bucket keeps its allocation.
+            self.occupied[level] &= !(1 << slot);
             let mut bucket = std::mem::take(&mut self.slots[idx]);
-            for e in bucket.drain(..) {
-                if is_live(&e) {
-                    self.repark(e);
-                } else {
-                    self.len -= 1;
+            let (parked, mut first) = (bucket.len(), None);
+            bucket.retain(|e| {
+                let live = is_live(e);
+                if live {
+                    first = Some(first.map_or(e.at, |f: u64| f.min(e.at)));
+                }
+                live
+            });
+            self.len -= parked - bucket.len();
+            if let Some(first) = first {
+                // Straight to the earliest live entry when it is due by
+                // `limit`: every lower level is empty, so nothing parked
+                // is earlier. Its tick is staged from here; everything
+                // later re-parks at a lower level. (A slot of cancelled
+                // entries only leaves the cursor where it was.)
+                self.cursor = if first <= limit { first } else { start };
+                for e in bucket.drain(..) {
+                    if e.at == self.cursor {
+                        self.staged.push_back(e);
+                    } else {
+                        self.repark(e);
+                    }
                 }
             }
             self.slots[idx] = bucket;
+            if !self.staged.is_empty() {
+                self.staged_tick = self.cursor;
+                return true;
+            }
         }
     }
 
@@ -389,7 +425,7 @@ pub mod heap_model {
 #[cfg(test)]
 mod equivalence {
     use super::heap_model::HeapQueue;
-    use super::TimerWheel;
+    use super::{TimerWheel, LEVEL_BITS};
     use proptest::prelude::*;
     use std::collections::HashSet;
 
@@ -407,6 +443,30 @@ mod equivalence {
         /// Drain everything due within `horizon` of now, then advance the
         /// clock to the horizon (`run_until`).
         PopUntil(u64),
+        /// Cancel the outstanding entry earliest in `(tick, seq)` order:
+        /// the earliest entry of the earliest occupied slot.
+        CancelEarliest,
+        /// `Push` at a tick inside a level-2/3 slot ahead of now (see
+        /// [`in_slot_as_delta`]).
+        PushInSlot(u32, u64, u64),
+        /// `PopUntil` with the limit inside a level-2/3 slot ahead of now.
+        PopUntilInSlot(u32, u64, u64),
+    }
+
+    /// `op` with an in-slot tick turned into its delta from `now`. The
+    /// tick is `offset` (folded into the slot) into the level-`l` slot
+    /// `k` slots ahead of now's: a window several pushes share at
+    /// distinct ticks.
+    fn in_slot_as_delta(op: &Op, now: u64) -> Op {
+        let in_slot = |l: u32, k: u64, offset: u64| {
+            let shift = LEVEL_BITS * l;
+            (((now >> shift) + k) << shift) + offset % (1 << shift) - now
+        };
+        match *op {
+            Op::PushInSlot(l, k, offset) => Op::Push(in_slot(l, k, offset)),
+            Op::PopUntilInSlot(l, k, offset) => Op::PopUntil(in_slot(l, k, offset)),
+            ref op => op.clone(),
+        }
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -416,9 +476,15 @@ mod equivalence {
             (0u64..1_000_000).prop_map(Op::Push), // spans several levels
             ((1u64 << 48)..(1u64 << 52)).prop_map(Op::Push), // overflow map
             (0usize..1 << 20).prop_map(Op::Cancel),
+            Just(Op::CancelEarliest),
             Just(Op::Pop),
             Just(Op::Pop),
             (0u64..200_000).prop_map(Op::PopUntil),
+            // distinct ticks sharing one level-2 or level-3 slot, and
+            // bounded drains that stop inside such a slot's window
+            (2u32..4, 1u64..3, 0u64..1 << 18).prop_map(|(l, k, o)| Op::PushInSlot(l, k, o)),
+            (2u32..4, 1u64..3, 0u64..1 << 18).prop_map(|(l, k, o)| Op::PushInSlot(l, k, o)),
+            (2u32..4, 1u64..3, 0u64..1 << 18).prop_map(|(l, k, o)| Op::PopUntilInSlot(l, k, o)),
         ]
     }
 
@@ -435,33 +501,41 @@ mod equivalence {
             let mut wheel: TimerWheel<()> = TimerWheel::new();
             let mut heap = HeapQueue::default();
             let mut live: HashSet<u64> = HashSet::new();
-            let mut outstanding: Vec<u64> = Vec::new();
+            // (at, seq) of every live entry, in push order
+            let mut outstanding: Vec<(u64, u64)> = Vec::new();
             let mut now = 0u64;
             let mut next_seq = 0u64;
             let settle = |popped: Option<(u64, u64)>,
                               now: &mut u64,
                               live: &mut HashSet<u64>,
-                              outstanding: &mut Vec<u64>| {
+                              outstanding: &mut Vec<(u64, u64)>| {
                 if let Some((at, seq)) = popped {
                     *now = at;
                     live.remove(&seq);
-                    outstanding.retain(|&s| s != seq);
+                    outstanding.retain(|&(_, s)| s != seq);
                 }
             };
             for op in &ops {
-                match *op {
+                match in_slot_as_delta(op, now) {
                     Op::Push(delta) => {
                         let at = now.saturating_add(delta);
                         let seq = next_seq;
                         next_seq += 1;
                         live.insert(seq);
-                        outstanding.push(seq);
+                        outstanding.push((at, seq));
                         wheel.push(at, seq, ());
                         heap.push(at, seq);
                     }
                     Op::Cancel(nth) => {
                         if !outstanding.is_empty() {
-                            let seq = outstanding.remove(nth % outstanding.len());
+                            let (_, seq) = outstanding.remove(nth % outstanding.len());
+                            live.remove(&seq);
+                        }
+                    }
+                    Op::CancelEarliest => {
+                        let earliest = outstanding.iter().enumerate().min_by_key(|(_, e)| **e);
+                        if let Some((i, _)) = earliest {
+                            let (_, seq) = outstanding.remove(i);
                             live.remove(&seq);
                         }
                     }
@@ -487,6 +561,9 @@ mod equivalence {
                             settle(w, &mut now, &mut live, &mut outstanding);
                         }
                         now = limit; // run_until advances the clock
+                    }
+                    Op::PushInSlot(..) | Op::PopUntilInSlot(..) => {
+                        unreachable!("turned into deltas above")
                     }
                 }
             }
@@ -638,6 +715,67 @@ mod tests {
         w.push(50, 2, 0);
         assert_eq!(w.pop_next(u64::MAX, |_| true).expect("staged").seq, 1);
         assert_eq!(w.pop_next(u64::MAX, |_| true).expect("follow-up").seq, 2);
+    }
+
+    /// How often each entry was re-parked, by seq.
+    fn repark_counts(w: &TimerWheel<u32>, entries: usize) -> Vec<usize> {
+        let mut counts = vec![0; entries];
+        for &seq in &w.reparked {
+            counts[seq as usize] += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn without_cancels_an_entry_re_parks_at_most_once() {
+        let mut w = TimerWheel::new();
+        // one lone timer per level, 1 through 7: a one-level-per-cascade
+        // wheel moved the level-7 one seven times
+        let lone = [100u64, 5_000, 300_000, 20_000_000, 1 << 30, 1 << 36, 1 << 42];
+        // four ticks sharing the level-2 slot [8192, 12288), each in a
+        // level-1 slot of its own
+        let shared = [8_192 + 10, 8_192 + 700, 8_192 + 1_500, 8_192 + 4_000];
+        let ats: Vec<u64> = lone.iter().chain(&shared).copied().collect();
+        for (seq, &at) in ats.iter().enumerate() {
+            w.push(at, seq as u64, 0u32);
+        }
+        let mut expect: Vec<(u64, u64)> =
+            ats.iter().enumerate().map(|(s, &a)| (a, s as u64)).collect();
+        expect.sort();
+        assert_eq!(drain_all(&mut w), expect);
+        let counts = repark_counts(&w, ats.len());
+        assert!(counts[..lone.len()].iter().all(|&c| c == 0), "lone timers: {counts:?}");
+        // the slot's earliest tick is staged straight; the other three
+        // re-park once, into level-1 slots they are alone in
+        assert_eq!(&counts[lone.len()..], &[0, 1, 1, 1]);
+    }
+
+    #[test]
+    fn door_shaped_timers_re_park_less_than_once_per_push() {
+        // arrivals about 16.7 ms apart (a fixed LCG's exponential gaps),
+        // each scheduling the next arrival and its answer 25 ms on
+        let mut w = TimerWheel::new();
+        let mut arrival = vec![true];
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        w.push(0, 0, 0u32);
+        while let Some(e) = w.pop_next(u64::MAX, |_| true) {
+            if !arrival[e.seq as usize] || arrival.len() >= 20_000 {
+                continue;
+            }
+            rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let u = ((rng >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+            let gap = (-u.ln() * 16_667.0) as u64;
+            for (delay, is_arrival) in [(gap, true), (25_000, false)] {
+                w.push(e.at + delay, arrival.len() as u64, 0);
+                arrival.push(is_arrival);
+            }
+        }
+        let reparks = w.reparked.len();
+        assert!(
+            reparks * 4 < arrival.len(),
+            "{reparks} re-parks for {} pushes",
+            arrival.len()
+        );
     }
 
     #[test]

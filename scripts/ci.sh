@@ -20,8 +20,8 @@ echo "==> cargo test -q (with test-count floor)"
 cargo test -q --workspace 2>&1 | tee target/test-output.log
 total_passed=$(grep -Eo '[0-9]+ passed' target/test-output.log | awk '{s+=$1} END {print s}')
 echo "    total tests passed: ${total_passed}"
-if [ "${total_passed}" -lt 728 ]; then
-  echo "test-count floor: expected >= 728 passing tests, got ${total_passed}" >&2
+if [ "${total_passed}" -lt 732 ]; then
+  echo "test-count floor: expected >= 732 passing tests, got ${total_passed}" >&2
   exit 1
 fi
 
